@@ -9,11 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import metrics, pipeline, textnorm
 from .errors import MissingScoreError, SchemaError, UndefinedMetricError, ValidationError
-from .jsonl import iter_jsonl, read_csv, require_field, require_finite, write_csv
+from .jsonl import (
+    CSV_FIRST_ROW_LINE,
+    iter_jsonl,
+    parse_cell,
+    read_csv,
+    require_field,
+    require_finite,
+    write_csv,
+)
+from .metrics import fmt_frac
 
 SIM_METRICS = ("jaccard", "external")
 AGGREGATIONS = ("max", "mean")
@@ -293,27 +302,22 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
 
 def select_subset(samples: Sequence[pipeline.TracedSample], subset: str,
                   ) -> list[pipeline.TracedSample]:
-    live = [s for s in samples if s.live]
-    if subset == "ALL":
-        return live
-    if subset not in ("AIG", "AIR"):
+    """Live samples of one subset (AIG, AIR or ALL); empty is an error."""
+    if subset not in ("AIG", "AIR", "ALL"):
         raise ValidationError(f"unknown subset {subset!r}")
-    return [s for s in live if s.subset == subset]
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
+    chosen = [s for s in samples if s.live and subset in ("ALL", s.subset)]
+    if not chosen:
+        raise ValidationError(f"no live samples in subset {subset!r}")
+    return chosen
 
 
 def run_sim(samples: Sequence[pipeline.TracedSample], subset: str, metric: str,
             aggregation: str, external_scores: Mapping[tuple[str, str], float] | None,
             out_path: str | Path, manifest_hash: str, seed: int) -> list[SimilarityRecord]:
     chosen = select_subset(samples, subset)
-    if not chosen:
-        raise ValidationError(f"no live samples in subset {subset!r}")
     records = build_similarity_records(chosen, metric, aggregation, external_scores)
-    rows = [[r.example_id, _fmt(r.sim_gen), _fmt(r.sim_ret), r.metric, r.aggregation,
-             _fmt(r.delta_sim)] for r in records]
+    rows = [[r.example_id, fmt_frac(r.sim_gen), fmt_frac(r.sim_ret), r.metric, r.aggregation,
+             fmt_frac(r.delta_sim)] for r in records]
     write_csv(out_path, SIM_COLUMNS, rows, manifest_hash, seed)
     return records
 
@@ -323,11 +327,12 @@ def read_sim_csv(path: str | Path) -> tuple[str, int, list[SimilarityRecord]]:
     if columns != SIM_COLUMNS:
         raise ValidationError(f"{path}: unexpected similarity columns {columns}")
     records = []
-    for row in rows:
+    for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE):
         if len(row) != len(SIM_COLUMNS):
-            raise ValidationError(f"{path}: similarity row has {len(row)} cells")
-        records.append(SimilarityRecord(row[0], float(row[1]), float(row[2]),
-                                        row[3], row[4], float(row[5])))
+            raise SchemaError(path, line_no, f"similarity row has {len(row)} cells")
+        sim_gen, sim_ret, delta = (parse_cell(row[i], float, SIM_COLUMNS[i], path, line_no)
+                                   for i in (1, 2, 5))
+        records.append(SimilarityRecord(row[0], sim_gen, sim_ret, row[3], row[4], delta))
     return manifest_hash, seed, records
 
 
@@ -335,8 +340,8 @@ def run_slices(sim_records: Sequence[SimilarityRecord],
                eval_records: Sequence[pipeline.HybridRecord], n: int,
                out_path: str | Path, manifest_hash: str, seed: int) -> list[Slice]:
     filled = slice_report(quantile_slices(sim_records, n), eval_records)
-    rows = [[str(s.index), str(len(s.example_ids)), _fmt(s.mean_delta_sim), _fmt(s.diff_gr)]
-            for s in filled]
+    rows = [[str(s.index), str(len(s.example_ids)), fmt_frac(s.mean_delta_sim),
+             fmt_frac(s.diff_gr)] for s in filled]
     write_csv(out_path, SLICE_COLUMNS, rows, manifest_hash, seed)
     return filled
 
@@ -346,8 +351,6 @@ def run_order(samples: Sequence[pipeline.TracedSample], reader: pipeline.Reader,
               workers: int = 1) -> dict[str, metrics.MetricsReport]:
     """Sweep all three presentation orders over one subset."""
     chosen = select_subset(samples, subset)
-    if not chosen:
-        raise ValidationError(f"no live samples in subset {subset!r}")
     examples = {s.example.id: s.example for s in chosen}
     llm_tracked = any(s.closed_book is not None for s in chosen)
     rows = []
@@ -379,8 +382,6 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
     retrieved context.
     """
     chosen = select_subset(samples, subset)
-    if not chosen:
-        raise ValidationError(f"no live samples in subset {subset!r}")
 
     def build(sample: pipeline.TracedSample) -> CompletenessVariants:
         unconstrained = generator.generate(sample.example, None)

@@ -14,7 +14,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -63,7 +63,7 @@ def context_fingerprint(text: str) -> str:
 class BackendSpec:
     """How to reach one model endpoint or script table."""
 
-    kind: str
+    kind: str = "scripted"
     endpoint: str | None = None
     model_name: str | None = None
     temperature: float = 0.0
@@ -94,7 +94,6 @@ class BackendSpec:
 class Bm25Params:
     k1: float = 1.2
     b: float = 0.75
-    corpus_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.k1 <= 0:
@@ -139,10 +138,6 @@ class HttpBackend:
         self._lock = threading.Lock()
         self._min_interval = min_interval
         self._next_slot = 0.0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     def _throttle(self) -> None:
         if self._min_interval <= 0:
@@ -207,16 +202,6 @@ class HttpBackend:
         if not isinstance(text, str) or not text.strip():
             raise EmptyResponseError("backend returned an empty completion")
         return text
-
-
-@dataclass(frozen=True)
-class ScriptEntry:
-    """One scripted reader response, keyed by call site."""
-
-    question_id: str
-    mode: str
-    context_fingerprint: str | None
-    answer: str
 
 
 class ReaderScript:
@@ -392,82 +377,49 @@ class Bm25Index:
         return self.top1(question)
 
 
-class GoldenRetriever:
-    """Annotated gold passages, looked up by question id.
+class KeyedRetriever:
+    """Passages looked up by question id rather than searched for.
 
-    The annotations file holds {"question_id", "doc_id", "title", "body"}
-    per line.  A duplicated question keeps its first annotation and logs a
-    warning.  Gold hits carry score 1.0.
+    Two kinds share one row format, {"question_id", "doc_id", "title",
+    "body"}, and differ only in scores and duplicates:
+
+    * golden: annotated gold passages.  Hits carry score 1.0; a duplicated
+      question keeps its first annotation and logs a warning.
+    * ingest: results produced outside the toolkit (a dense model, say).
+      Rows add a finite "score"; a duplicated question is a schema error.
+
+    Empty bodies are rejected in both.
     """
 
-    name = "golden"
-
-    def __init__(self, hits: Mapping[str, RetrievedHit], source: str) -> None:
+    def __init__(self, name: str, hits: Mapping[str, RetrievedHit]) -> None:
+        self.name = name
         self._hits = dict(hits)
-        self.source = source
 
     @classmethod
-    def load(cls, path: str | Path) -> "GoldenRetriever":
+    def load(cls, path: str | Path, kind: str) -> "KeyedRetriever":
         hits: dict[str, RetrievedHit] = {}
         for line_no, obj in iter_jsonl(path):
             qid = require_field(obj, "question_id", str, path, line_no)
             doc_id = require_field(obj, "doc_id", str, path, line_no)
             title = require_field(obj, "title", str, path, line_no)
             body = require_field(obj, "body", str, path, line_no)
+            score = 1.0
+            if kind == "ingest":
+                score = require_field(obj, "score", (int, float), path, line_no)
+                score = require_finite(float(score), "score", path, line_no)
             if not body:
-                raise SchemaError(path, line_no, "annotation body must not be empty")
+                raise SchemaError(path, line_no, "hit body must not be empty")
             if qid in hits:
+                if kind == "ingest":
+                    raise SchemaError(path, line_no, f"duplicate retrieval hit for {qid!r}")
                 logger.warning("%s:%d: duplicate gold annotation for %s; keeping the first",
                                path, line_no, qid)
                 continue
-            hits[qid] = RetrievedHit(doc_id, title, body, 1.0)
-        return cls(hits, str(path))
+            hits[qid] = RetrievedHit(doc_id, title, body, score)
+        return cls(kind, hits)
 
     def retrieve(self, question_id: str, question: str) -> RetrievedHit:
         hit = self._hits.get(question_id)
         if hit is None:
-            raise NoHitError(f"no gold annotation for question {question_id!r}")
-        return hit
-
-
-def ingest_retrieval(path: str | Path) -> dict[str, RetrievedHit]:
-    """Load a precomputed retrieval run keyed by question id.
-
-    Rows hold {"question_id", "doc_id", "title", "body", "score"}.  A
-    duplicate question_id is a validation failure, as are non-finite scores
-    and empty bodies.
-    """
-    hits: dict[str, RetrievedHit] = {}
-    for line_no, obj in iter_jsonl(path):
-        qid = require_field(obj, "question_id", str, path, line_no)
-        doc_id = require_field(obj, "doc_id", str, path, line_no)
-        title = require_field(obj, "title", str, path, line_no)
-        body = require_field(obj, "body", str, path, line_no)
-        score = require_field(obj, "score", (int, float), path, line_no)
-        score = require_finite(float(score), "score", path, line_no)
-        if not body:
-            raise SchemaError(path, line_no, "hit body must not be empty")
-        if qid in hits:
-            raise SchemaError(path, line_no, f"duplicate retrieval hit for {qid!r}")
-        hits[qid] = RetrievedHit(doc_id, title, body, score)
-    return hits
-
-
-class IngestedRetriever:
-    """Retrieval results produced outside the toolkit (a dense model, say)."""
-
-    name = "ingest"
-
-    def __init__(self, hits: Mapping[str, RetrievedHit], source: str) -> None:
-        self._hits = dict(hits)
-        self.source = source
-
-    @classmethod
-    def load(cls, path: str | Path) -> "IngestedRetriever":
-        return cls(ingest_retrieval(path), str(path))
-
-    def retrieve(self, question_id: str, question: str) -> RetrievedHit:
-        hit = self._hits.get(question_id)
-        if hit is None:
-            raise NoHitError(f"no ingested hit for question {question_id!r}")
+            raise NoHitError(f"no {self.name} hit for question {question_id!r}")
         return hit

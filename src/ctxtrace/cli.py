@@ -25,7 +25,7 @@ from .analysis import (
     run_sim,
     run_slices,
 )
-from .backends import Bm25Index, Bm25Params, GoldenRetriever, IngestedRetriever
+from .backends import Bm25Index, Bm25Params, KeyedRetriever
 from .config import CONFIG_FIELDS, RetrieverConfig, RunConfig, config_hash, load_config
 from .errors import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, CtxTraceError
 from .jsonl import MANIFEST_KEY
@@ -34,6 +34,7 @@ from .pipeline import (
     DROP_REASONS,
     Generator,
     Reader,
+    TracedSample,
     read_contexts,
     read_eval,
     read_questions,
@@ -118,16 +119,21 @@ def build_retriever(cfg: RetrieverConfig):
     path = cfg.require_path()
     if cfg.kind == "bm25":
         return Bm25Index.from_corpus_file(path, Bm25Params(cfg.k1, cfg.b))
-    if cfg.kind == "golden":
-        return GoldenRetriever.load(path)
-    return IngestedRetriever.load(path)
+    return KeyedRetriever.load(path, cfg.kind)
 
 
-def _note_mismatch(header: dict[str, Any], run_id: str, path: str) -> None:
-    found = header.get(MANIFEST_KEY)
+def _note_mismatch(found: str, run_id: str, path: str) -> None:
     if found != run_id:
         print(f"note: {path} carries manifest {found}, this run is {run_id}",
               file=sys.stderr)
+
+
+def _load_traced(ns: argparse.Namespace) -> tuple[RunConfig, str, list[TracedSample]]:
+    """Config, run id, and the --traced samples, noting a manifest mismatch."""
+    cfg, run_id = _load(ns)
+    header, samples = read_traced(ns.traced)
+    _note_mismatch(header[MANIFEST_KEY], run_id, ns.traced)
+    return cfg, run_id, samples
 
 
 def cmd_prepare(ns: argparse.Namespace) -> int:
@@ -155,7 +161,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     cfg, run_id = _load(ns)
     examples = read_questions(ns.questions)
     header, contexts_by_id = read_contexts(ns.contexts)
-    _note_mismatch(header, run_id, ns.contexts)
+    _note_mismatch(header[MANIFEST_KEY], run_id, ns.contexts)
     reader = Reader(cfg.reader, cfg.prompts)
     samples = run_trace(examples, contexts_by_id, reader, cfg.abstention_set,
                         ns.parametric, ns.out, run_id, cfg.seed, cfg.workers)
@@ -181,9 +187,7 @@ def cmd_trace(ns: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    header, samples = read_traced(ns.traced)
-    _note_mismatch(header, run_id, ns.traced)
+    cfg, run_id, samples = _load_traced(ns)
     reader = Reader(cfg.reader, cfg.prompts)
     report_path = ns.report if ns.report else str(Path(ns.out).with_name("report.csv"))
     reports = run_evaluate(samples, reader, cfg.order, cfg.seed, ns.out, report_path,
@@ -198,9 +202,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze_sim(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    header, samples = read_traced(ns.traced)
-    _note_mismatch(header, run_id, ns.traced)
+    cfg, run_id, samples = _load_traced(ns)
     scores = ingest_similarity(ns.scores) if ns.scores else None
     records = run_sim(samples, ns.subset, cfg.sim_metric, cfg.aggregation, scores,
                       ns.out, run_id, cfg.seed)
@@ -211,11 +213,9 @@ def cmd_analyze_sim(ns: argparse.Namespace) -> int:
 def cmd_analyze_slices(ns: argparse.Namespace) -> int:
     cfg, run_id = _load(ns)
     sim_manifest, _, records = read_sim_csv(ns.sim)
-    if sim_manifest != run_id:
-        print(f"note: {ns.sim} carries manifest {sim_manifest}, this run is {run_id}",
-              file=sys.stderr)
+    _note_mismatch(sim_manifest, run_id, ns.sim)
     eval_header, eval_records = read_eval(ns.eval)
-    _note_mismatch(eval_header, run_id, ns.eval)
+    _note_mismatch(eval_header[MANIFEST_KEY], run_id, ns.eval)
     slices = run_slices(records, eval_records, cfg.slice_count, ns.out, run_id, cfg.seed)
     print(f"wrote {len(slices)} slices -> {ns.out} (manifest {run_id})")
     for piece in slices:
@@ -225,9 +225,7 @@ def cmd_analyze_slices(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze_order(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    header, samples = read_traced(ns.traced)
-    _note_mismatch(header, run_id, ns.traced)
+    cfg, run_id, samples = _load_traced(ns)
     reader = Reader(cfg.reader, cfg.prompts)
     reports = run_order(samples, reader, ns.subset, cfg.seed, ns.out, run_id, cfg.workers)
     print(f"wrote order sweep -> {ns.out} (manifest {run_id})")
@@ -238,9 +236,7 @@ def cmd_analyze_order(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze_completeness(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    header, samples = read_traced(ns.traced)
-    _note_mismatch(header, run_id, ns.traced)
+    cfg, run_id, samples = _load_traced(ns)
     reader = Reader(cfg.reader, cfg.prompts)
     generator = Generator(cfg.generator, cfg.prompts)
     scores = ingest_similarity(ns.scores) if ns.scores else None

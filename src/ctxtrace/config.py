@@ -2,22 +2,22 @@
 
 One JSON document configures a whole run; every leaf field can be overridden
 on the command line by a flag of the same dotted name (flags win).  The
+dataclasses below are the single definition of that document: its fields,
+their defaults, and the flag coercions are all derived from them.  The
 manifest hash identifies a run: sha256 over the tool version plus the fully
 resolved config (seed included), so every stage launched from the same config
 stamps the same hash into its output headers, and mixed-run inputs are
-detectable downstream.  Input-file digests and the start timestamp are kept
-on the manifest object for logs but never written into outputs, which keeps
-scripted reruns byte-identical.
+detectable downstream.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from . import __version__
 from .analysis import AGGREGATIONS, DEFAULT_MATCH_THRESHOLD, DEFAULT_SLICES, SIM_METRICS
@@ -37,15 +37,15 @@ RETRIEVER_KINDS = ("bm25", "golden", "ingest")
 class RetrieverConfig:
     kind: str = "bm25"
     corpus_path: str | None = None
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float = Bm25Params.k1
+    b: float = Bm25Params.b
     gold_path: str | None = None
     results_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in RETRIEVER_KINDS:
             raise ValidationError(f"retriever kind must be one of {RETRIEVER_KINDS}")
-        Bm25Params(self.k1, self.b, self.corpus_path)
+        Bm25Params(self.k1, self.b)
 
     def require_path(self) -> str:
         needed = {"bm25": self.corpus_path, "golden": self.gold_path,
@@ -60,18 +60,20 @@ class RunConfig:
     reader: BackendSpec
     generator: BackendSpec
     retriever: RetrieverConfig
+    prompts: PromptSet = field(default_factory=PromptSet)
     order: str = "random"
     seed: int = 0
     workers: int = 1
     length_candidates: tuple[int, ...] = DEFAULT_LENGTH_CANDIDATES
     abstention_set: tuple[str, ...] = DEFAULT_ABSTENTIONS
-    prompts: PromptSet = field(default_factory=PromptSet)
     slice_count: int = DEFAULT_SLICES
     sim_metric: str = "jaccard"
     aggregation: str = "max"
     match_threshold: float = DEFAULT_MATCH_THRESHOLD
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValidationError(f"seed must be an integer: {self.seed!r}")
         if self.order not in ORDERS:
             raise ValidationError(f"order must be one of {ORDERS}")
         if self.workers < 1:
@@ -88,72 +90,48 @@ class RunConfig:
             raise ValidationError(f"match_threshold out of range (0, 2]: {self.match_threshold}")
 
 
-_DEFAULTS: dict[str, Any] = {
-    "reader": {
-        "kind": "scripted", "endpoint": None, "model_name": None,
-        "temperature": 0.0, "timeout": 30.0, "max_retries": 3, "script_path": None,
-    },
-    "generator": {
-        "kind": "scripted", "endpoint": None, "model_name": None,
-        "temperature": 0.0, "timeout": 30.0, "max_retries": 3, "script_path": None,
-    },
-    "retriever": {
-        "kind": "bm25", "corpus_path": None, "k1": 1.2, "b": 0.75,
-        "gold_path": None, "results_path": None,
-    },
-    "prompts": {
-        "generation": PromptSet.generation,
-        "generation_unconstrained": PromptSet.generation_unconstrained,
-        "reading": PromptSet.reading,
-        "closed_book": PromptSet.closed_book,
-    },
-    "order": "random",
-    "seed": 0,
-    "workers": 1,
-    "length_candidates": list(DEFAULT_LENGTH_CANDIDATES),
-    "abstention_set": list(DEFAULT_ABSTENTIONS),
-    "slice_count": DEFAULT_SLICES,
-    "sim_metric": "jaccard",
-    "aggregation": "max",
-    "match_threshold": DEFAULT_MATCH_THRESHOLD,
+# Fields annotated with one of these dataclasses are nested config objects;
+# every other field is a leaf.  Annotations are strings under
+# ``from __future__ import annotations``.
+_SECTIONS: dict[str, type] = {
+    "BackendSpec": BackendSpec,
+    "RetrieverConfig": RetrieverConfig,
+    "PromptSet": PromptSet,
 }
-
-# Leaf fields, their coercions from command-line strings, and help strings.
-# These names double as the dotted override flags.
 _LIST_OF_INT = "list_of_int"
 _LIST_OF_STR = "list_of_str"
-CONFIG_FIELDS: dict[str, str] = {}
-for _side in ("reader", "generator"):
-    CONFIG_FIELDS.update({
-        f"{_side}.kind": "str",
-        f"{_side}.endpoint": "str",
-        f"{_side}.model_name": "str",
-        f"{_side}.temperature": "float",
-        f"{_side}.timeout": "float",
-        f"{_side}.max_retries": "int",
-        f"{_side}.script_path": "str",
-    })
-CONFIG_FIELDS.update({
-    "retriever.kind": "str",
-    "retriever.corpus_path": "str",
-    "retriever.k1": "float",
-    "retriever.b": "float",
-    "retriever.gold_path": "str",
-    "retriever.results_path": "str",
-    "prompts.generation": "str",
-    "prompts.generation_unconstrained": "str",
-    "prompts.reading": "str",
-    "prompts.closed_book": "str",
-    "order": "str",
-    "seed": "int",
-    "workers": "int",
-    "length_candidates": _LIST_OF_INT,
-    "abstention_set": _LIST_OF_STR,
-    "slice_count": "int",
-    "sim_metric": "str",
-    "aggregation": "str",
-    "match_threshold": "float",
-})
+_COERCIONS = {"int": "int", "float": "float",
+              "tuple[int, ...]": _LIST_OF_INT, "tuple[str, ...]": _LIST_OF_STR}
+
+
+def _leaves(cls: type, prefix: str = "") -> Iterator[tuple[str, Field]]:
+    """(dotted name, field) for every leaf under *cls*, in declaration order."""
+    for f in fields(cls):
+        if f.type in _SECTIONS:
+            yield from _leaves(_SECTIONS[f.type], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f
+
+
+def _plain(value: Any) -> Any:
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _apply_dotted(doc: dict[str, Any], dotted: str, value: Any) -> None:
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        doc = doc.setdefault(part, {})
+    doc[leaf] = value
+
+
+_LEAVES = list(_leaves(RunConfig))
+# Leaf fields and their coercions from command-line strings.  These names
+# double as the dotted override flags.
+CONFIG_FIELDS: dict[str, str] = {name: _COERCIONS.get(f.type, "str") for name, f in _LEAVES}
+_DEFAULTS: dict[str, Any] = {}
+for _name, _field in _LEAVES:
+    _apply_dotted(_DEFAULTS, _name, _plain(
+        _field.default_factory() if _field.default is MISSING else _field.default))
 
 
 def coerce_override(dotted: str, raw: object) -> Any:
@@ -189,14 +167,6 @@ def _deep_merge(base: dict[str, Any], extra: dict[str, Any], path: str = "") -> 
             base[key] = value
 
 
-def _apply_dotted(doc: dict[str, Any], dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    node = doc
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
-
-
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, Any] | None = None) -> RunConfig:
     """Defaults, then the config file, then dotted overrides; later wins."""
@@ -214,107 +184,30 @@ def load_config(path: str | Path | None = None,
         _deep_merge(doc, loaded)
     for dotted, value in (overrides or {}).items():
         _apply_dotted(doc, dotted, coerce_override(dotted, value))
-    return _build(doc)
+    return _build(RunConfig, doc)
 
 
-def _build(doc: dict[str, Any]) -> RunConfig:
-    reader = BackendSpec(**doc["reader"])
-    generator = BackendSpec(**doc["generator"])
-    retriever = RetrieverConfig(**doc["retriever"])
-    prompts = PromptSet(**doc["prompts"])
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-        raise ValidationError(f"seed must be an integer: {doc['seed']!r}")
-    return RunConfig(
-        reader=reader,
-        generator=generator,
-        retriever=retriever,
-        order=doc["order"],
-        seed=doc["seed"],
-        workers=doc["workers"],
-        length_candidates=tuple(doc["length_candidates"]),
-        abstention_set=tuple(doc["abstention_set"]),
-        prompts=prompts,
-        slice_count=doc["slice_count"],
-        sim_metric=doc["sim_metric"],
-        aggregation=doc["aggregation"],
-        match_threshold=doc["match_threshold"],
-    )
+def _build(cls: type, doc: dict[str, Any]) -> Any:
+    kwargs: dict[str, Any] = {}
+    for f in fields(cls):
+        value = doc[f.name]
+        if f.type in _SECTIONS:
+            value = _build(_SECTIONS[f.type], value)
+        elif f.type.startswith("tuple["):
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def resolved_doc(cfg: RunConfig) -> dict[str, Any]:
     """The fully resolved config as a plain JSON document."""
-    return {
-        "reader": {
-            "kind": cfg.reader.kind, "endpoint": cfg.reader.endpoint,
-            "model_name": cfg.reader.model_name, "temperature": cfg.reader.temperature,
-            "timeout": cfg.reader.timeout, "max_retries": cfg.reader.max_retries,
-            "script_path": cfg.reader.script_path,
-        },
-        "generator": {
-            "kind": cfg.generator.kind, "endpoint": cfg.generator.endpoint,
-            "model_name": cfg.generator.model_name, "temperature": cfg.generator.temperature,
-            "timeout": cfg.generator.timeout, "max_retries": cfg.generator.max_retries,
-            "script_path": cfg.generator.script_path,
-        },
-        "retriever": {
-            "kind": cfg.retriever.kind, "corpus_path": cfg.retriever.corpus_path,
-            "k1": cfg.retriever.k1, "b": cfg.retriever.b,
-            "gold_path": cfg.retriever.gold_path, "results_path": cfg.retriever.results_path,
-        },
-        "prompts": {
-            "generation": cfg.prompts.generation,
-            "generation_unconstrained": cfg.prompts.generation_unconstrained,
-            "reading": cfg.prompts.reading,
-            "closed_book": cfg.prompts.closed_book,
-        },
-        "order": cfg.order,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "length_candidates": list(cfg.length_candidates),
-        "abstention_set": list(cfg.abstention_set),
-        "slice_count": cfg.slice_count,
-        "sim_metric": cfg.sim_metric,
-        "aggregation": cfg.aggregation,
-        "match_threshold": cfg.match_threshold,
-    }
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Identity and provenance of one run."""
-
-    config_hash: str
-    tool_version: str
-    input_digests: dict[str, str]
-    started_at: str
-
-    @property
-    def run_id(self) -> str:
-        return self.config_hash
+    doc: dict[str, Any] = {}
+    for name, _ in _LEAVES:
+        _apply_dotted(doc, name, _plain(attrgetter(name)(cfg)))
+    return doc
 
 
 def config_hash(cfg: RunConfig) -> str:
     canonical = json.dumps({"tool_version": __version__, "config": resolved_doc(cfg)},
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def file_digest(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
-
-
-def build_manifest(cfg: RunConfig, inputs: dict[str, str | Path] | None = None) -> RunManifest:
-    digests = {}
-    for name, path in (inputs or {}).items():
-        if Path(path).is_file():
-            digests[name] = file_digest(path)
-    return RunManifest(
-        config_hash=config_hash(cfg),
-        tool_version=__version__,
-        input_digests=digests,
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    )

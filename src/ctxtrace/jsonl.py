@@ -19,6 +19,7 @@ from typing import Any, Iterable, Iterator
 from .errors import SchemaError, ValidationError
 
 MANIFEST_KEY = "_manifest"
+CSV_FIRST_ROW_LINE = 3  # after the header comment and the column row
 
 
 def dumps_row(obj: dict[str, Any]) -> str:
@@ -86,6 +87,15 @@ def require_finite(value: float, name: str, path: str | Path, line_no: int) -> f
     return float(value)
 
 
+def parse_cell(cell: str, kind: type, column: str, path: str | Path, line_no: int) -> Any:
+    """Parse one numeric CSV cell, naming its column and line on failure."""
+    try:
+        return kind(cell)
+    except ValueError:
+        raise SchemaError(path, line_no,
+                          f"column {column!r}: {cell!r} is not a valid {kind.__name__}") from None
+
+
 def csv_header_comment(manifest_hash: str, seed: int) -> str:
     return f"# manifest={manifest_hash} seed={seed}"
 
@@ -113,7 +123,11 @@ def write_csv(path: str | Path, columns: list[str], rows: Iterable[list[str]],
 
 
 def read_csv(path: str | Path) -> tuple[str, int, list[str], list[list[str]]]:
-    """Read a pipeline CSV, returning (manifest_hash, seed, columns, rows)."""
+    """Read a pipeline CSV, returning (manifest_hash, seed, columns, rows).
+
+    Blank rows are skipped, so data row i sits on line CSV_FIRST_ROW_LINE + i
+    of any file this package wrote.
+    """
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
     with open(path, encoding="utf-8", newline="") as fh:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from . import textnorm
-from .errors import UndefinedMetricError, ValidationError
-from .jsonl import read_csv, write_csv
+from .errors import SchemaError, UndefinedMetricError, ValidationError
+from .jsonl import CSV_FIRST_ROW_LINE, parse_cell, read_csv, write_csv
 
 if TYPE_CHECKING:  # import cycle guard; pipeline imports this module
     from .pipeline import Context, HybridRecord, QaExample
@@ -112,15 +112,9 @@ def recall(contexts: Mapping[str, "Context"],
         example = examples.get(qid)
         if example is None:
             raise ValidationError(f"no gold answers for example {qid!r}")
-        if any(_safe_contains(context.text, gold) for gold in example.answers):
+        if any(textnorm.contains_candidate(context.text, gold) for gold in example.answers):
             hits += 1
     return hits / len(contexts)
-
-
-def _safe_contains(text: str, answer: str) -> bool:
-    if not answer.strip():
-        return False
-    return textnorm.contains_answer(text, answer)
 
 
 def length_stats(contexts: Sequence["Context"]) -> LengthStats:
@@ -155,7 +149,7 @@ def build_report(subset: str, records: Sequence["HybridRecord"],
     )
 
 
-def _fmt_frac(value: float | None) -> str:
+def fmt_frac(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
@@ -163,28 +157,38 @@ def report_to_cells(report: MetricsReport) -> list[str]:
     return [
         report.subset,
         str(report.n),
-        _fmt_frac(report.rho_gen),
-        _fmt_frac(report.rho_ret),
-        _fmt_frac(report.rho_llm),
-        _fmt_frac(report.others),
-        _fmt_frac(report.diff_gr),
+        fmt_frac(report.rho_gen),
+        fmt_frac(report.rho_ret),
+        fmt_frac(report.rho_llm),
+        fmt_frac(report.others),
+        fmt_frac(report.diff_gr),
         f"{report.em_percent:.4f}",
     ]
 
 
-def report_from_cells(cells: Sequence[str], path: str | Path) -> MetricsReport:
+def report_from_cells(cells: Sequence[str], path: str | Path, line_no: int = 0) -> MetricsReport:
     if len(cells) != len(REPORT_COLUMNS):
-        raise ValidationError(f"{path}: report row has {len(cells)} cells")
+        raise SchemaError(path, line_no, f"report row has {len(cells)} cells")
+
+    def cell(i: int, kind: type = float) -> Any:
+        return parse_cell(cells[i], kind, REPORT_COLUMNS[i], path, line_no)
+
     return MetricsReport(
         subset=cells[0],
-        n=int(cells[1]),
-        rho_gen=float(cells[2]),
-        rho_ret=float(cells[3]),
-        rho_llm=float(cells[4]) if cells[4] else None,
-        others=float(cells[5]),
-        diff_gr=float(cells[6]),
-        em_percent=float(cells[7]),
+        n=cell(1, int),
+        rho_gen=cell(2),
+        rho_ret=cell(3),
+        rho_llm=cell(4) if cells[4] else None,
+        others=cell(5),
+        diff_gr=cell(6),
+        em_percent=cell(7),
     )
+
+
+def reports_from_rows(rows: Sequence[Sequence[str]], path: str | Path) -> list[MetricsReport]:
+    """Parse the data rows :func:`jsonl.read_csv` returned for a report."""
+    return [report_from_cells(row, path, line_no)
+            for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE)]
 
 
 def write_report_csv(path: str | Path, reports: Sequence[MetricsReport],
@@ -197,7 +201,7 @@ def read_report_csv(path: str | Path) -> tuple[str, int, list[MetricsReport]]:
     manifest_hash, seed, columns, rows = read_csv(path)
     if columns != REPORT_COLUMNS:
         raise ValidationError(f"{path}: unexpected report columns {columns}")
-    return manifest_hash, seed, [report_from_cells(row, path) for row in rows]
+    return manifest_hash, seed, reports_from_rows(rows, path)
 
 
 def render_markdown(reports: Sequence[MetricsReport]) -> str:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import metrics, textnorm
 from .backends import (
@@ -136,20 +136,21 @@ def render_passage(title: str, body: str) -> str:
     return f"Title: {title} Content: {body}"
 
 
-class Reader:
-    """Question answering over zero, one, or two contexts.
+class _Backend:
+    """Scripted-or-HTTP construction shared by readers and generators.
 
-    HTTP readers build prompts from the template set; scripted readers look
-    up (question_id, mode, context fingerprint) in their table.
+    Scripted backends load their table from ``spec.script_path`` unless one
+    is passed in; HTTP backends build a client unless a transport is passed.
     """
 
+    _script_type: Any
+
     def __init__(self, spec: BackendSpec, prompts: PromptSet,
-                 transport: HttpBackend | None = None,
-                 script: ReaderScript | None = None) -> None:
+                 transport: HttpBackend | None = None, script: Any = None) -> None:
         self.spec = spec
         self.prompts = prompts
         if spec.kind == "scripted":
-            self._script = script if script is not None else ReaderScript.load(spec.script_path)
+            self._script = script if script is not None else self._script_type.load(spec.script_path)
             self._transport = None
         else:
             self._script = None
@@ -158,6 +159,16 @@ class Reader:
     @property
     def name(self) -> str:
         return self.spec.name
+
+
+class Reader(_Backend):
+    """Question answering over zero, one, or two contexts.
+
+    HTTP readers build prompts from the template set; scripted readers look
+    up (question_id, mode, context fingerprint) in their table.
+    """
+
+    _script_type = ReaderScript
 
     def answer(self, example: QaExample, context_texts: Sequence[str] | None, mode: str) -> str:
         if mode == "closed_book":
@@ -175,24 +186,10 @@ class Reader:
         return self._transport.complete(prompt)
 
 
-class Generator:
+class Generator(_Backend):
     """Context generation, length-constrained or free-running."""
 
-    def __init__(self, spec: BackendSpec, prompts: PromptSet,
-                 transport: HttpBackend | None = None,
-                 script: GenerationScript | None = None) -> None:
-        self.spec = spec
-        self.prompts = prompts
-        if spec.kind == "scripted":
-            self._script = script if script is not None else GenerationScript.load(spec.script_path)
-            self._transport = None
-        else:
-            self._script = None
-            self._transport = transport if transport is not None else HttpBackend(spec)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+    _script_type = GenerationScript
 
     def generate(self, example: QaExample, target_words: int | None) -> str:
         if self._script is not None:

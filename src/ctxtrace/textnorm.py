@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
 _TERMINATORS = ".!?"
@@ -63,21 +63,6 @@ def tokens(raw: str) -> list[str]:
     return normalize_answer(raw).split()
 
 
-@dataclass(frozen=True)
-class NormalizedText:
-    """A string alongside its canonical form and token sequence."""
-
-    raw: str
-    normalized: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normalized", normalize_answer(self.raw))
-
-    @property
-    def tokens(self) -> list[str]:
-        return self.normalized.split()
-
-
 def exact_match(a: str, b: str) -> bool:
     """True when the two strings normalize to the same form."""
     return normalize_answer(a) == normalize_answer(b)
@@ -111,6 +96,12 @@ def contains_answer(context_text: str, answer: str) -> bool:
     if span > len(hay):
         return False
     return any(hay[i : i + span] == needle for i in range(len(hay) - span + 1))
+
+
+def contains_candidate(context_text: str, answer: str) -> bool:
+    """:func:`contains_answer` for stored candidates, where a blank answer
+    is simply not contained instead of malformed."""
+    return bool(answer.strip()) and contains_answer(context_text, answer)
 
 
 def word_count(text: str) -> int:

@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import metrics, pipeline, textnorm
-from .errors import CtxTraceError, SchemaError, ValidationError
-from .jsonl import MANIFEST_KEY, parse_csv_header_comment, read_csv, read_output_jsonl
+from .errors import CtxTraceError, SchemaError
+from .jsonl import CSV_FIRST_ROW_LINE, MANIFEST_KEY, read_csv, read_output_jsonl
 
 PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
@@ -53,12 +53,6 @@ def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
         out.add(path, line, "generated contexts cannot carry the retrieved variant")
 
 
-def _contains(text: str, answer: str) -> bool:
-    if not answer.strip():
-        return False
-    return textnorm.contains_answer(text, answer)
-
-
 def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int,
                       out: _Collector) -> None:
     _check_context_row(sample.retrieved, path, line, out, sample.example.id)
@@ -68,9 +62,9 @@ def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int
         return
     if sample.dropped is not None:
         return
-    if not _contains(sample.generated.text, sample.answer_from_generated):
+    if not textnorm.contains_candidate(sample.generated.text, sample.answer_from_generated):
         out.add(path, line, "generated candidate is not contained in the generated context")
-    if not _contains(sample.retrieved.text, sample.answer_from_retrieved):
+    if not textnorm.contains_candidate(sample.retrieved.text, sample.answer_from_retrieved):
         out.add(path, line, "retrieved candidate is not contained in the retrieved context")
     label = pipeline.exclusivity_label(sample.answer_from_generated,
                                        sample.answer_from_retrieved,
@@ -98,8 +92,7 @@ def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.T
 
 def _check_report_rows(path: str | Path, reports: Sequence[metrics.MetricsReport],
                        out: _Collector) -> None:
-    for offset, report in enumerate(reports):
-        line = offset + 3  # header comment + column row
+    for line, report in enumerate(reports, start=CSV_FIRST_ROW_LINE):
         total = report.rho_gen + report.rho_ret + (report.rho_llm or 0.0) + report.others
         if abs(total - 1.0) > PROPORTION_SUM_TOLERANCE + FRACTION_CELL_TOLERANCE * 4:
             out.add(path, line, f"proportions sum to {total!r}, not 1")
@@ -127,8 +120,7 @@ def _check_report_against_eval(path: str | Path, reports: Sequence[metrics.Metri
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
     recounted = {r.subset: r for r in pipeline.subset_reports(live, list(records))}
-    for offset, report in enumerate(reports):
-        line = offset + 3
+    for line, report in enumerate(reports, start=CSV_FIRST_ROW_LINE):
         expected = recounted.get(report.subset)
         if expected is None:
             out.add(path, line, f"report row for empty subset {report.subset!r}")
@@ -182,12 +174,10 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                 out.add(path, 0, "missing file")
                 continue
             if name.endswith(".csv"):
-                with open(path, encoding="utf-8") as fh:
-                    manifest_hash, _ = parse_csv_header_comment(fh.readline(), path)
+                manifest_hash, _, columns, rows = read_csv(path)
                 manifests[name] = manifest_hash
-                _hash, _seed, columns, _rows = read_csv(path)
                 if columns == metrics.REPORT_COLUMNS:
-                    _, _, reports = metrics.read_report_csv(path)
+                    reports = metrics.reports_from_rows(rows, path)
                     report_sets.append((name, reports))
                     _check_report_rows(name, reports, out)
                 continue

@@ -17,7 +17,7 @@ from ctxtrace.backends import (
     BackendSpec,
     Bm25Index,
     Bm25Params,
-    GoldenRetriever,
+    KeyedRetriever,
 )
 from ctxtrace.cli import main as cli_main
 from ctxtrace.jsonl import header_obj, write_jsonl
@@ -108,7 +108,7 @@ def test_criterion_03_injected_bias_recovery(tmp_path):
                     PromptSet())
     generator = Generator(BackendSpec(kind="scripted", script_path=world.gen_path),
                           PromptSet())
-    retriever = GoldenRetriever.load(world.gold_path)
+    retriever = KeyedRetriever.load(world.gold_path, "golden")
     examples = read_questions(world.questions_path)
     run_prepare(examples, retriever, generator, (80, 100, 120),
                 tmp_path / "contexts.jsonl", "aaaaaaaaaaaaaaaa", seed=SEED)
@@ -265,7 +265,7 @@ def test_criterion_06_length_control(tmp_path):
 
     generator = Generator(BackendSpec(kind="scripted", script_path=gen_path),
                           PromptSet())
-    retriever = GoldenRetriever.load(gold_path)
+    retriever = KeyedRetriever.load(gold_path, "golden")
     examples = read_questions(q_path)
     contexts, stats = run_prepare(examples, retriever, generator, (80, 100, 120),
                                   tmp_path / "contexts.jsonl", "cccccccccccccccc",

@@ -35,7 +35,7 @@ from ctxtrace.analysis import (
     slice_report,
     trunc,
 )
-from ctxtrace.backends import BackendSpec, GoldenRetriever, context_fingerprint
+from ctxtrace.backends import BackendSpec, KeyedRetriever, context_fingerprint
 from ctxtrace.errors import (
     MissingScoreError,
     SchemaError,
@@ -437,7 +437,7 @@ def _completeness_world(tmp_path):
                     PromptSet())
     generator = Generator(BackendSpec(kind="scripted", script_path=world.gen_path),
                           PromptSet())
-    retriever = GoldenRetriever.load(world.gold_path)
+    retriever = KeyedRetriever.load(world.gold_path, "golden")
     examples = read_questions(world.questions_path)
     run_prepare(examples, retriever, generator, (80, 100, 120),
                 tmp_path / "ctx.jsonl", "aa", seed=0)

@@ -16,12 +16,10 @@ from ctxtrace.backends import (
     Bm25Index,
     Bm25Params,
     GenerationScript,
-    GoldenRetriever,
     HttpBackend,
-    IngestedRetriever,
+    KeyedRetriever,
     ReaderScript,
     context_fingerprint,
-    ingest_retrieval,
 )
 from ctxtrace.errors import (
     BackendRejectedError,
@@ -427,21 +425,25 @@ def test_golden_retriever(tmp_path, caplog):
         {"question_id": "q1", "doc_id": "d8", "title": "T2", "body": "B2"},
     ])
     with caplog.at_level("WARNING"):
-        retriever = GoldenRetriever.load(path)
+        retriever = KeyedRetriever.load(path, "golden")
     assert "duplicate" in caplog.text
+    assert retriever.name == "golden"
     hit = retriever.retrieve("q1", "ignored question text")
     assert (hit.doc_id, hit.title, hit.body, hit.score) == ("d9", "T", "B", 1.0)
     with pytest.raises(NoHitError):
         retriever.retrieve("q2", "whatever")
+    with pytest.raises(SchemaError):
+        KeyedRetriever.load(write_jsonl(tmp_path / "empty.jsonl", [
+            {"question_id": "q1", "doc_id": "d9", "title": "T", "body": ""}]), "golden")
 
 
 def test_ingest_retrieval(tmp_path):
     path = write_jsonl(tmp_path / "hits.jsonl", [
         {"question_id": "q1", "doc_id": "d1", "title": "T", "body": "B", "score": 0.7},
     ])
-    hits = ingest_retrieval(path)
-    assert hits["q1"].score == 0.7
-    retriever = IngestedRetriever.load(path)
+    retriever = KeyedRetriever.load(path, "ingest")
+    assert retriever.name == "ingest"
+    assert retriever.retrieve("q1", "q").score == 0.7
     assert retriever.retrieve("q1", "q").doc_id == "d1"
     with pytest.raises(NoHitError):
         retriever.retrieve("zz", "q")
@@ -450,11 +452,12 @@ def test_ingest_retrieval(tmp_path):
 def test_ingest_retrieval_rejects_bad_rows(tmp_path):
     base = {"question_id": "q1", "doc_id": "d1", "title": "T", "body": "B", "score": 1.0}
     with pytest.raises(SchemaError) as err:
-        ingest_retrieval(write_jsonl(tmp_path / "a.jsonl", [base, base]))
+        KeyedRetriever.load(write_jsonl(tmp_path / "a.jsonl", [base, base]), "ingest")
     assert ":2:" in str(err.value)
     with pytest.raises(SchemaError):
-        ingest_retrieval(write_jsonl(tmp_path / "b.jsonl", [dict(base, body="")]))
+        KeyedRetriever.load(write_jsonl(tmp_path / "b.jsonl", [dict(base, body="")]), "ingest")
     bad = tmp_path / "c.jsonl"
     bad.write_text(json.dumps(dict(base, score=float("inf"))) + "\n")
     with pytest.raises(SchemaError):
-        ingest_retrieval(bad)
+        KeyedRetriever.load(bad, "ingest")
+

@@ -6,9 +6,10 @@ import re
 
 import pytest
 
+from ctxtrace.analysis import read_sim_csv
 from ctxtrace.config import config_hash, load_config
-from ctxtrace.errors import ValidationError
-from ctxtrace.jsonl import read_csv
+from ctxtrace.errors import SchemaError, ValidationError
+from ctxtrace.jsonl import read_csv, read_output_jsonl
 
 from .conftest import write_jsonl
 
@@ -234,6 +235,62 @@ def test_order_flag_accepts_hyphens(run_cli, world):
     assert code == 0, err
 
 
+def test_prepare_with_ingested_retrieval(run_cli, world, tmp_path):
+    _standard_world(world)
+    hits = [dict(row, score=0.5) for row in world.annotations]
+    results = write_jsonl(tmp_path / "results.jsonl", hits)
+    scripts = ["--reader.script_path", world.reader_path,
+               "--generator.script_path", world.gen_path]
+    code, _, err = run_cli("prepare", "--questions", world.questions_path,
+                           "--out", world.path("ingest.jsonl"),
+                           "--retriever.kind", "ingest", "--retriever.results_path", results,
+                           *scripts)
+    assert code == 0, err
+    code, _, err = run_cli("prepare", "--questions", world.questions_path,
+                           "--out", world.path("golden.jsonl"), *world.config_args())
+    assert code == 0, err
+    assert open(world.path("ingest.jsonl"), encoding="utf-8").read().count(
+        '"backend":"ingest"') == len(hits)
+    # Same passages as the gold run; only the retrieved backend name differs.
+    _, ingested = read_output_jsonl(world.path("ingest.jsonl"))
+    _, golden = read_output_jsonl(world.path("golden.jsonl"))
+    for (_, got), (_, want) in zip(ingested, golden):
+        if want["source"] == "retrieved":
+            assert (want["backend"], got["backend"]) == ("golden", "ingest")
+            want = dict(want, backend="ingest")
+        assert got == want
+
+    duplicated = write_jsonl(tmp_path / "dup.jsonl", hits + hits[:1])
+    code, _, err = run_cli("prepare", "--questions", world.questions_path,
+                           "--out", world.path("dup_contexts.jsonl"),
+                           "--retriever.kind", "ingest",
+                           "--retriever.results_path", duplicated, *scripts)
+    assert code == 3
+    assert f"{duplicated}:{len(hits) + 1}: duplicate retrieval hit" in err
+
+
+def _replace_cell(path, line_no, column, value):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    cells = lines[line_no - 1].split(",")
+    cells[column] = value
+    lines[line_no - 1] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_malformed_report_cell_is_a_validation_failure(run_cli, world):
+    _traced_world(run_cli, world)
+    report = world.path("report.csv")
+    _replace_cell(report, 4, 1, "x")
+    code, out, err = run_cli("validate", report)
+    assert code == 3
+    assert f"{report}:4:" in out
+    assert "'n'" in out and "'x'" in out
+    code, _, err = run_cli("report", report)
+    assert code == 3
+    assert f"{report}:4:" in err
+
+
 # ---------------------------------------------------------------------------
 # analyses
 
@@ -276,6 +333,24 @@ def test_analyze_sim_and_slices(run_cli, world):
     assert len([l for l in out.splitlines() if l.startswith("slice ")]) == 3
     # --slices changes the resolved config, so the drift note fires.
     assert "carries manifest" in err
+
+
+def test_malformed_sim_cell_is_a_validation_failure(run_cli, world):
+    _traced_world(run_cli, world)
+    sim = world.path("sim.csv")
+    code, _, err = run_cli("analyze", "sim", "--traced", world.path("traced.jsonl"),
+                           "--out", sim, "--subset", "ALL", *world.config_args())
+    assert code == 0, err
+    _replace_cell(sim, 3, 1, "high")
+    with pytest.raises(SchemaError) as exc:
+        read_sim_csv(sim)
+    assert exc.value.line_no == 3
+    assert "'sim_gen'" in str(exc.value)
+    code, _, err = run_cli("analyze", "slices", "--sim", sim,
+                           "--eval", world.path("eval.jsonl"),
+                           "--out", world.path("slices.csv"), *world.config_args())
+    assert code == 3
+    assert f"{sim}:3:" in err
 
 
 def test_analyze_sim_external_scores(run_cli, world, tmp_path):
@@ -397,3 +472,21 @@ def test_config_hash_tracks_content():
     assert config_hash(_cfg(seed="1")) != config_hash(base)
     assert config_hash(_cfg(**{"retriever.k1": "0.9"})) != config_hash(base)
     assert re.fullmatch(r"[0-9a-f]{16}", config_hash(base))
+
+
+def test_config_hash_is_pinned():
+    # Frozen values: any drift in defaults, field names or the hashed
+    # document changes every manifest stamped into existing outputs.
+    golden = load_config(None, {"reader.script_path": "r.jsonl",
+                                "generator.script_path": "g.jsonl",
+                                "retriever.kind": "golden",
+                                "retriever.gold_path": "gold.jsonl"})
+    assert config_hash(golden) == "b44a186595a7f7e5"
+    http = load_config(None, {"reader.kind": "http", "reader.endpoint": "http://x",
+                              "reader.model_name": "m",
+                              "generator.script_path": "g.jsonl",
+                              "retriever.corpus_path": "c.jsonl",
+                              "length_candidates": "50,60",
+                              "abstention_set": "no, idk",
+                              "seed": "7", "retriever.k1": "0.9"})
+    assert config_hash(http) == "1cde145737c59c50"

@@ -9,7 +9,7 @@ import pytest
 from ctxtrace.backends import (
     BackendSpec,
     GenerationScript,
-    GoldenRetriever,
+    KeyedRetriever,
     ReaderScript,
     context_fingerprint,
 )
@@ -394,7 +394,7 @@ def _build_world(tmp_path):
                     PromptSet())
     generator = Generator(BackendSpec(kind="scripted", script_path=world.gen_path),
                           PromptSet())
-    retriever = GoldenRetriever.load(world.gold_path)
+    retriever = KeyedRetriever.load(world.gold_path, "golden")
     return world, reader, generator, retriever
 
 

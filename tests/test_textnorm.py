@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ctxtrace.textnorm import (
-    NormalizedText,
     contains_answer,
     exact_match,
     matches_any,
@@ -61,10 +60,6 @@ def test_normalize_additive_across_a_space():
 
 def test_tokens_and_normalized_text():
     assert tokens("The Quick, Brown Fox!") == ["quick", "brown", "fox"]
-    nt = NormalizedText("The Hindenburg Line.")
-    assert nt.raw == "The Hindenburg Line."
-    assert nt.normalized == "hindenburg line"
-    assert nt.tokens == ["hindenburg", "line"]
 
 
 # ---------------------------------------------------------------------------

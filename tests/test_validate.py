@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ctxtrace.backends import BackendSpec, GoldenRetriever
+from ctxtrace.backends import BackendSpec, KeyedRetriever
 from ctxtrace.pipeline import (
     Generator,
     PromptSet,
@@ -44,7 +44,7 @@ def _finish_run(tmp_path, world, manifest="feedbead12345678", seed=4):
                     PromptSet())
     generator = Generator(BackendSpec(kind="scripted", script_path=world.gen_path),
                           PromptSet())
-    retriever = GoldenRetriever.load(world.gold_path)
+    retriever = KeyedRetriever.load(world.gold_path, "golden")
     examples = read_questions(world.questions_path)
 
     paths = {name: tmp_path / name for name in
