@@ -13,16 +13,7 @@ from typing import Mapping, Sequence
 
 from . import metrics, pipeline, textnorm
 from .errors import MissingScoreError, SchemaError, UndefinedMetricError, ValidationError
-from .jsonl import (
-    CSV_FIRST_ROW_LINE,
-    iter_jsonl,
-    parse_cell,
-    read_csv,
-    require_field,
-    require_finite,
-    write_csv,
-)
-from .metrics import fmt_frac
+from .jsonl import RowSchema, iter_jsonl, require_field, require_finite
 
 SIM_METRICS = ("jaccard", "external")
 AGGREGATIONS = ("max", "mean")
@@ -31,10 +22,10 @@ COMPLETENESS_VARIANTS = ("nature", "strunc", "trunc")
 DEFAULT_MATCH_THRESHOLD = 0.05
 DEFAULT_SLICES = 5
 
-SIM_COLUMNS = ["example_id", "sim_gen", "sim_ret", "metric", "aggregation", "delta_sim"]
-SLICE_COLUMNS = ["slice_index", "n", "mean_delta_sim", "diff_gr"]
-ORDER_COLUMNS = ["order"] + metrics.REPORT_COLUMNS[1:]
-COMPLETENESS_COLUMNS = ["variant"] + metrics.REPORT_COLUMNS[1:]
+ORDER = metrics.report_schema("order")
+ORDER_COLUMNS = ORDER.keys
+COMPLETENESS = metrics.report_schema("variant")
+COMPLETENESS_COLUMNS = COMPLETENESS.keys
 
 
 @dataclass(frozen=True)
@@ -47,12 +38,31 @@ class SimilarityRecord:
     delta_sim: float
 
 
+SIM = RowSchema(SimilarityRecord, choices={"metric": SIM_METRICS, "aggregation": AGGREGATIONS})
+SIM_COLUMNS = SIM.keys
+read_sim_csv = SIM.read_table
+
+
 @dataclass(frozen=True)
 class Slice:
     index: int
     example_ids: tuple[str, ...]
     mean_delta_sim: float
     diff_gr: float | None
+
+
+@dataclass(frozen=True)
+class SliceRow:
+    """One slices.csv row: a filled slice, counted."""
+
+    slice_index: int
+    n: int
+    mean_delta_sim: float
+    diff_gr: float | None
+
+
+SLICES = RowSchema(SliceRow)
+SLICE_COLUMNS = SLICES.keys
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -316,53 +326,34 @@ def run_sim(samples: Sequence[pipeline.TracedSample], subset: str, metric: str,
             out_path: str | Path, manifest_hash: str, seed: int) -> list[SimilarityRecord]:
     chosen = select_subset(samples, subset)
     records = build_similarity_records(chosen, metric, aggregation, external_scores)
-    rows = [[r.example_id, fmt_frac(r.sim_gen), fmt_frac(r.sim_ret), r.metric, r.aggregation,
-             fmt_frac(r.delta_sim)] for r in records]
-    write_csv(out_path, SIM_COLUMNS, rows, manifest_hash, seed)
+    SIM.write_table(out_path, records, manifest_hash, seed)
     return records
-
-
-def read_sim_csv(path: str | Path) -> tuple[str, int, list[SimilarityRecord]]:
-    manifest_hash, seed, columns, rows = read_csv(path)
-    if columns != SIM_COLUMNS:
-        raise ValidationError(f"{path}: unexpected similarity columns {columns}")
-    records = []
-    for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE):
-        if len(row) != len(SIM_COLUMNS):
-            raise SchemaError(path, line_no, f"similarity row has {len(row)} cells")
-        sim_gen, sim_ret, delta = (parse_cell(row[i], float, SIM_COLUMNS[i], path, line_no)
-                                   for i in (1, 2, 5))
-        records.append(SimilarityRecord(row[0], sim_gen, sim_ret, row[3], row[4], delta))
-    return manifest_hash, seed, records
 
 
 def run_slices(sim_records: Sequence[SimilarityRecord],
                eval_records: Sequence[pipeline.HybridRecord], n: int,
                out_path: str | Path, manifest_hash: str, seed: int) -> list[Slice]:
     filled = slice_report(quantile_slices(sim_records, n), eval_records)
-    rows = [[str(s.index), str(len(s.example_ids)), fmt_frac(s.mean_delta_sim),
-             fmt_frac(s.diff_gr)] for s in filled]
-    write_csv(out_path, SLICE_COLUMNS, rows, manifest_hash, seed)
+    SLICES.write_table(out_path, [SliceRow(s.index, len(s.example_ids), s.mean_delta_sim,
+                                           s.diff_gr) for s in filled], manifest_hash, seed)
     return filled
 
 
 def run_order(samples: Sequence[pipeline.TracedSample], reader: pipeline.Reader,
               subset: str, seed: int, out_path: str | Path, manifest_hash: str,
               workers: int = 1) -> dict[str, metrics.MetricsReport]:
-    """Sweep all three presentation orders over one subset."""
+    """Sweep all three presentation orders over one subset; each report's
+    subset field names its order."""
     chosen = select_subset(samples, subset)
     examples = {s.example.id: s.example for s in chosen}
     llm_tracked = any(s.closed_book is not None for s in chosen)
-    rows = []
     reports: dict[str, metrics.MetricsReport] = {}
     for order in ("generated_first", "retrieved_first", "random"):
         records = pipeline.map_examples(
             lambda s, order=order: pipeline.hybrid_answer(reader, s, order, seed),
             chosen, workers)
-        report = metrics.build_report(subset, records, examples, llm_tracked)
-        reports[order] = report
-        rows.append([order] + metrics.report_to_cells(report)[1:])
-    write_csv(out_path, ORDER_COLUMNS, rows, manifest_hash, seed)
+        reports[order] = metrics.build_report(order, records, examples, llm_tracked)
+    ORDER.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports
 
 
@@ -396,7 +387,6 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
 
     examples = {s.example.id: s.example for s, _ in matched}
     llm_tracked = any(s.closed_book is not None for s, _ in matched)
-    rows = []
     reports: dict[str, metrics.MetricsReport] = {}
     for variant in COMPLETENESS_VARIANTS:
 
@@ -418,8 +408,6 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
                    if r is not None]
         if not records:
             raise ValidationError(f"no evaluable samples for variant {variant!r}")
-        report = metrics.build_report(variant, records, examples, llm_tracked)
-        reports[variant] = report
-        rows.append([variant] + metrics.report_to_cells(report)[1:])
-    write_csv(out_path, COMPLETENESS_COLUMNS, rows, manifest_hash, seed)
+        reports[variant] = metrics.build_report(variant, records, examples, llm_tracked)
+    COMPLETENESS.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports

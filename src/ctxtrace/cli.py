@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
 
     validate = commands.add_parser("validate", help="recheck pipeline output files")
     validate.add_argument("paths", nargs="+", metavar="PATH",
-                          help="contexts/traced/eval jsonl or report csv files")
+                          help="pipeline output files, jsonl or csv")
     validate.set_defaults(func=cmd_validate)
 
     report = commands.add_parser("report", help="render report.csv as markdown")

@@ -5,7 +5,9 @@ files open with ``{"_manifest": "<hash>", "seed": <int>}``, CSV files with a
 ``# manifest=<hash> seed=<int>`` comment line.  Readers of pipeline outputs
 check and strip those headers; readers of user-authored inputs (questions,
 corpora, scripts) expect none.  All writes are deterministic: UTF-8, LF line
-endings, compact JSON with insertion-ordered keys.
+endings, compact JSON with insertion-ordered keys, and a file appears under
+its final name only once complete.  Each output record declares its row
+format once, as a :class:`RowSchema` from which its readers and writers derive.
 """
 from __future__ import annotations
 
@@ -13,8 +15,14 @@ import csv
 import io
 import json
 import math
+import os
+from collections import namedtuple
+from contextlib import contextmanager
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError, ValidationError
 
@@ -30,9 +38,23 @@ def header_obj(manifest_hash: str, seed: int) -> dict[str, Any]:
     return {MANIFEST_KEY: manifest_hash, "seed": seed}
 
 
+@contextmanager
+def _replacing(path: str | Path, newline: str) -> Iterator[Any]:
+    """A sibling temp file that replaces *path* once the block completes, so
+    a crash or a raising row iterator never leaves *path* truncated."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]],
                 header: dict[str, Any] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "\n") as fh:
         if header is not None:
             fh.write(dumps_row(header) + "\n")
         for row in rows:
@@ -87,15 +109,6 @@ def require_finite(value: float, name: str, path: str | Path, line_no: int) -> f
     return float(value)
 
 
-def parse_cell(cell: str, kind: type, column: str, path: str | Path, line_no: int) -> Any:
-    """Parse one numeric CSV cell, naming its column and line on failure."""
-    try:
-        return kind(cell)
-    except ValueError:
-        raise SchemaError(path, line_no,
-                          f"column {column!r}: {cell!r} is not a valid {kind.__name__}") from None
-
-
 def csv_header_comment(manifest_hash: str, seed: int) -> str:
     return f"# manifest={manifest_hash} seed={seed}"
 
@@ -114,7 +127,7 @@ def parse_csv_header_comment(line: str, path: str | Path) -> tuple[str, int]:
 
 def write_csv(path: str | Path, columns: list[str], rows: Iterable[list[str]],
               manifest_hash: str, seed: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "") as fh:
         fh.write(csv_header_comment(manifest_hash, seed) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -138,3 +151,114 @@ def read_csv(path: str | Path) -> tuple[str, int, list[str], list[list[str]]]:
     if not table:
         raise SchemaError(path, 2, "missing column header row")
     return manifest_hash, seed, table[0], table[1:]
+
+
+# Field annotation -> the type a CSV cell parses to.  In a JSON row a tuple
+# is a list, a nested record an object, and a float may be written as an int.
+_KINDS = {"str": str, "int": int, "float": float, "tuple[str, ...]": tuple}
+_JSON_TYPES: dict[type, Any] = {str: str, int: int, float: (int, float), tuple: list, dict: dict}
+_NONE: Mapping[str, Any] = MappingProxyType({})
+# One record field as it appears in a row; see RowSchema.
+Col = namedtuple("Col", "attr key kind nullable choices nonempty nested flat fmt")
+
+
+class RowSchema:
+    """The row format of one record type, declared once.
+
+    Keys, their order and their types come from the fields and annotations
+    of the dataclass *cls*.  The keyword arguments declare only the
+    exceptions: ``keys`` gives a field's key where it differs, ``choices``
+    its allowed values, ``nonempty`` forbids an empty string, list or list
+    item, ``nested`` stores a record of another schema as an object under
+    the field's key while ``flatten`` splices its keys into this row, and
+    ``fmt`` gives a float's CSV cell format (default ``.6f``).
+    """
+
+    def __init__(self, cls: type, *, keys: Mapping[str, str] = _NONE,
+                 choices: Mapping[str, tuple[str, ...]] = _NONE, nonempty: tuple[str, ...] = (),
+                 nested: Mapping[str, RowSchema] = _NONE, flatten: Mapping[str, RowSchema] = _NONE,
+                 fmt: Mapping[str, str] = _NONE) -> None:
+        self.cls = cls
+        self.cols: list[Col] = []
+        for f in fields(cls):
+            annotation, _, none = f.type.partition(" | ")
+            sub = nested.get(f.name) or flatten.get(f.name)
+            self.cols.append(Col(f.name, keys.get(f.name, f.name), dict if sub else _KINDS[annotation],
+                                 none == "None", choices.get(f.name), f.name in nonempty, sub,
+                                 f.name in flatten, fmt.get(f.name, ".6f")))
+        # Keys in file order; a flattened record contributes its own.
+        self.keys = [key for col in self.cols
+                     for key in (col.nested.keys if col.flat else [col.key])]
+        self.values = attrgetter(*(col.attr for col in self.cols))
+
+    def dump(self, record: Any) -> dict[str, Any]:
+        """The JSON object of one record."""
+        row: dict[str, Any] = {}
+        for col, value in zip(self.cols, self.values(record)):
+            if col.nested is None:
+                row[col.key] = list(value) if col.kind is tuple else value
+            elif col.flat:
+                row.update(col.nested.dump(value))
+            else:
+                row[col.key] = col.nested.dump(value)
+        return row
+
+    def load(self, obj: dict[str, Any], path: str | Path, line_no: int) -> Any:
+        """The record in one JSON object; keys outside the schema are ignored."""
+        values = []
+        for col in self.cols:
+            # A flattened record reads its keys from this same object.
+            value = obj if col.flat else require_field(obj, col.key, _JSON_TYPES[col.kind],
+                                                       path, line_no, allow_none=col.nullable)
+            if col.nested is not None:
+                value = col.nested.load(value, path, line_no)
+            elif col.kind is tuple:
+                if not all(isinstance(item, str) for item in value):
+                    raise SchemaError(path, line_no, f"field {col.key!r} must hold strings")
+                value = tuple(value)
+            if col.choices is not None and value is not None and value not in col.choices:
+                raise SchemaError(path, line_no, f"field {col.key!r} has unknown value {value!r}")
+            if col.nonempty and (not value or col.kind is tuple and "" in value):
+                what = "a non-empty list of non-empty strings" if col.kind is tuple else "non-empty"
+                raise SchemaError(path, line_no, f"field {col.key!r} must be {what}")
+            values.append(value)
+        return self.cls(*values)
+
+    def cells(self, record: Any) -> list[str]:
+        """The CSV cells of one record; None is an empty cell."""
+        return ["" if value is None else format(value, col.fmt) if col.kind is float else str(value)
+                for col, value in zip(self.cols, self.values(record))]
+
+    def parse(self, cells: Sequence[str], path: str | Path, line_no: int = 0) -> Any:
+        """The record in one CSV row, naming the line and column on failure."""
+        if len(cells) != len(self.cols):
+            raise SchemaError(path, line_no, f"row has {len(cells)} cells, not {len(self.cols)}")
+        obj: dict[str, Any] = {}
+        for col, cell in zip(self.cols, cells):
+            try:
+                obj[col.key] = None if col.nullable and not cell else col.kind(cell)
+            except ValueError:
+                raise SchemaError(path, line_no, f"column {col.key!r}: {cell!r} is not a "
+                                                 f"valid {col.kind.__name__}") from None
+        return self.load(obj, path, line_no)
+
+    def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
+        """(header, records) of a pipeline-written JSONL file."""
+        header, rows = read_output_jsonl(path)
+        return header, [self.load(obj, path, line_no) for line_no, obj in rows]
+
+    def parse_rows(self, rows: Sequence[Sequence[str]], path: str | Path) -> list[Any]:
+        """The records in the data rows :func:`read_csv` returned."""
+        return [self.parse(row, path, line_no)
+                for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE)]
+
+    def read_table(self, path: str | Path) -> tuple[str, int, list[Any]]:
+        """(manifest hash, seed, records) of a pipeline-written CSV file."""
+        manifest_hash, seed, columns, rows = read_csv(path)
+        if columns != self.keys:
+            raise SchemaError(path, 2, f"columns {columns} are not {self.keys}")
+        return manifest_hash, seed, self.parse_rows(rows, path)
+
+    def write_table(self, path: str | Path, records: Iterable[Any],
+                    manifest_hash: str, seed: int) -> None:
+        write_csv(path, self.keys, [self.cells(r) for r in records], manifest_hash, seed)

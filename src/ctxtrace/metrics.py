@@ -10,18 +10,15 @@ bucket excludes them, otherwise such replies simply land in "others".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import textnorm
-from .errors import SchemaError, UndefinedMetricError, ValidationError
-from .jsonl import CSV_FIRST_ROW_LINE, parse_cell, read_csv, write_csv
+from .errors import UndefinedMetricError, ValidationError
+from .jsonl import RowSchema
 
 if TYPE_CHECKING:  # import cycle guard; pipeline imports this module
     from .pipeline import Context, HybridRecord, QaExample
 
-REPORT_COLUMNS = ["subset", "n", "rho_gen", "rho_ret", "rho_llm", "others",
-                  "diff_gr", "em_percent"]
 LENGTH_WARN_THRESHOLD = 0.03
 
 
@@ -44,6 +41,19 @@ class MetricsReport:
     others: float
     diff_gr: float
     em_percent: float
+
+
+def report_schema(first_column: str) -> RowSchema:
+    """The report row format, its label column named *first_column*."""
+    return RowSchema(MetricsReport, keys={"subset": first_column}, fmt={"em_percent": ".4f"})
+
+
+REPORT = report_schema("subset")
+REPORT_COLUMNS = REPORT.keys
+report_to_cells = REPORT.cells
+report_from_cells = REPORT.parse
+read_report_csv = REPORT.read_table
+write_report_csv = REPORT.write_table
 
 
 @dataclass(frozen=True)
@@ -147,61 +157,6 @@ def build_report(subset: str, records: Sequence["HybridRecord"],
         diff_gr=diff_gr(parts.rho_gen, parts.rho_ret),
         em_percent=em_score(records, examples),
     )
-
-
-def fmt_frac(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def report_to_cells(report: MetricsReport) -> list[str]:
-    return [
-        report.subset,
-        str(report.n),
-        fmt_frac(report.rho_gen),
-        fmt_frac(report.rho_ret),
-        fmt_frac(report.rho_llm),
-        fmt_frac(report.others),
-        fmt_frac(report.diff_gr),
-        f"{report.em_percent:.4f}",
-    ]
-
-
-def report_from_cells(cells: Sequence[str], path: str | Path, line_no: int = 0) -> MetricsReport:
-    if len(cells) != len(REPORT_COLUMNS):
-        raise SchemaError(path, line_no, f"report row has {len(cells)} cells")
-
-    def cell(i: int, kind: type = float) -> Any:
-        return parse_cell(cells[i], kind, REPORT_COLUMNS[i], path, line_no)
-
-    return MetricsReport(
-        subset=cells[0],
-        n=cell(1, int),
-        rho_gen=cell(2),
-        rho_ret=cell(3),
-        rho_llm=cell(4) if cells[4] else None,
-        others=cell(5),
-        diff_gr=cell(6),
-        em_percent=cell(7),
-    )
-
-
-def reports_from_rows(rows: Sequence[Sequence[str]], path: str | Path) -> list[MetricsReport]:
-    """Parse the data rows :func:`jsonl.read_csv` returned for a report."""
-    return [report_from_cells(row, path, line_no)
-            for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE)]
-
-
-def write_report_csv(path: str | Path, reports: Sequence[MetricsReport],
-                     manifest_hash: str, seed: int) -> None:
-    write_csv(path, REPORT_COLUMNS, [report_to_cells(r) for r in reports],
-              manifest_hash, seed)
-
-
-def read_report_csv(path: str | Path) -> tuple[str, int, list[MetricsReport]]:
-    manifest_hash, seed, columns, rows = read_csv(path)
-    if columns != REPORT_COLUMNS:
-        raise ValidationError(f"{path}: unexpected report columns {columns}")
-    return manifest_hash, seed, reports_from_rows(rows, path)
 
 
 def render_markdown(reports: Sequence[MetricsReport]) -> str:

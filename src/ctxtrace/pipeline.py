@@ -28,7 +28,7 @@ from .backends import (
     context_fingerprint,
 )
 from .errors import EmptyResponseError, SchemaError, ValidationError
-from .jsonl import header_obj, iter_jsonl, read_output_jsonl, require_field, write_jsonl
+from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
 
 SOURCES = ("retrieved", "generated")
 VARIANTS = ("nature", "trunc", "strunc", "retrieved")
@@ -88,6 +88,10 @@ class QaExample:
     answers: tuple[str, ...]
 
 
+# Questions input rows, and the example part of traced rows.
+QUESTION = RowSchema(QaExample, nonempty=("id", "question", "answers"))
+
+
 @dataclass(frozen=True)
 class Context:
     """One passage as handed to readers, with its bookkeeping.
@@ -107,6 +111,12 @@ class Context:
     variant: str
 
 
+CONTEXT = RowSchema(Context, choices={"source": SOURCES, "variant": VARIANTS},
+                    nonempty=("text",))
+context_to_row = CONTEXT.dump
+context_from_row = CONTEXT.load
+
+
 @dataclass(frozen=True)
 class TracedSample:
     example: QaExample
@@ -123,6 +133,13 @@ class TracedSample:
         return self.dropped is None and self.subset in ("AIG", "AIR")
 
 
+TRACED = RowSchema(TracedSample, flatten={"example": QUESTION},
+                   nested={"retrieved": CONTEXT, "generated": CONTEXT},
+                   choices={"subset": SUBSETS, "dropped": DROP_REASONS})
+traced_to_row = TRACED.dump
+traced_from_row = TRACED.load
+
+
 @dataclass(frozen=True)
 class HybridRecord:
     example_id: str
@@ -130,6 +147,12 @@ class HybridRecord:
     seed: int
     answer: str
     classification: str
+
+
+HYBRID = RowSchema(HybridRecord, keys={"example_id": "id", "answer": "hybrid_answer"},
+                   choices={"order": ORDERS, "classification": CLASSIFICATIONS})
+hybrid_to_row = HYBRID.dump
+hybrid_from_row = HYBRID.load
 
 
 def render_passage(title: str, body: str) -> str:
@@ -355,131 +378,17 @@ def hybrid_answer(reader: Reader, sample: TracedSample, order: str, seed: int) -
 
 
 # ---------------------------------------------------------------------------
-# Row (de)serialization for the declared JSONL schemas.
+# Readers of the JSONL files; their row formats are declared with the records.
 
 def read_questions(path: str | Path) -> list[QaExample]:
-    examples: list[QaExample] = []
-    seen: set[str] = set()
+    examples: dict[str, QaExample] = {}
     for line_no, obj in iter_jsonl(path):
-        qid = require_field(obj, "id", str, path, line_no)
-        question = require_field(obj, "question", str, path, line_no)
-        answers = require_field(obj, "answers", list, path, line_no)
-        if not qid:
-            raise SchemaError(path, line_no, "id must not be empty")
-        if not question:
-            raise SchemaError(path, line_no, "question must not be empty")
-        if not answers or not all(isinstance(a, str) and a for a in answers):
-            raise SchemaError(path, line_no, "answers must be a non-empty list of strings")
-        if qid in seen:
-            raise SchemaError(path, line_no, f"duplicate question id {qid!r}")
-        seen.add(qid)
-        examples.append(QaExample(qid, question, tuple(answers)))
+        example = QUESTION.load(obj, path, line_no)
+        if examples.setdefault(example.id, example) is not example:
+            raise SchemaError(path, line_no, f"duplicate question id {example.id!r}")
     if not examples:
         raise ValidationError(f"no questions in {path}")
-    return examples
-
-
-def context_to_row(context: Context) -> dict[str, Any]:
-    return {
-        "id": context.id,
-        "source": context.source,
-        "backend": context.backend,
-        "title": context.title,
-        "text": context.text,
-        "word_count": context.word_count,
-        "gen_target_words": context.gen_target_words,
-        "variant": context.variant,
-    }
-
-
-def context_from_row(obj: dict[str, Any], path: str | Path, line_no: int) -> Context:
-    source = require_field(obj, "source", str, path, line_no)
-    variant = require_field(obj, "variant", str, path, line_no)
-    if source not in SOURCES:
-        raise SchemaError(path, line_no, f"unknown source {source!r}")
-    if variant not in VARIANTS:
-        raise SchemaError(path, line_no, f"unknown variant {variant!r}")
-    text = require_field(obj, "text", str, path, line_no)
-    if not text:
-        raise SchemaError(path, line_no, "context text must not be empty")
-    return Context(
-        id=require_field(obj, "id", str, path, line_no),
-        source=source,
-        backend=require_field(obj, "backend", str, path, line_no),
-        title=require_field(obj, "title", str, path, line_no, allow_none=True),
-        text=text,
-        word_count=require_field(obj, "word_count", int, path, line_no),
-        gen_target_words=require_field(obj, "gen_target_words", int, path, line_no,
-                                       allow_none=True),
-        variant=variant,
-    )
-
-
-def traced_to_row(sample: TracedSample) -> dict[str, Any]:
-    return {
-        "id": sample.example.id,
-        "question": sample.example.question,
-        "answers": list(sample.example.answers),
-        "retrieved": context_to_row(sample.retrieved),
-        "generated": context_to_row(sample.generated),
-        "answer_from_retrieved": sample.answer_from_retrieved,
-        "answer_from_generated": sample.answer_from_generated,
-        "closed_book": sample.closed_book,
-        "subset": sample.subset,
-        "dropped": sample.dropped,
-    }
-
-
-def traced_from_row(obj: dict[str, Any], path: str | Path, line_no: int) -> TracedSample:
-    qid = require_field(obj, "id", str, path, line_no)
-    question = require_field(obj, "question", str, path, line_no)
-    answers = require_field(obj, "answers", list, path, line_no)
-    if not answers or not all(isinstance(a, str) for a in answers):
-        raise SchemaError(path, line_no, "answers must be a non-empty list of strings")
-    retrieved_obj = require_field(obj, "retrieved", dict, path, line_no)
-    generated_obj = require_field(obj, "generated", dict, path, line_no)
-    subset = require_field(obj, "subset", str, path, line_no)
-    if subset not in SUBSETS:
-        raise SchemaError(path, line_no, f"unknown subset {subset!r}")
-    dropped = require_field(obj, "dropped", str, path, line_no, allow_none=True)
-    if dropped is not None and dropped not in DROP_REASONS:
-        raise SchemaError(path, line_no, f"unknown drop reason {dropped!r}")
-    return TracedSample(
-        example=QaExample(qid, question, tuple(answers)),
-        retrieved=context_from_row(retrieved_obj, path, line_no),
-        generated=context_from_row(generated_obj, path, line_no),
-        answer_from_retrieved=require_field(obj, "answer_from_retrieved", str, path, line_no),
-        answer_from_generated=require_field(obj, "answer_from_generated", str, path, line_no),
-        closed_book=require_field(obj, "closed_book", str, path, line_no, allow_none=True),
-        subset=subset,
-        dropped=dropped,
-    )
-
-
-def hybrid_to_row(record: HybridRecord) -> dict[str, Any]:
-    return {
-        "id": record.example_id,
-        "order": record.order,
-        "seed": record.seed,
-        "hybrid_answer": record.answer,
-        "classification": record.classification,
-    }
-
-
-def hybrid_from_row(obj: dict[str, Any], path: str | Path, line_no: int) -> HybridRecord:
-    order = require_field(obj, "order", str, path, line_no)
-    if order not in ORDERS:
-        raise SchemaError(path, line_no, f"unknown order {order!r}")
-    classification = require_field(obj, "classification", str, path, line_no)
-    if classification not in CLASSIFICATIONS:
-        raise SchemaError(path, line_no, f"unknown classification {classification!r}")
-    return HybridRecord(
-        example_id=require_field(obj, "id", str, path, line_no),
-        order=order,
-        seed=require_field(obj, "seed", int, path, line_no),
-        answer=require_field(obj, "hybrid_answer", str, path, line_no),
-        classification=classification,
-    )
+    return list(examples.values())
 
 
 def read_contexts(path: str | Path) -> tuple[dict[str, Any], dict[str, dict[str, Context]]]:
@@ -487,23 +396,15 @@ def read_contexts(path: str | Path) -> tuple[dict[str, Any], dict[str, dict[str,
     header, rows = read_output_jsonl(path)
     by_id: dict[str, dict[str, Context]] = {}
     for line_no, obj in rows:
-        context = context_from_row(obj, path, line_no)
-        slot = by_id.setdefault(context.id, {})
-        if context.source in slot:
+        context = CONTEXT.load(obj, path, line_no)
+        if by_id.setdefault(context.id, {}).setdefault(context.source, context) is not context:
             raise SchemaError(path, line_no,
                               f"duplicate {context.source} context for {context.id!r}")
-        slot[context.source] = context
     return header, by_id
 
 
-def read_traced(path: str | Path) -> tuple[dict[str, Any], list[TracedSample]]:
-    header, rows = read_output_jsonl(path)
-    return header, [traced_from_row(obj, path, line_no) for line_no, obj in rows]
-
-
-def read_eval(path: str | Path) -> tuple[dict[str, Any], list[HybridRecord]]:
-    header, rows = read_output_jsonl(path)
-    return header, [hybrid_from_row(obj, path, line_no) for line_no, obj in rows]
+read_traced = TRACED.read_records
+read_eval = HYBRID.read_records
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +433,8 @@ def run_prepare(examples: Sequence[QaExample], retriever: Any, generator: Genera
 
     pairs = map_examples(build, list(examples), workers)
     pairs.sort(key=lambda pair: pair[0].id)
-    rows = []
-    contexts: list[Context] = []
-    for retrieved, generated in pairs:
-        rows.append(context_to_row(retrieved))
-        rows.append(context_to_row(generated))
-        contexts.extend((retrieved, generated))
-    write_jsonl(out_path, rows, header_obj(manifest_hash, seed))
+    contexts = [context for pair in pairs for context in pair]
+    write_jsonl(out_path, [CONTEXT.dump(c) for c in contexts], header_obj(manifest_hash, seed))
     return contexts, metrics.length_stats(contexts)
 
 
@@ -572,7 +468,7 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
 
     samples = map_examples(trace_one, list(examples), workers)
     samples.sort(key=lambda s: s.example.id)
-    write_jsonl(out_path, (traced_to_row(s) for s in samples),
+    write_jsonl(out_path, (TRACED.dump(s) for s in samples),
                 header_obj(manifest_hash, seed))
     return samples
 
@@ -586,7 +482,7 @@ def run_evaluate(samples: Sequence[TracedSample], reader: Reader, order: str, se
         raise ValidationError("no live context-conflicting samples to evaluate")
     records = map_examples(lambda s: hybrid_answer(reader, s, order, seed), live, workers)
     records.sort(key=lambda r: r.example_id)
-    write_jsonl(eval_path, (hybrid_to_row(r) for r in records), header_obj(manifest_hash, seed))
+    write_jsonl(eval_path, (HYBRID.dump(r) for r in records), header_obj(manifest_hash, seed))
 
     reports = subset_reports(live, records)
     metrics.write_report_csv(report_path, reports, manifest_hash, seed)

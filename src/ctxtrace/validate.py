@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from . import metrics, pipeline, textnorm
+from . import analysis, metrics, pipeline, textnorm
 from .errors import CtxTraceError, SchemaError
 from .jsonl import CSV_FIRST_ROW_LINE, MANIFEST_KEY, read_csv, read_output_jsonl
 
 PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
-EM_CELL_TOLERANCE = 5e-5
 
 
 @dataclass(frozen=True)
@@ -120,43 +119,27 @@ def _check_report_against_eval(path: str | Path, reports: Sequence[metrics.Metri
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
     recounted = {r.subset: r for r in pipeline.subset_reports(live, list(records))}
+    schema = metrics.REPORT
     for line, report in enumerate(reports, start=CSV_FIRST_ROW_LINE):
         expected = recounted.get(report.subset)
         if expected is None:
             out.add(path, line, f"report row for empty subset {report.subset!r}")
             continue
-        if report.n != expected.n:
-            out.add(path, line, f"subset {report.subset}: stored n {report.n} != {expected.n}")
-            continue
-        pairs = [
-            ("rho_gen", report.rho_gen, expected.rho_gen, FRACTION_CELL_TOLERANCE),
-            ("rho_ret", report.rho_ret, expected.rho_ret, FRACTION_CELL_TOLERANCE),
-            ("others", report.others, expected.others, FRACTION_CELL_TOLERANCE),
-            ("diff_gr", report.diff_gr, expected.diff_gr, FRACTION_CELL_TOLERANCE),
-            ("em_percent", report.em_percent, expected.em_percent, EM_CELL_TOLERANCE),
-        ]
-        if (report.rho_llm is None) != (expected.rho_llm is None):
-            out.add(path, line, f"subset {report.subset}: rho_llm tracking mismatch")
-        elif report.rho_llm is not None:
-            pairs.append(("rho_llm", report.rho_llm, expected.rho_llm,
-                          FRACTION_CELL_TOLERANCE))
-        for name, stored, fresh, tolerance in pairs:
-            if abs(stored - fresh) > tolerance:
-                out.add(path, line,
-                        f"subset {report.subset}: stored {name} {stored} != recount {fresh}")
+        for col, stored, fresh in zip(schema.cols, schema.values(report), schema.values(expected)):
+            # A stored float may differ from the recount by its cell's rounding.
+            tolerance = 0.5 * 10.0 ** -int(col.fmt[1:-1]) if col.kind is float else 0
+            if (stored is None) != (fresh is None):
+                out.add(path, line, f"subset {report.subset}: {col.key} tracking mismatch")
+            elif col.kind is not str and stored is not None and abs(stored - fresh) > tolerance:
+                out.add(path, line, f"subset {report.subset}: stored {col.key} {stored} "
+                                    f"!= recount {fresh}")
 
 
-def _sniff_jsonl(path: str | Path, rows: list[tuple[int, dict[str, Any]]]) -> str:
-    if not rows:
-        return "empty"
-    first = rows[0][1]
-    if "classification" in first:
-        return "eval"
-    if "retrieved" in first:
-        return "traced"
-    if "source" in first:
-        return "contexts"
-    raise SchemaError(path, rows[0][0], "unrecognized row shape")
+# The file kinds validate recognises: a JSONL file by the exact key set of
+# its first row, a CSV file by its column row.
+_JSONL_KINDS = {frozenset(s.keys): s for s in (pipeline.CONTEXT, pipeline.TRACED, pipeline.HYBRID)}
+_CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.SLICES,
+                                         analysis.ORDER, analysis.COMPLETENESS)}
 
 
 def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
@@ -164,7 +147,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     out = _Collector()
     manifests: dict[str, str] = {}
     traced_samples: dict[str, pipeline.TracedSample] = {}
-    eval_sets: list[tuple[str, int, list[tuple[int, pipeline.HybridRecord]]]] = []
+    eval_sets: list[tuple[str, int, dict[str, tuple[int, pipeline.HybridRecord]]]] = []
     report_sets: list[tuple[str, list[metrics.MetricsReport]]] = []
 
     for path in paths:
@@ -176,36 +159,37 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
             if name.endswith(".csv"):
                 manifest_hash, _, columns, rows = read_csv(path)
                 manifests[name] = manifest_hash
-                if columns == metrics.REPORT_COLUMNS:
-                    reports = metrics.reports_from_rows(rows, path)
-                    report_sets.append((name, reports))
-                    _check_report_rows(name, reports, out)
+                schema = _CSV_KINDS.get(tuple(columns))
+                if schema is None:
+                    raise SchemaError(path, 2, f"unrecognized columns {columns}")
+                records = schema.parse_rows(rows, path)
+                if schema.cls is metrics.MetricsReport:
+                    _check_report_rows(name, records, out)
+                if schema is metrics.REPORT:
+                    report_sets.append((name, records))
                 continue
             header, rows = read_output_jsonl(path)
             manifests[name] = header[MANIFEST_KEY]
-            kind = _sniff_jsonl(path, rows)
-            if kind == "traced":
-                for line_no, obj in rows:
-                    sample = pipeline.traced_from_row(obj, path, line_no)
-                    if sample.example.id in traced_samples:
+            if not rows:
+                continue
+            schema = _JSONL_KINDS.get(frozenset(rows[0][1]))
+            if schema is None:
+                raise SchemaError(path, rows[0][0], "unrecognized row shape")
+            loaded = [(line_no, schema.load(obj, path, line_no)) for line_no, obj in rows]
+            if schema is pipeline.TRACED:
+                for line_no, sample in loaded:
+                    if traced_samples.setdefault(sample.example.id, sample) is not sample:
                         out.add(path, line_no, f"duplicate traced id {sample.example.id!r}")
-                        continue
-                    traced_samples[sample.example.id] = sample
-                    _check_traced_row(sample, path, line_no, out)
-            elif kind == "contexts":
-                for line_no, obj in rows:
-                    context = pipeline.context_from_row(obj, path, line_no)
+                    else:
+                        _check_traced_row(sample, path, line_no, out)
+            elif schema is pipeline.CONTEXT:
+                for line_no, context in loaded:
                     _check_context_row(context, path, line_no, out)
-            elif kind == "eval":
-                numbered = []
-                seen: set[str] = set()
-                for line_no, obj in rows:
-                    record = pipeline.hybrid_from_row(obj, path, line_no)
-                    if record.example_id in seen:
+            else:
+                numbered: dict[str, tuple[int, pipeline.HybridRecord]] = {}
+                for line_no, record in loaded:
+                    if numbered.setdefault(record.example_id, (line_no, record))[1] is not record:
                         out.add(path, line_no, f"duplicate eval id {record.example_id!r}")
-                        continue
-                    seen.add(record.example_id)
-                    numbered.append((line_no, record))
                 eval_sets.append((name, header["seed"], numbered))
         except CtxTraceError as exc:
             line = exc.line_no if isinstance(exc, SchemaError) else 0
@@ -217,9 +201,12 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
 
     for name, header_seed, numbered in eval_sets:
         if traced_samples:
-            for line_no, record in numbered:
+            for line_no, record in numbered.values():
                 _check_eval_row(record, traced_samples, header_seed, name, line_no, out)
-            records = [record for _, record in numbered]
+            records = [record for _, record in numbered.values()]
+            for qid, sample in traced_samples.items():
+                if sample.live and qid not in numbered:
+                    out.add(name, 0, f"no eval record for live example {qid!r}")
             for report_name, reports in report_sets:
                 _check_report_against_eval(report_name, reports, traced_samples, records, out)
 

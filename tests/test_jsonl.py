@@ -109,3 +109,22 @@ def test_csv_roundtrip(tmp_path):
     empty.write_text("# manifest=x seed=1\n")
     with pytest.raises(SchemaError):
         read_csv(empty)
+
+
+def test_failed_writes_leave_no_partial_file(tmp_path):
+    def rows_then_crash():
+        yield {"id": "a"}
+        raise RuntimeError("backend died")
+
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(RuntimeError):
+        write_jsonl(fresh, rows_then_crash(), header=header_obj("beef", 1))
+    assert list(tmp_path.iterdir()) == []
+
+    kept = tmp_path / "kept.csv"
+    write_csv(kept, ["a"], [["1"]], "beef", 1)
+    before = kept.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_csv(kept, ["a"], ([str(row["id"])] for row in rows_then_crash()), "beef", 2)
+    assert kept.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [kept]

@@ -1,0 +1,93 @@
+"""Declared row formats: round trips, shared rules, and the README listing."""
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxtrace import analysis, metrics, pipeline
+from ctxtrace.errors import SchemaError
+from ctxtrace.jsonl import dumps_row
+from ctxtrace.metrics import MetricsReport
+from ctxtrace.pipeline import Context, HybridRecord, QaExample, TracedSample
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+texts = st.text(max_size=12)
+filled = st.text(min_size=1, max_size=12)
+questions = st.builds(QaExample, filled, filled,
+                      st.lists(filled, min_size=1, max_size=3).map(tuple))
+contexts = st.builds(Context, texts, st.sampled_from(pipeline.SOURCES), texts,
+                     st.none() | texts, filled, st.integers(0, 10**6),
+                     st.none() | st.integers(1, 10**3), st.sampled_from(pipeline.VARIANTS))
+traced = st.builds(TracedSample, questions, contexts, contexts, texts, texts,
+                   st.none() | texts, st.sampled_from(pipeline.SUBSETS),
+                   st.none() | st.sampled_from(pipeline.DROP_REASONS))
+hybrids = st.builds(HybridRecord, texts, st.sampled_from(pipeline.ORDERS),
+                    st.integers(-2**63, 2**63), texts, st.sampled_from(pipeline.CLASSIFICATIONS))
+floats = st.floats()
+reports = st.builds(MetricsReport, texts, st.integers(), floats, floats, st.none() | floats,
+                    floats, floats, floats)
+sims = st.builds(analysis.SimilarityRecord, texts, floats, floats,
+                 st.sampled_from(analysis.SIM_METRICS), st.sampled_from(analysis.AGGREGATIONS),
+                 floats)
+slice_rows = st.builds(analysis.SliceRow, st.integers(), st.integers(), floats,
+                       st.none() | floats)
+
+JSONL_CASES = [("questions", pipeline.QUESTION, questions), ("contexts", pipeline.CONTEXT, contexts),
+               ("traced", pipeline.TRACED, traced), ("eval", pipeline.HYBRID, hybrids)]
+CSV_CASES = [("report", metrics.REPORT, reports), ("sim", analysis.SIM, sims),
+             ("slices", analysis.SLICES, slice_rows), ("order", analysis.ORDER, reports),
+             ("completeness", analysis.COMPLETENESS, reports)]
+
+
+@pytest.mark.parametrize("schema,records", [case[1:] for case in JSONL_CASES],
+                         ids=[case[0] for case in JSONL_CASES])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jsonl_rows_round_trip(schema, records, data):
+    record = data.draw(records)
+    line = dumps_row(schema.dump(record))
+    assert list(json.loads(line)) == schema.keys
+    assert schema.load(json.loads(line), "p", 1) == record
+
+
+@pytest.mark.parametrize("schema,records", [case[1:] for case in CSV_CASES],
+                         ids=[case[0] for case in CSV_CASES])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_csv_cells_round_trip(schema, records, data):
+    cells = schema.cells(data.draw(records))
+    assert len(cells) == len(schema.keys)
+    assert schema.cells(schema.parse(cells, "p", 3)) == cells
+
+
+def test_gold_answer_rule_is_shared():
+    row = pipeline.traced_to_row(TracedSample(
+        QaExample("q1", "who?", ("Ada",)),
+        Context("q1", "retrieved", "golden", "T", "Title: T Content: Ada", 4, None, "retrieved"),
+        Context("q1", "generated", "gen", None, "Ada wrote it.", 3, 80, "nature"),
+        "Ada", "Ada", None, "none", None))
+    for answers in ([], ["Ada", ""]):
+        messages = set()
+        for schema in (pipeline.QUESTION, pipeline.TRACED):
+            with pytest.raises(SchemaError) as err:
+                schema.load(dict(row, answers=answers), "p", 5)
+            messages.add(str(err.value))
+        assert messages == {"p:5: field 'answers' must be a non-empty list of non-empty strings"}
+
+
+def test_readme_lists_every_output_format():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Output file formats", 1)[1].split("\n## ", 1)[0]
+    outputs = [(f"{name}.jsonl", schema) for name, schema, _ in JSONL_CASES[1:]]
+    outputs += [(f"{name}.csv", schema) for name, schema, _ in CSV_CASES]
+    for filename, schema in outputs:
+        bullet = re.search(rf"^\* `{re.escape(filename)}`(.*?)(?=^\* |\n\n)", section,
+                           re.M | re.S)
+        assert bullet, f"README lists no {filename}"
+        assert re.findall(r"`(\w+)`", bullet.group(1)) == schema.keys, filename

@@ -265,3 +265,51 @@ def test_header_only_jsonl_is_clean(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text('{"_manifest":"aa","seed":0}\n')
     assert validate_files([path]) == []
+
+
+def test_malformed_non_report_csvs_are_problems(tmp_path):
+    header = "# manifest=feedbead12345678 seed=4\n"
+    sim = tmp_path / "sim.csv"
+    sim.write_text(header + "example_id,sim_gen,sim_ret,metric,aggregation,delta_sim\n"
+                            "q01,high,0.5,jaccard,max,0.0\n")
+    slices = tmp_path / "slices.csv"
+    slices.write_text(header + "slice_index,n,mean_delta_sim,diff_gr\nfirst,few,some,most\n")
+    problems = validate_files([sim, slices])
+    by_path = {p.path: p for p in problems}
+    assert len(problems) == 2
+    assert by_path[str(sim)].line == 3 and "'sim_gen'" in by_path[str(sim)].message
+    assert by_path[str(slices)].line == 3 and "'slice_index'" in by_path[str(slices)].message
+
+
+def test_csv_and_jsonl_kinds_need_exact_columns_and_keys(run, tmp_path):
+    unknown = tmp_path / "extra.csv"
+    unknown.write_text("# manifest=feedbead12345678 seed=4\nsubset,n,surprise\nAIG,1,x\n")
+    path = run["eval.jsonl"]
+
+    def widen(obj):
+        obj["surprise"] = True
+    _edit_jsonl(path, 2, widen)
+    problems = validate_files([unknown, path])
+    assert any(p.path == str(unknown) and "unrecognized columns" in p.message for p in problems)
+    assert any(p.path == str(path) and "unrecognized row shape" in p.message for p in problems)
+
+
+def test_every_live_sample_needs_an_eval_record(run):
+    path = run["eval.jsonl"]
+    lines = path.read_text().splitlines()
+    dropped = json.loads(lines[2])["id"]
+    path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    problems = validate_files([run["traced.jsonl"], path])
+    assert [p.message for p in problems] == [f"no eval record for live example {dropped!r}"]
+    assert problems[0].path == str(path)
+
+
+def test_empty_gold_answer_is_a_problem(run):
+    path = run["traced.jsonl"]
+
+    def blank(obj):
+        obj["answers"].append("")
+    _edit_jsonl(path, 2, blank)
+    problems = validate_files([path])
+    assert len(problems) == 1 and problems[0].line == 2
+    assert "'answers'" in problems[0].message
