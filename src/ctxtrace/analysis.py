@@ -8,6 +8,7 @@ truncation, sentence-boundary truncation), and presentation-order sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -211,17 +212,15 @@ def trunc(text: str, target_words: int) -> str:
     """
     if target_words <= 0:
         raise ValidationError(f"target_words must be positive: {target_words}")
-    if textnorm.word_count(text) <= target_words:
+    tokens = text.split()
+    # Positions of the tokens word_count counts, those not punctuation only.
+    # Tokens hold no whitespace, so one pass over them joined by spaces
+    # strips each token on its own.
+    stripped = textnorm.strip_punct(" ".join(tokens)).split(" ")
+    counted = list(compress(range(len(tokens)), stripped))
+    if len(counted) <= target_words:
         return text
-    kept: list[str] = []
-    words = 0
-    for token in text.split():
-        kept.append(token)
-        if textnorm.word_count(token):
-            words += 1
-            if words == target_words:
-                break
-    return " ".join(kept)
+    return " ".join(tokens[:counted[target_words - 1] + 1])
 
 
 def s_trunc(text: str, target_words: int) -> str:

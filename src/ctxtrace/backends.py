@@ -6,19 +6,26 @@ client, deterministic script tables for tests and replays, and retrievers
 retriever such as a dense one).  The HTTP bearer token is read from the
 CTX_API_KEY environment variable only; it is never accepted on the command
 line.
+
+Fingerprints are memoized per distinct text, like the normalized forms they
+hash (see :mod:`ctxtrace.textnorm`).  BM25 tokenizes its corpus and queries
+through :func:`textnorm.normalize_uncached`, so corpus documents, each seen
+once, never fill that memo.  ``requests`` is imported only when an
+:class:`HttpBackend` has to build its own session.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
+import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import requests
 
 from . import textnorm
 from .errors import (
@@ -51,11 +58,27 @@ _FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
 
+@functools.lru_cache(maxsize=textnorm.MEMO_SIZE)
 def context_fingerprint(text: str) -> str:
     """64-bit FNV-1a hash of the normalized context text, as lowercase hex."""
-    digest = _FNV_OFFSET
-    for byte in textnorm.normalize_answer(text).encode("utf-8"):
-        digest = ((digest ^ byte) * _FNV_PRIME) & _FNV_MASK
+    data = textnorm.normalize_answer(text).encode("utf-8")
+    digest, prime, mask = _FNV_OFFSET, _FNV_PRIME, _FNV_MASK
+    # Eight bytes per step, masked once: exact, because a XOR with a byte
+    # touches only the low 8 bits, and the low 64 bits of a product depend
+    # only on the low 64 bits of its factors.
+    whole = len(data) - len(data) % 8
+    octets = iter(data[:whole])
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[octets] * 8):
+        digest = (digest ^ b0) * prime
+        digest = (digest ^ b1) * prime
+        digest = (digest ^ b2) * prime
+        digest = (digest ^ b3) * prime
+        digest = (digest ^ b4) * prime
+        digest = (digest ^ b5) * prime
+        digest = (digest ^ b6) * prime
+        digest = ((digest ^ b7) * prime) & mask
+    for byte in data[whole:]:
+        digest = ((digest ^ byte) * prime) & mask
     return f"{digest:016x}"
 
 
@@ -132,7 +155,11 @@ class HttpBackend:
         if spec.kind != "http":
             raise ValidationError("HttpBackend requires an http backend spec")
         self.spec = spec
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred: it costs memory and start-up time
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._lock = threading.Lock()
@@ -176,7 +203,12 @@ class HttpBackend:
                         headers=self._headers(),
                         timeout=self.spec.timeout,
                     )
-            except requests.RequestException as exc:
+            except Exception as exc:
+                # Only requests raises its own exceptions, so an unloaded
+                # module means this is not a transport error.
+                requests = sys.modules.get("requests")
+                if requests is None or not isinstance(exc, requests.RequestException):
+                    raise
                 last_failure = f"transport error: {exc}"
                 logger.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_failure)
                 continue
@@ -282,14 +314,16 @@ class GenerationScript:
 
 
 def _analyze(text: str) -> list[str]:
-    return [t for t in textnorm.tokens(text) if t not in BM25_STOPWORDS]
+    return [t for t in textnorm.normalize_uncached(text).split() if t not in BM25_STOPWORDS]
 
 
 class Bm25Index:
     """Okapi BM25 over a passage corpus, tuned for exact top-1 retrieval.
 
     idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); a term scores
-    tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  Ties on the top
+    idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
+    norm k1 * (1 - b + b * dl / avgdl) is computed once per document at
+    build.  Ties on the top
     score go to the lowest doc_id, including the no-overlap case where
     every document scores zero.
     """
@@ -299,23 +333,25 @@ class Bm25Index:
     def __init__(self, docs: list[tuple[str, str, str]], params: Bm25Params) -> None:
         if not docs:
             raise ValidationError("bm25 corpus is empty")
-        self.params = params
         self.doc_ids = [d[0] for d in docs]
         self.titles = [d[1] for d in docs]
         self.bodies = [d[2] for d in docs]
-        self._doc_len: list[int] = []
+        doc_len: list[int] = []
         self._postings: dict[str, dict[int, int]] = {}
         for idx, (_, title, body) in enumerate(docs):
             doc_tokens = _analyze(title + " " + body)
-            self._doc_len.append(len(doc_tokens))
-            for tok in doc_tokens:
-                self._postings.setdefault(tok, {}).setdefault(idx, 0)
-                self._postings[tok][idx] += 1
-        total = sum(self._doc_len)
-        self._avgdl = total / len(docs) if total else 1.0
+            doc_len.append(len(doc_tokens))
+            for tok, tf in Counter(doc_tokens).items():
+                self._postings.setdefault(tok, {})[idx] = tf
+        total = sum(doc_len)
+        avgdl = total / len(docs) if total else 1.0
+        k1, b = params.k1, params.b
+        self._k1_plus_1 = k1 + 1.0
+        self._norm = [k1 * (1.0 - b + b * dl / avgdl) for dl in doc_len]
         self._by_id = {doc_id: idx for idx, doc_id in enumerate(self.doc_ids)}
         if len(self._by_id) != len(self.doc_ids):
             raise ValidationError("bm25 corpus has duplicate doc_ids")
+        self._lowest_id = min(self.doc_ids)
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
@@ -342,34 +378,33 @@ class Bm25Index:
             raise ValidationError(f"unknown doc_id {doc_id!r}") from None
         return self._score_index(query_tokens, idx)
 
+    def _term_score(self, weight: float, tf: int, idx: int) -> float:
+        """One term's share of document *idx*'s score, *weight* being its idf
+        (times its count in the query, in :meth:`top1`)."""
+        return weight * tf * self._k1_plus_1 / (tf + self._norm[idx])
+
     def _score_index(self, query_tokens: list[str], idx: int) -> float:
-        k1, b = self.params.k1, self.params.b
-        norm = k1 * (1.0 - b + b * self._doc_len[idx] / self._avgdl)
         total = 0.0
         for term in query_tokens:
             tf = self._postings.get(term, {}).get(idx, 0)
             if tf:
-                total += self._idf(term) * tf * (k1 + 1.0) / (tf + norm)
+                total += self._term_score(self._idf(term), tf, idx)
         return total
 
     def top1(self, question: str) -> RetrievedHit:
-        query = _analyze(question)
-        k1, b = self.params.k1, self.params.b
         scores: dict[int, float] = {}
         # Unique terms in first-occurrence order keeps float accumulation
         # independent of hash randomization.
-        for term in dict.fromkeys(query):
-            weight = self._idf(term)
-            count = query.count(term)
+        for term, count in Counter(_analyze(question)).items():
+            weight = count * self._idf(term)
             for idx, tf in self._postings.get(term, {}).items():
-                norm = k1 * (1.0 - b + b * self._doc_len[idx] / self._avgdl)
-                scores[idx] = scores.get(idx, 0.0) + count * weight * tf * (k1 + 1.0) / (tf + norm)
+                scores[idx] = scores.get(idx, 0.0) + self._term_score(weight, tf, idx)
         if scores:
             best_score = max(scores.values())
             best = min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score)
         else:
             best_score = 0.0
-            best = min(self.doc_ids)
+            best = self._lowest_id
         idx = self._by_id[best]
         return RetrievedHit(best, self.titles[idx], self.bodies[idx], best_score)
 

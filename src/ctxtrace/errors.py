@@ -55,6 +55,7 @@ class SchemaError(ValidationError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
 
 
 class UndefinedMetricError(ValidationError):

@@ -27,7 +27,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .errors import SchemaError, ValidationError
 
 MANIFEST_KEY = "_manifest"
-CSV_FIRST_ROW_LINE = 3  # after the header comment and the column row
 
 
 def dumps_row(obj: dict[str, Any]) -> str:
@@ -135,11 +134,20 @@ def write_csv(path: str | Path, columns: list[str], rows: Iterable[list[str]],
             writer.writerow(row)
 
 
-def read_csv(path: str | Path) -> tuple[str, int, list[str], list[list[str]]]:
+class CsvRow(list):
+    """The cells of one CSV record, and the file line the record starts on."""
+
+    __slots__ = ("line_no",)
+
+    def __init__(self, cells: Iterable[str], line_no: int) -> None:
+        super().__init__(cells)
+        self.line_no = line_no
+
+
+def read_csv(path: str | Path) -> tuple[str, int, CsvRow, list[CsvRow]]:
     """Read a pipeline CSV, returning (manifest_hash, seed, columns, rows).
 
-    Blank rows are skipped, so data row i sits on line CSV_FIRST_ROW_LINE + i
-    of any file this package wrote.
+    Blank rows are skipped; each row keeps the line it starts on.
     """
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
@@ -147,7 +155,12 @@ def read_csv(path: str | Path) -> tuple[str, int, list[str], list[list[str]]]:
         first = fh.readline()
         manifest_hash, seed = parse_csv_header_comment(first, path)
         reader = csv.reader(io.StringIO(fh.read()))
-        table = [row for row in reader if row]
+        table = []
+        line_no = 2  # the header comment was line 1
+        for cells in reader:
+            if cells:
+                table.append(CsvRow(cells, line_no))
+            line_no = reader.line_num + 2
     if not table:
         raise SchemaError(path, 2, "missing column header row")
     return manifest_hash, seed, table[0], table[1:]
@@ -247,16 +260,15 @@ class RowSchema:
         header, rows = read_output_jsonl(path)
         return header, [self.load(obj, path, line_no) for line_no, obj in rows]
 
-    def parse_rows(self, rows: Sequence[Sequence[str]], path: str | Path) -> list[Any]:
+    def parse_rows(self, rows: Sequence[CsvRow], path: str | Path) -> list[Any]:
         """The records in the data rows :func:`read_csv` returned."""
-        return [self.parse(row, path, line_no)
-                for line_no, row in enumerate(rows, start=CSV_FIRST_ROW_LINE)]
+        return [self.parse(row, path, row.line_no) for row in rows]
 
     def read_table(self, path: str | Path) -> tuple[str, int, list[Any]]:
         """(manifest hash, seed, records) of a pipeline-written CSV file."""
         manifest_hash, seed, columns, rows = read_csv(path)
         if columns != self.keys:
-            raise SchemaError(path, 2, f"columns {columns} are not {self.keys}")
+            raise SchemaError(path, columns.line_no, f"columns {columns} are not {self.keys}")
         return manifest_hash, seed, self.parse_rows(rows, path)
 
     def write_table(self, path: str | Path, records: Iterable[Any],

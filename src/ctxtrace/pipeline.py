@@ -11,6 +11,7 @@ the reply is classified by which candidate it reproduces.
 """
 from __future__ import annotations
 
+import functools
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -276,12 +277,15 @@ def generate_length_matched(generator: Generator, example: QaExample, target: in
     )
 
 
+@functools.lru_cache(maxsize=textnorm.MEMO_SIZE)
+def _normalized_set(texts: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(map(textnorm.normalize_answer, texts))
+
+
 def is_abstention(answer: str, abstentions: Sequence[str]) -> bool:
     """Abstention check on normalized forms; empty replies abstain too."""
     norm = textnorm.normalize_answer(answer)
-    if not norm:
-        return True
-    return any(norm == textnorm.normalize_answer(a) for a in abstentions)
+    return not norm or norm in _normalized_set(tuple(abstentions))
 
 
 def candidate_answer(reader: Reader, example: QaExample, context: Context) -> str:
@@ -351,11 +355,12 @@ def resolve_order(order: str, seed: int, example_id: str) -> str:
 
 def classify_answer(answer: str, sample: TracedSample) -> str:
     """gen, ret, llm, or other; checked in that priority order."""
-    if textnorm.exact_match(answer, sample.answer_from_generated):
+    norm = textnorm.normalize_answer(answer)
+    if norm == textnorm.normalize_answer(sample.answer_from_generated):
         return "gen"
-    if textnorm.exact_match(answer, sample.answer_from_retrieved):
+    if norm == textnorm.normalize_answer(sample.answer_from_retrieved):
         return "ret"
-    if sample.closed_book is not None and textnorm.exact_match(answer, sample.closed_book):
+    if sample.closed_book is not None and norm == textnorm.normalize_answer(sample.closed_book):
         return "llm"
     return "other"
 

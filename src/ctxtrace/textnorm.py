@@ -7,15 +7,26 @@ whitespace.  Punctuation means the Unicode "P" categories; tokens are
 whitespace-separated in the Unicode sense.  The same rules back exact match,
 containment, and word counting, so filters and metrics can never disagree on
 what counts as "the same answer".
+
+The same answers, contexts and sentences are compared many times over a run,
+so :func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs
+in a bounded memo.  Text that is seen once, such as a BM25 corpus document,
+goes through :func:`normalize_uncached` and never enters it.
 """
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
 
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
-_TERMINATORS = ".!?"
+_TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
+_NON_SPACE_RE = re.compile(r"\S")
+
+# Distinct inputs kept by each memo in this package.  A memo only skips
+# work, so its size is not a setting and changes no output.
+MEMO_SIZE = 4096
 
 # Words that end in a period without ending a sentence. Lowercased, no
 # trailing dot. Single letters are guarded separately (initials).
@@ -32,30 +43,43 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
-_punct_cache: dict[str, bool] = {}
+
+class _PunctTable(dict):
+    """A :meth:`str.translate` table that deletes Unicode punctuation.
+
+    Each code point is classified the first time it is looked up, so no
+    table of all of Unicode is ever built.
+    """
+
+    def __missing__(self, code: int) -> int | None:
+        kept = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = kept
+        return kept
 
 
-def _is_punct(ch: str) -> bool:
-    cached = _punct_cache.get(ch)
-    if cached is None:
-        cached = unicodedata.category(ch).startswith("P")
-        _punct_cache[ch] = cached
-    return cached
+_PUNCT_TABLE = _PunctTable()
 
 
-def _strip_punct(text: str) -> str:
-    return "".join(ch for ch in text if not _is_punct(ch))
+def strip_punct(text: str) -> str:
+    """*text* with every Unicode punctuation character deleted."""
+    return text.translate(_PUNCT_TABLE)
 
 
+def normalize_uncached(raw: str) -> str:
+    """:func:`normalize_answer` without the memo, for text seen only once."""
+    lowered = strip_punct(raw.lower())
+    without_articles = _ARTICLE_RE.sub(" ", lowered)
+    return " ".join(without_articles.split())
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def normalize_answer(raw: str) -> str:
     """Canonical form of an answer string.
 
     Lowercase, remove punctuation characters, remove standalone articles,
     collapse all whitespace runs to single spaces. Idempotent.
     """
-    lowered = _strip_punct(raw.lower())
-    without_articles = _ARTICLE_RE.sub(" ", lowered)
-    return " ".join(without_articles.split())
+    return normalize_uncached(raw)
 
 
 def tokens(raw: str) -> list[str]:
@@ -73,7 +97,8 @@ def matches_any(candidate: str, golds: list[str]) -> bool:
 
     An empty gold list matches nothing.
     """
-    return any(exact_match(candidate, g) for g in golds)
+    norm = normalize_answer(candidate)
+    return any(norm == normalize_answer(g) for g in golds)
 
 
 def contains_answer(context_text: str, answer: str) -> bool:
@@ -88,14 +113,12 @@ def contains_answer(context_text: str, answer: str) -> bool:
     """
     if not answer.strip():
         raise ValueError("contains_answer: empty answer")
-    needle = tokens(answer)
+    needle = normalize_answer(answer)
     if not needle:
         return False
-    hay = tokens(context_text)
-    span = len(needle)
-    if span > len(hay):
-        return False
-    return any(hay[i : i + span] == needle for i in range(len(hay) - span + 1))
+    # Normalized tokens hold no whitespace and are joined by single spaces,
+    # so a space-bounded substring match is a whole-token sequence match.
+    return f" {needle} " in f" {normalize_answer(context_text)} "
 
 
 def contains_candidate(context_text: str, answer: str) -> bool:
@@ -109,7 +132,7 @@ def word_count(text: str) -> int:
 
     Tokens made of punctuation only (a lone dash, an ellipsis) do not count.
     """
-    return len(_strip_punct(text).split())
+    return len(strip_punct(text).split())
 
 
 @dataclass(frozen=True)
@@ -122,19 +145,17 @@ class SentenceSpan:
 
 
 def _preceding_word(text: str, term_index: int, sent_start: int) -> str:
-    i = term_index
-    while i > sent_start and not text[i - 1].isspace():
-        i -= 1
-    return text[i:term_index]
+    if term_index == sent_start or text[term_index - 1].isspace():
+        return ""
+    return text[sent_start:term_index].rsplit(None, 1)[-1]
 
 
 def _is_break(text: str, sent_start: int, term_index: int, run_end: int) -> bool:
-    j = run_end
-    while j < len(text) and text[j].isspace():
-        j += 1
-    if j == len(text):
+    after = _NON_SPACE_RE.search(text, run_end)
+    if after is None:
         # Terminator run at end of input (trailing whitespace allowed).
         return True
+    j = after.start()
     if j == run_end:
         # No whitespace after the terminator: decimal point, "e.g.", "U.S.".
         return False
@@ -162,29 +183,19 @@ def split_sentences(text: str) -> list[SentenceSpan]:
     be reconstructed from the spans plus the whitespace between them.
     """
     spans: list[SentenceSpan] = []
-    n = len(text)
+    resume = 0  # the current sentence starts at the first non-space from here
     start: int | None = None
-    i = 0
-    while i < n:
-        ch = text[i]
+    for run in _TERMINATOR_RUN_RE.finditer(text):
+        term_index, run_end = run.span()
         if start is None:
-            if ch.isspace():
-                i += 1
-                continue
-            start = i
-        if ch in _TERMINATORS:
-            run_end = i + 1
-            while run_end < n and text[run_end] in _TERMINATORS:
-                run_end += 1
-            if _is_break(text, start, i, run_end):
-                spans.append(SentenceSpan(start, run_end, text[start:run_end]))
-                start = None
-            i = run_end
-            continue
-        i += 1
-    if start is not None:
-        end = n
-        while end > start and text[end - 1].isspace():
-            end -= 1
+            # A terminator is not whitespace, so the search stops at or before it.
+            start = _NON_SPACE_RE.search(text, resume).start()
+        if _is_break(text, start, term_index, run_end):
+            spans.append(SentenceSpan(start, run_end, text[start:run_end]))
+            start = None
+            resume = run_end
+    tail = _NON_SPACE_RE.search(text, resume)
+    if tail is not None:
+        start, end = tail.start(), len(text.rstrip())
         spans.append(SentenceSpan(start, end, text[start:end]))
     return spans

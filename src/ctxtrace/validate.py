@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import analysis, metrics, pipeline, textnorm
 from .errors import CtxTraceError, SchemaError
-from .jsonl import CSV_FIRST_ROW_LINE, MANIFEST_KEY, read_csv, read_output_jsonl
+from .jsonl import MANIFEST_KEY, read_csv, read_output_jsonl
 
 PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
@@ -36,6 +36,18 @@ class _Collector:
 
     def add(self, path: str | Path, line: int, message: str) -> None:
         self.problems.append(Problem(str(path), line, message))
+
+    def parse_each(self, parse: Callable[[Any, str, int], Any],
+                   rows: Iterable[tuple[int, Any]], path: str) -> list[tuple[int, Any]]:
+        """(line, record) for every row that *parse* accepts.  Each row it
+        rejects is one problem, and the rows after it are still read."""
+        records = []
+        for line_no, row in rows:
+            try:
+                records.append((line_no, parse(row, path, line_no)))
+            except SchemaError as exc:
+                self.add(path, exc.line_no, exc.message)
+        return records
 
 
 def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
@@ -89,9 +101,9 @@ def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.T
                 f"stored classification {record.classification!r} != recomputed {recomputed!r}")
 
 
-def _check_report_rows(path: str | Path, reports: Sequence[metrics.MetricsReport],
+def _check_report_rows(path: str | Path, reports: Sequence[tuple[int, metrics.MetricsReport]],
                        out: _Collector) -> None:
-    for line, report in enumerate(reports, start=CSV_FIRST_ROW_LINE):
+    for line, report in reports:
         total = report.rho_gen + report.rho_ret + (report.rho_llm or 0.0) + report.others
         if abs(total - 1.0) > PROPORTION_SUM_TOLERANCE + FRACTION_CELL_TOLERANCE * 4:
             out.add(path, line, f"proportions sum to {total!r}, not 1")
@@ -113,14 +125,15 @@ def _check_report_rows(path: str | Path, reports: Sequence[metrics.MetricsReport
             out.add(path, line, f"diff_gr out of range [-1, 1]: {report.diff_gr}")
 
 
-def _check_report_against_eval(path: str | Path, reports: Sequence[metrics.MetricsReport],
+def _check_report_against_eval(path: str | Path,
+                               reports: Sequence[tuple[int, metrics.MetricsReport]],
                                samples: dict[str, pipeline.TracedSample],
                                records: Sequence[pipeline.HybridRecord],
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
     recounted = {r.subset: r for r in pipeline.subset_reports(live, list(records))}
     schema = metrics.REPORT
-    for line, report in enumerate(reports, start=CSV_FIRST_ROW_LINE):
+    for line, report in reports:
         expected = recounted.get(report.subset)
         if expected is None:
             out.add(path, line, f"report row for empty subset {report.subset!r}")
@@ -148,7 +161,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     manifests: dict[str, str] = {}
     traced_samples: dict[str, pipeline.TracedSample] = {}
     eval_sets: list[tuple[str, int, dict[str, tuple[int, pipeline.HybridRecord]]]] = []
-    report_sets: list[tuple[str, list[metrics.MetricsReport]]] = []
+    report_sets: list[tuple[str, list[tuple[int, metrics.MetricsReport]]]] = []
 
     for path in paths:
         name = str(path)
@@ -161,8 +174,9 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                 manifests[name] = manifest_hash
                 schema = _CSV_KINDS.get(tuple(columns))
                 if schema is None:
-                    raise SchemaError(path, 2, f"unrecognized columns {columns}")
-                records = schema.parse_rows(rows, path)
+                    raise SchemaError(path, columns.line_no, f"unrecognized columns {columns}")
+                records = out.parse_each(schema.parse, ((row.line_no, row) for row in rows),
+                                         name)
                 if schema.cls is metrics.MetricsReport:
                     _check_report_rows(name, records, out)
                 if schema is metrics.REPORT:
@@ -175,7 +189,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
             schema = _JSONL_KINDS.get(frozenset(rows[0][1]))
             if schema is None:
                 raise SchemaError(path, rows[0][0], "unrecognized row shape")
-            loaded = [(line_no, schema.load(obj, path, line_no)) for line_no, obj in rows]
+            loaded = out.parse_each(schema.load, rows, name)
             if schema is pipeline.TRACED:
                 for line_no, sample in loaded:
                     if traced_samples.setdefault(sample.example.id, sample) is not sample:
@@ -191,9 +205,10 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                     if numbered.setdefault(record.example_id, (line_no, record))[1] is not record:
                         out.add(path, line_no, f"duplicate eval id {record.example_id!r}")
                 eval_sets.append((name, header["seed"], numbered))
+        except SchemaError as exc:
+            out.add(name, exc.line_no, exc.message)
         except CtxTraceError as exc:
-            line = exc.line_no if isinstance(exc, SchemaError) else 0
-            out.add(name, line, str(exc))
+            out.add(name, 0, str(exc))
 
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -160,6 +164,24 @@ def test_http_gives_up_after_max_retries_plus_one():
     assert len(session.calls) == 3
     assert "3 attempts" in str(err.value)
     assert sleeps == [0.5, 1.0]
+
+
+def test_http_other_session_errors_are_not_retried():
+    backend, session, sleeps = _backend([RuntimeError("bug in session"), _ok("late")])
+    with pytest.raises(RuntimeError, match="bug in session"):
+        backend.complete("q")
+    assert len(session.calls) == 1
+    assert sleeps == []
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    # requests is only needed once an HttpBackend builds its own session.
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, ctxtrace.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_http_client_error_fails_immediately():

@@ -128,3 +128,12 @@ def test_failed_writes_leave_no_partial_file(tmp_path):
         write_csv(kept, ["a"], ([str(row["id"])] for row in rows_then_crash()), "beef", 2)
     assert kept.read_bytes() == before
     assert list(tmp_path.iterdir()) == [kept]
+
+
+def test_csv_rows_keep_the_line_they_start_on(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('# manifest=beef seed=3\n\na,b\n1,x\n\n2,"two\nlines"\n3,y\n')
+    _, _, columns, rows = read_csv(path)
+    assert columns == ["a", "b"] and columns.line_no == 3
+    assert rows == [["1", "x"], ["2", "two\nlines"], ["3", "y"]]
+    assert [row.line_no for row in rows] == [4, 6, 8]

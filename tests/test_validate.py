@@ -313,3 +313,36 @@ def test_empty_gold_answer_is_a_problem(run):
     problems = validate_files([path])
     assert len(problems) == 1 and problems[0].line == 2
     assert "'answers'" in problems[0].message
+
+
+SIM_HEADER = ("# manifest=feedbead12345678 seed=4\n"
+              "example_id,sim_gen,sim_ret,metric,aggregation,delta_sim\n")
+
+
+def test_csv_problems_name_their_line_after_a_blank_line(tmp_path):
+    sim = tmp_path / "sim.csv"
+    sim.write_text(SIM_HEADER + "\nq01,0.5,0.5,jaccard,max,0.0\nq02,high,0.5,jaccard,max,0.0\n")
+    problems = validate_files([sim])
+    assert [(p.line, "'sim_gen'" in p.message) for p in problems] == [(5, True)]
+
+
+def test_every_malformed_row_is_a_problem_with_one_prefix(tmp_path):
+    sim = tmp_path / "sim.csv"
+    sim.write_text(SIM_HEADER + "\nq01,0.5,0.5,jaccard,max,0.0\nq02,high,0.5,jaccard,max,0.0\n"
+                                "q03,0.5,low,jaccard,max,0.0\n")
+    problems = validate_files([sim])
+    assert [p.line for p in problems] == [5, 6]
+    for problem in problems:
+        assert str(problem) == f"{sim}:{problem.line}: {problem.message}"
+        assert str(sim) not in problem.message
+
+
+def test_every_malformed_jsonl_row_is_a_problem(run):
+    path = run["traced.jsonl"]
+
+    def unknown_subset(obj):
+        obj["subset"] = "XYZ"
+    _edit_jsonl(path, 2, unknown_subset)
+    _edit_jsonl(path, 4, unknown_subset)
+    problems = validate_files([path])
+    assert [(p.line, "'subset'" in p.message) for p in problems] == [(2, True), (4, True)]
