@@ -24,6 +24,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -136,8 +137,11 @@ class RetrievedHit:
 
 
 class HttpBackend:
-    """Chat-completions client with retries, a shared rate gate, and a cap
-    on concurrent in-flight requests.
+    """Chat-completions client with retries and a shared rate gate.
+
+    Each calling thread has one request in flight at a time, so the number
+    of threads calling :meth:`complete` (the ``workers`` pool) is the number
+    of concurrent requests.
 
     Transport failures and 408/429/5xx responses are retried with exponential
     backoff; at most ``max_retries + 1`` attempts are ever issued.  Other
@@ -149,7 +153,6 @@ class HttpBackend:
         spec: BackendSpec,
         session: Any | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        max_in_flight: int = 4,
         min_interval: float = 0.0,
     ) -> None:
         if spec.kind != "http":
@@ -161,7 +164,6 @@ class HttpBackend:
             session = requests.Session()
         self._session = session
         self._sleep = sleep
-        self._gate = threading.BoundedSemaphore(max_in_flight)
         self._lock = threading.Lock()
         self._min_interval = min_interval
         self._next_slot = 0.0
@@ -196,13 +198,12 @@ class HttpBackend:
                 self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
             self._throttle()
             try:
-                with self._gate:
-                    response = self._session.post(
-                        self.spec.endpoint,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.spec.timeout,
-                    )
+                response = self._session.post(
+                    self.spec.endpoint,
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=self.spec.timeout,
+                )
             except Exception as exc:
                 # Only requests raises its own exceptions, so an unloaded
                 # module means this is not a transport error.
@@ -323,9 +324,21 @@ class Bm25Index:
     idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); a term scores
     idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
     norm k1 * (1 - b + b * dl / avgdl) is computed once per document at
-    build.  Ties on the top
-    score go to the lowest doc_id, including the no-overlap case where
-    every document scores zero.
+    build.  Ties on the top score go to the lowest doc_id, including the
+    no-overlap case where every document scores zero.
+
+    :meth:`top1` prunes the postings walk (MaxScore, Turtle & Flood 1995)
+    without changing its answer.  A query term of weight w = count * idf
+    adds at most w * (k1 + 1) to any document, because idf > 0, tf >= 1 and
+    the length norm is >= 0.  Terms are walked in descending bound order,
+    and no new document is admitted once the best partial score exceeds
+    (1 + 1e-9) times the summed bound of the terms not yet walked: no
+    unseen document can then win or tie.  Only the documents whose partial
+    score plus that bound reaches (1 - 1e-9) times the best partial score
+    are rescored.  The two margins absorb rounding in the partial sums,
+    which run in bound order.  The rescoring itself adds the term scores
+    in query order from 0.0, as :meth:`score` does, so the winner and its
+    score bits are those of scoring every posting in query order.
     """
 
     name = "bm25"
@@ -371,42 +384,65 @@ class Bm25Index:
         n = len(self.doc_ids)
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
+    def _query_terms(self, query_tokens: list[str]) -> list[tuple[float, dict[int, int]]]:
+        """(count * idf, postings) of each indexed query term.  Unique terms
+        in first-occurrence order keep float accumulation independent of
+        hash randomization."""
+        terms = []
+        for term, count in Counter(query_tokens).items():
+            postings = self._postings.get(term)
+            if postings is not None:
+                terms.append((count * self._idf(term), postings))
+        return terms
+
+    def _term_score(self, weight: float, tf: int, idx: int) -> float:
+        """One term's share of document *idx*'s score, *weight* being its
+        idf times its count in the query."""
+        return weight * tf * self._k1_plus_1 / (tf + self._norm[idx])
+
+    def _exact_score(self, terms: list[tuple[float, dict[int, int]]], idx: int) -> float:
+        total = 0.0
+        for weight, postings in terms:
+            tf = postings.get(idx)
+            if tf:
+                total += self._term_score(weight, tf, idx)
+        return total
+
     def score(self, query_tokens: list[str], doc_id: str) -> float:
         try:
             idx = self._by_id[doc_id]
         except KeyError:
             raise ValidationError(f"unknown doc_id {doc_id!r}") from None
-        return self._score_index(query_tokens, idx)
+        return self._exact_score(self._query_terms(query_tokens), idx)
 
-    def _term_score(self, weight: float, tf: int, idx: int) -> float:
-        """One term's share of document *idx*'s score, *weight* being its idf
-        (times its count in the query, in :meth:`top1`)."""
-        return weight * tf * self._k1_plus_1 / (tf + self._norm[idx])
-
-    def _score_index(self, query_tokens: list[str], idx: int) -> float:
-        total = 0.0
-        for term in query_tokens:
-            tf = self._postings.get(term, {}).get(idx, 0)
-            if tf:
-                total += self._term_score(self._idf(term), tf, idx)
-        return total
+    def _maxscore(self, terms: list[tuple[float, dict[int, int]]]) -> tuple[str, float]:
+        """(doc_id, score) of the best document for a non-empty term list;
+        see the class docstring."""
+        by_bound = sorted(terms, key=lambda term: term[0], reverse=True)
+        # unwalked[i]: the most that the terms from by_bound[i] on can add.
+        bounds = reversed([weight * self._k1_plus_1 for weight, _ in by_bound])
+        unwalked = list(accumulate(bounds, initial=0.0))[::-1]
+        partial: dict[int, float] = {}
+        best = 0.0
+        walked = 0
+        for weight, postings in by_bound:
+            if best > (1.0 + 1e-9) * unwalked[walked]:
+                break
+            for idx, tf in postings.items():
+                partial[idx] = partial.get(idx, 0.0) + self._term_score(weight, tf, idx)
+            best = max(partial.values())
+            walked += 1
+        rest, cutoff = unwalked[walked], (1.0 - 1e-9) * best
+        scores = {idx: self._exact_score(terms, idx)
+                  for idx, sc in partial.items() if sc + rest >= cutoff}
+        best_score = max(scores.values())
+        return min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score), best_score
 
     def top1(self, question: str) -> RetrievedHit:
-        scores: dict[int, float] = {}
-        # Unique terms in first-occurrence order keeps float accumulation
-        # independent of hash randomization.
-        for term, count in Counter(_analyze(question)).items():
-            weight = count * self._idf(term)
-            for idx, tf in self._postings.get(term, {}).items():
-                scores[idx] = scores.get(idx, 0.0) + self._term_score(weight, tf, idx)
-        if scores:
-            best_score = max(scores.values())
-            best = min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score)
-        else:
-            best_score = 0.0
-            best = self._lowest_id
-        idx = self._by_id[best]
-        return RetrievedHit(best, self.titles[idx], self.bodies[idx], best_score)
+        terms = self._query_terms(_analyze(question))
+        best_id, best_score = self._maxscore(terms) if terms else (self._lowest_id, 0.0)
+        idx = self._by_id[best_id]
+        return RetrievedHit(best_id, self.titles[idx], self.bodies[idx], best_score)
 
     def retrieve(self, question_id: str, question: str) -> RetrievedHit:
         return self.top1(question)

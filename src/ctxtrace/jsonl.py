@@ -60,26 +60,54 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]],
             fh.write(dumps_row(row) + "\n")
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Yield (line_no, object) pairs; line numbers are 1-based."""
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line_no, line) for each non-blank line; line numbers are 1-based."""
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            if line.strip():
+                yield line_no, line
+
+
+def _parse_line(line: str, path: str | Path, line_no: int) -> dict[str, Any]:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(path, line_no, "expected a JSON object")
+    return obj
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield (line_no, object) pairs; the first line that is not a JSON
+    object raises :class:`SchemaError`."""
+    for line_no, line in _lines(path):
+        yield line_no, _parse_line(line, path, line_no)
+
+
+def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = None,
+                      ) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
+    """Read a pipeline-written JSONL file, returning (header, rows).
+
+    A line that is not a JSON object raises, unless a *bad_lines* list is
+    given: then its error is appended there, the line is skipped, and the
+    lines after it are still read.
+    """
+    try:
+        rows = list(iter_jsonl(path))
+    except SchemaError:
+        if bad_lines is None:
+            raise
+        # A clean file, the usual case, takes the reader every caller
+        # shares; only a damaged one is read again, line by line.
+        rows = []
+        for line_no, line in _lines(path):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise SchemaError(path, line_no, "expected a JSON object")
-            yield line_no, obj
-
-
-def read_output_jsonl(path: str | Path) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
-    """Read a pipeline-written JSONL file, returning (header, rows)."""
-    rows = list(iter_jsonl(path))
+                rows.append((line_no, _parse_line(line, path, line_no)))
+            except SchemaError as exc:
+                bad_lines.append(exc)
     if not rows or MANIFEST_KEY not in rows[0][1]:
         raise SchemaError(path, 1, "missing manifest header line")
     header = rows[0][1]

@@ -182,7 +182,12 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                 if schema is metrics.REPORT:
                     report_sets.append((name, records))
                 continue
-            header, rows = read_output_jsonl(path)
+            bad_lines: list[SchemaError] = []
+            try:
+                header, rows = read_output_jsonl(path, bad_lines)
+            finally:
+                for exc in bad_lines:
+                    out.add(name, exc.line_no, exc.message)
             manifests[name] = header[MANIFEST_KEY]
             if not rows:
                 continue

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from ctxtrace.errors import (
     SchemaError,
     ValidationError,
 )
+from ctxtrace.pipeline import map_examples
 
 from .conftest import write_jsonl
 
@@ -220,6 +222,33 @@ def test_http_rate_gate_spaces_requests():
     waits = [w for w in sleeps if w > 0]
     assert len(waits) == 1
     assert 4.0 < waits[0] <= 5.0
+
+
+def test_http_workers_set_the_requests_in_flight():
+    # Every post waits until eight are in flight at once; a cap below eight
+    # breaks the barrier.
+    barrier = threading.Barrier(8, timeout=5)
+    lock = threading.Lock()
+    in_flight = peak = 0
+
+    class BarrierSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            try:
+                barrier.wait()
+            finally:
+                with lock:
+                    in_flight -= 1
+            return _ok(json["messages"][0]["content"].upper())
+
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    backend = HttpBackend(spec, session=BarrierSession())
+    prompts = [f"prompt {i}" for i in range(8)]
+    assert map_examples(backend.complete, prompts, workers=8) == [p.upper() for p in prompts]
+    assert peak == 8
 
 
 def test_http_requires_http_spec():

@@ -346,3 +346,19 @@ def test_every_malformed_jsonl_row_is_a_problem(run):
     _edit_jsonl(path, 4, unknown_subset)
     problems = validate_files([path])
     assert [(p.line, "'subset'" in p.message) for p in problems] == [(2, True), (4, True)]
+
+
+def test_every_unparsable_jsonl_line_is_a_problem(run):
+    path = run["eval.jsonl"]
+
+    def bogus_order(obj):
+        obj["order"] = "bogus"
+    _edit_jsonl(path, 4, bogus_order)
+    lines = path.read_text().splitlines()
+    lines[2] = "not json"
+    path.write_text("\n".join(lines + ["[1, 2]"]) + "\n")
+    by_line = {p.line: p.message for p in validate_files([path])}
+    assert sorted(by_line) == [3, 4, 5]
+    assert by_line[3].startswith("invalid JSON")
+    assert "'order'" in by_line[4]
+    assert by_line[5] == "expected a JSON object"
