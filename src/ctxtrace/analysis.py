@@ -39,7 +39,8 @@ class SimilarityRecord:
     delta_sim: float
 
 
-SIM = RowSchema(SimilarityRecord, choices={"metric": SIM_METRICS, "aggregation": AGGREGATIONS})
+SIM = RowSchema(SimilarityRecord, "sim", ("example_id",),
+                choices={"metric": SIM_METRICS, "aggregation": AGGREGATIONS})
 SIM_COLUMNS = SIM.keys
 read_sim_csv = SIM.read_table
 
@@ -62,7 +63,7 @@ class SliceRow:
     diff_gr: float | None
 
 
-SLICES = RowSchema(SliceRow)
+SLICES = RowSchema(SliceRow, "slice", ("slice_index",))
 SLICE_COLUMNS = SLICES.keys
 
 
@@ -344,14 +345,12 @@ def run_order(samples: Sequence[pipeline.TracedSample], reader: pipeline.Reader,
     """Sweep all three presentation orders over one subset; each report's
     subset field names its order."""
     chosen = select_subset(samples, subset)
-    examples = {s.example.id: s.example for s in chosen}
-    llm_tracked = any(s.closed_book is not None for s in chosen)
-    reports: dict[str, metrics.MetricsReport] = {}
+    groups = []
     for order in ("generated_first", "retrieved_first", "random"):
-        records = pipeline.map_examples(
+        groups.append((order, pipeline.map_examples(
             lambda s, order=order: pipeline.hybrid_answer(reader, s, order, seed),
-            chosen, workers)
-        reports[order] = metrics.build_report(order, records, examples, llm_tracked)
+            chosen, workers)))
+    reports = {r.subset: r for r in pipeline.build_reports(chosen, groups)}
     ORDER.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports
 
@@ -384,9 +383,7 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
     if not matched:
         raise ValidationError("similarity-matched filter removed every sample")
 
-    examples = {s.example.id: s.example for s, _ in matched}
-    llm_tracked = any(s.closed_book is not None for s, _ in matched)
-    reports: dict[str, metrics.MetricsReport] = {}
+    groups = []
     for variant in COMPLETENESS_VARIANTS:
 
         def eval_one(pair: tuple[pipeline.TracedSample, CompletenessVariants],
@@ -407,6 +404,7 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
                    if r is not None]
         if not records:
             raise ValidationError(f"no evaluable samples for variant {variant!r}")
-        reports[variant] = metrics.build_report(variant, records, examples, llm_tracked)
+        groups.append((variant, records))
+    reports = {r.subset: r for r in pipeline.build_reports([s for s, _ in matched], groups)}
     COMPLETENESS.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports

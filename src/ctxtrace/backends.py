@@ -368,7 +368,7 @@ class Bm25Index:
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
-        docs: list[tuple[str, str, str]] = []
+        docs: dict[str, tuple[str, str, str]] = {}
         for line_no, obj in iter_jsonl(path):
             if set(obj) != {"doc_id", "title", "text"}:
                 raise SchemaError(path, line_no,
@@ -376,8 +376,10 @@ class Bm25Index:
             doc_id = require_field(obj, "doc_id", str, path, line_no)
             title = require_field(obj, "title", str, path, line_no)
             text = require_field(obj, "text", str, path, line_no)
-            docs.append((doc_id, title, text))
-        return cls(docs, params)
+            if doc_id in docs:
+                raise SchemaError(path, line_no, f"duplicate doc_id {doc_id!r}")
+            docs[doc_id] = (doc_id, title, text)
+        return cls(list(docs.values()), params)
 
     def _idf(self, term: str) -> float:
         df = len(self._postings.get(term, ()))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -165,22 +166,14 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     reader = Reader(cfg.reader, cfg.prompts)
     samples = run_trace(examples, contexts_by_id, reader, cfg.abstention_set,
                         ns.parametric, ns.out, run_id, cfg.seed, cfg.workers)
-    live = [s for s in samples if s.live]
-    aig = sum(1 for s in live if s.subset == "AIG")
-    air = len(live) - aig
+    kept = Counter(s.subset for s in samples if s.live)
     print(f"traced {len(samples)} questions -> {ns.out} (manifest {run_id})")
-    print(f"kept {len(live)} conflicting samples: AIG {aig}, AIR {air}")
-    drops = {reason: 0 for reason in DROP_REASONS}
-    neutral = 0
-    for sample in samples:
-        if sample.dropped is not None:
-            drops[sample.dropped] += 1
-        elif not sample.live:
-            neutral += 1
-    dropped_total = sum(drops.values())
-    if dropped_total:
-        detail = ", ".join(f"{reason} {n}" for reason, n in drops.items() if n)
-        print(f"dropped {dropped_total}: {detail}")
+    print(f"kept {kept.total()} conflicting samples: AIG {kept['AIG']}, AIR {kept['AIR']}")
+    drops = Counter(s.dropped for s in samples if s.dropped is not None)
+    neutral = sum(1 for s in samples if s.dropped is None and not s.live)
+    if drops:
+        detail = ", ".join(f"{reason} {drops[reason]}" for reason in DROP_REASONS if drops[reason])
+        print(f"dropped {drops.total()}: {detail}")
     if neutral:
         print(f"non-exclusive (answer in both or neither): {neutral}")
     return EXIT_OK

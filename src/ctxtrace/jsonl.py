@@ -95,19 +95,14 @@ def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = No
     given: then its error is appended there, the line is skipped, and the
     lines after it are still read.
     """
-    try:
-        rows = list(iter_jsonl(path))
-    except SchemaError:
-        if bad_lines is None:
-            raise
-        # A clean file, the usual case, takes the reader every caller
-        # shares; only a damaged one is read again, line by line.
-        rows = []
-        for line_no, line in _lines(path):
-            try:
-                rows.append((line_no, _parse_line(line, path, line_no)))
-            except SchemaError as exc:
-                bad_lines.append(exc)
+    rows = []
+    for line_no, line in _lines(path):
+        try:
+            rows.append((line_no, _parse_line(line, path, line_no)))
+        except SchemaError as exc:
+            if bad_lines is None:
+                raise
+            bad_lines.append(exc)
     if not rows or MANIFEST_KEY not in rows[0][1]:
         raise SchemaError(path, 1, "missing manifest header line")
     header = rows[0][1]
@@ -207,19 +202,24 @@ class RowSchema:
     """The row format of one record type, declared once.
 
     Keys, their order and their types come from the fields and annotations
-    of the dataclass *cls*.  The keyword arguments declare only the
-    exceptions: ``keys`` gives a field's key where it differs, ``choices``
-    its allowed values, ``nonempty`` forbids an empty string, list or list
-    item, ``nested`` stores a record of another schema as an object under
-    the field's key while ``flatten`` splices its keys into this row, and
-    ``fmt`` gives a float's CSV cell format (default ``.6f``).
+    of the dataclass *cls*.  *name* names the record in messages, and no two
+    rows of one file may share their values of the keys in *key*.  The
+    keyword arguments declare only the exceptions: ``keys`` gives a field's
+    key where it differs, ``choices`` its allowed values, ``nonempty``
+    forbids an empty string, list or list item, ``nested`` stores a record
+    of another schema as an object under the field's key while ``flatten``
+    splices its keys into this row, and ``fmt`` gives a float's CSV cell
+    format (default ``.6f``).
     """
 
-    def __init__(self, cls: type, *, keys: Mapping[str, str] = _NONE,
+    def __init__(self, cls: type, name: str, key: tuple[str, ...], *,
+                 keys: Mapping[str, str] = _NONE,
                  choices: Mapping[str, tuple[str, ...]] = _NONE, nonempty: tuple[str, ...] = (),
                  nested: Mapping[str, RowSchema] = _NONE, flatten: Mapping[str, RowSchema] = _NONE,
                  fmt: Mapping[str, str] = _NONE) -> None:
         self.cls = cls
+        self.name = name
+        self.key = key
         self.cols: list[Col] = []
         for f in fields(cls):
             annotation, _, none = f.type.partition(" | ")
@@ -272,6 +272,9 @@ class RowSchema:
 
     def parse(self, cells: Sequence[str], path: str | Path, line_no: int = 0) -> Any:
         """The record in one CSV row, naming the line and column on failure."""
+        return self.load(self._cell_values(cells, path, line_no), path, line_no)
+
+    def _cell_values(self, cells: Sequence[str], path: str | Path, line_no: int) -> dict[str, Any]:
         if len(cells) != len(self.cols):
             raise SchemaError(path, line_no, f"row has {len(cells)} cells, not {len(self.cols)}")
         obj: dict[str, Any] = {}
@@ -281,23 +284,41 @@ class RowSchema:
             except ValueError:
                 raise SchemaError(path, line_no, f"column {col.key!r}: {cell!r} is not a "
                                                  f"valid {col.kind.__name__}") from None
-        return self.load(obj, path, line_no)
+        return obj
+
+    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path,
+                  problems: list[SchemaError] | None = None) -> list[tuple[int, Any]]:
+        """(line, record) of each (line, JSON object or CSV cells) pair.  A row
+        that does not load or repeats an earlier row's key raises, unless a
+        *problems* list is given: then its error goes there and reading goes on."""
+        loaded: dict[tuple[Any, ...], tuple[int, Any]] = {}
+        for line_no, row in rows:
+            try:
+                obj = row if isinstance(row, dict) else self._cell_values(row, path, line_no)
+                record = self.load(obj, path, line_no)
+                key = tuple(map(obj.__getitem__, self.key))
+                if key in loaded:
+                    raise SchemaError(path, line_no, f"duplicate {self.name} " + ", ".join(
+                        f"{name} {value!r}" for name, value in zip(self.key, key)))
+                loaded[key] = (line_no, record)
+            except SchemaError as exc:
+                if problems is None:
+                    raise
+                problems.append(exc)
+        return list(loaded.values())
 
     def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
         """(header, records) of a pipeline-written JSONL file."""
         header, rows = read_output_jsonl(path)
-        return header, [self.load(obj, path, line_no) for line_no, obj in rows]
-
-    def parse_rows(self, rows: Sequence[CsvRow], path: str | Path) -> list[Any]:
-        """The records in the data rows :func:`read_csv` returned."""
-        return [self.parse(row, path, row.line_no) for row in rows]
+        return header, [record for _, record in self.load_rows(rows, path)]
 
     def read_table(self, path: str | Path) -> tuple[str, int, list[Any]]:
         """(manifest hash, seed, records) of a pipeline-written CSV file."""
         manifest_hash, seed, columns, rows = read_csv(path)
         if columns != self.keys:
             raise SchemaError(path, columns.line_no, f"columns {columns} are not {self.keys}")
-        return manifest_hash, seed, self.parse_rows(rows, path)
+        loaded = self.load_rows(((row.line_no, row) for row in rows), path)
+        return manifest_hash, seed, [record for _, record in loaded]
 
     def write_table(self, path: str | Path, records: Iterable[Any],
                     manifest_hash: str, seed: int) -> None:

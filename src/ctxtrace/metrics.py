@@ -9,6 +9,7 @@ bucket excludes them, otherwise such replies simply land in "others".
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -45,7 +46,8 @@ class MetricsReport:
 
 def report_schema(first_column: str) -> RowSchema:
     """The report row format, its label column named *first_column*."""
-    return RowSchema(MetricsReport, keys={"subset": first_column}, fmt={"em_percent": ".4f"})
+    return RowSchema(MetricsReport, "report", (first_column,), keys={"subset": first_column},
+                     fmt={"em_percent": ".4f"})
 
 
 REPORT = report_schema("subset")
@@ -77,9 +79,7 @@ def proportions(records: Sequence["HybridRecord"],
     if not records:
         raise UndefinedMetricError("proportions over an empty record set")
     n = len(records)
-    counts = {"gen": 0, "ret": 0, "llm": 0, "other": 0}
-    for record in records:
-        counts[record.classification] += 1
+    counts = Counter(record.classification for record in records)
     if llm_tracked is None:
         llm_tracked = counts["llm"] > 0
     if not llm_tracked and counts["llm"]:

@@ -17,7 +17,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import metrics, textnorm
 from .backends import (
@@ -28,7 +28,7 @@ from .backends import (
     RetrievedHit,
     context_fingerprint,
 )
-from .errors import EmptyResponseError, SchemaError, ValidationError
+from .errors import EmptyResponseError, ValidationError
 from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
 
 SOURCES = ("retrieved", "generated")
@@ -90,7 +90,7 @@ class QaExample:
 
 
 # Questions input rows, and the example part of traced rows.
-QUESTION = RowSchema(QaExample, nonempty=("id", "question", "answers"))
+QUESTION = RowSchema(QaExample, "question", ("id",), nonempty=("id", "question", "answers"))
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class Context:
     variant: str
 
 
-CONTEXT = RowSchema(Context, choices={"source": SOURCES, "variant": VARIANTS},
-                    nonempty=("text",))
+CONTEXT = RowSchema(Context, "context", ("id", "source"),
+                    choices={"source": SOURCES, "variant": VARIANTS}, nonempty=("text",))
 context_to_row = CONTEXT.dump
 context_from_row = CONTEXT.load
 
@@ -134,7 +134,7 @@ class TracedSample:
         return self.dropped is None and self.subset in ("AIG", "AIR")
 
 
-TRACED = RowSchema(TracedSample, flatten={"example": QUESTION},
+TRACED = RowSchema(TracedSample, "traced", ("id",), flatten={"example": QUESTION},
                    nested={"retrieved": CONTEXT, "generated": CONTEXT},
                    choices={"subset": SUBSETS, "dropped": DROP_REASONS})
 traced_to_row = TRACED.dump
@@ -150,7 +150,8 @@ class HybridRecord:
     classification: str
 
 
-HYBRID = RowSchema(HybridRecord, keys={"example_id": "id", "answer": "hybrid_answer"},
+HYBRID = RowSchema(HybridRecord, "eval", ("id",),
+                   keys={"example_id": "id", "answer": "hybrid_answer"},
                    choices={"order": ORDERS, "classification": CLASSIFICATIONS})
 hybrid_to_row = HYBRID.dump
 hybrid_from_row = HYBRID.load
@@ -386,25 +387,18 @@ def hybrid_answer(reader: Reader, sample: TracedSample, order: str, seed: int) -
 # Readers of the JSONL files; their row formats are declared with the records.
 
 def read_questions(path: str | Path) -> list[QaExample]:
-    examples: dict[str, QaExample] = {}
-    for line_no, obj in iter_jsonl(path):
-        example = QUESTION.load(obj, path, line_no)
-        if examples.setdefault(example.id, example) is not example:
-            raise SchemaError(path, line_no, f"duplicate question id {example.id!r}")
+    examples = [example for _, example in QUESTION.load_rows(iter_jsonl(path), path)]
     if not examples:
         raise ValidationError(f"no questions in {path}")
-    return list(examples.values())
+    return examples
 
 
 def read_contexts(path: str | Path) -> tuple[dict[str, Any], dict[str, dict[str, Context]]]:
     """Load contexts.jsonl as {example_id: {source: Context}}."""
     header, rows = read_output_jsonl(path)
     by_id: dict[str, dict[str, Context]] = {}
-    for line_no, obj in rows:
-        context = CONTEXT.load(obj, path, line_no)
-        if by_id.setdefault(context.id, {}).setdefault(context.source, context) is not context:
-            raise SchemaError(path, line_no,
-                              f"duplicate {context.source} context for {context.id!r}")
+    for _, context in CONTEXT.load_rows(rows, path):
+        by_id.setdefault(context.id, {})[context.source] = context
     return header, by_id
 
 
@@ -494,19 +488,21 @@ def run_evaluate(samples: Sequence[TracedSample], reader: Reader, order: str, se
     return reports
 
 
+def build_reports(samples: Sequence[TracedSample],
+                  groups: Iterable[tuple[str, Sequence[HybridRecord]]],
+                  ) -> list[metrics.MetricsReport]:
+    """One metric row per (label, records) group over the gold answers of
+    *samples*; rho_llm is tracked when any of them was read closed-book."""
+    examples = {s.example.id: s.example for s in samples}
+    llm_tracked = any(s.closed_book is not None for s in samples)
+    return [metrics.build_report(label, records, examples, llm_tracked)
+            for label, records in groups]
+
+
 def subset_reports(live: Sequence[TracedSample],
                    records: Sequence[HybridRecord]) -> list[metrics.MetricsReport]:
     """Per-subset metric rows (AIG, AIR, then ALL), skipping empty subsets."""
-    by_id = {s.example.id: s for s in live}
-    examples = {s.example.id: s.example for s in live}
-    llm_tracked = any(s.closed_book is not None for s in live)
-    reports = []
-    for subset in ("AIG", "AIR", "ALL"):
-        if subset == "ALL":
-            chosen = list(records)
-        else:
-            chosen = [r for r in records if by_id[r.example_id].subset == subset]
-        if not chosen:
-            continue
-        reports.append(metrics.build_report(subset, chosen, examples, llm_tracked))
-    return reports
+    subset_of = {s.example.id: s.subset for s in live}
+    groups = [(subset, [r for r in records if subset in ("ALL", subset_of[r.example_id])])
+              for subset in ("AIG", "AIR", "ALL")]
+    return build_reports(live, [group for group in groups if group[1]])

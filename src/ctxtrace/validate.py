@@ -9,12 +9,13 @@ a broken run fails here with its line number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import analysis, metrics, pipeline, textnorm
 from .errors import CtxTraceError, SchemaError
-from .jsonl import MANIFEST_KEY, read_csv, read_output_jsonl
+from .jsonl import MANIFEST_KEY, RowSchema, read_csv, read_output_jsonl
 
 PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
@@ -30,24 +31,9 @@ class Problem:
         return f"{self.path}:{self.line}: {self.message}"
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self.problems: list[Problem] = []
-
+class _Collector(list):
     def add(self, path: str | Path, line: int, message: str) -> None:
-        self.problems.append(Problem(str(path), line, message))
-
-    def parse_each(self, parse: Callable[[Any, str, int], Any],
-                   rows: Iterable[tuple[int, Any]], path: str) -> list[tuple[int, Any]]:
-        """(line, record) for every row that *parse* accepts.  Each row it
-        rejects is one problem, and the rows after it are still read."""
-        records = []
-        for line_no, row in rows:
-            try:
-                records.append((line_no, parse(row, path, line_no)))
-            except SchemaError as exc:
-                self.add(path, exc.line_no, exc.message)
-        return records
+        self.append(Problem(str(path), line, message))
 
 
 def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
@@ -85,20 +71,21 @@ def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int
 
 
 def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.TracedSample],
-                    header_seed: int, path: str | Path, line: int, out: _Collector) -> None:
+                    header_seed: int, path: str | Path, line: int, out: _Collector) -> bool:
     sample = samples.get(record.example_id)
     if sample is None:
         out.add(path, line, f"eval record for unknown example {record.example_id!r}")
-        return
+        return False
     if not sample.live:
         out.add(path, line, f"eval record for non-live example {record.example_id!r}")
-        return
+        return False
     if record.seed != header_seed:
         out.add(path, line, f"record seed {record.seed} != header seed {header_seed}")
     recomputed = pipeline.classify_answer(record.answer, sample)
     if record.classification != recomputed:
         out.add(path, line,
                 f"stored classification {record.classification!r} != recomputed {recomputed!r}")
+    return True
 
 
 def _check_report_rows(path: str | Path, reports: Sequence[tuple[int, metrics.MetricsReport]],
@@ -155,79 +142,80 @@ _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.
                                          analysis.ORDER, analysis.COMPLETENESS)}
 
 
+def _load_file(path: str | Path, problems: list[SchemaError],
+               ) -> tuple[str, int, RowSchema | None, list[tuple[int, Any]]]:
+    """(manifest hash, seed, schema, (line, record) pairs) of one output file;
+    the schema is None for no rows or rows of no known kind.  Each problem
+    below the header goes to *problems*; a malformed header raises."""
+    if str(path).endswith(".csv"):
+        manifest_hash, seed, columns, table = read_csv(path)
+        schema = _CSV_KINDS.get(tuple(columns))
+        if schema is None:
+            problems.append(SchemaError(path, columns.line_no, f"unrecognized columns {columns}"))
+        rows = [(row.line_no, row) for row in table]
+    else:
+        header, rows = read_output_jsonl(path, problems)
+        manifest_hash, seed = header[MANIFEST_KEY], header["seed"]
+        schema = _JSONL_KINDS.get(frozenset(rows[0][1])) if rows else None
+        if rows and schema is None:
+            problems.append(SchemaError(path, rows[0][0], "unrecognized row shape"))
+    return manifest_hash, seed, schema, schema.load_rows(rows, path, problems) if schema else []
+
+
 def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     """Validate any mix of pipeline outputs; returns all problems found."""
     out = _Collector()
     manifests: dict[str, str] = {}
     traced_samples: dict[str, pipeline.TracedSample] = {}
-    eval_sets: list[tuple[str, int, dict[str, tuple[int, pipeline.HybridRecord]]]] = []
-    report_sets: list[tuple[str, list[tuple[int, metrics.MetricsReport]]]] = []
+    eval_sets: list[tuple[str | Path, int, list[tuple[int, pipeline.HybridRecord]]]] = []
+    report_sets: list[tuple[str | Path, list[tuple[int, metrics.MetricsReport]]]] = []
 
     for path in paths:
-        name = str(path)
+        if not Path(path).is_file():
+            out.add(path, 0, "missing file")
+            continue
+        problems: list[SchemaError] = []
         try:
-            if not Path(path).is_file():
-                out.add(path, 0, "missing file")
-                continue
-            if name.endswith(".csv"):
-                manifest_hash, _, columns, rows = read_csv(path)
-                manifests[name] = manifest_hash
-                schema = _CSV_KINDS.get(tuple(columns))
-                if schema is None:
-                    raise SchemaError(path, columns.line_no, f"unrecognized columns {columns}")
-                records = out.parse_each(schema.parse, ((row.line_no, row) for row in rows),
-                                         name)
-                if schema.cls is metrics.MetricsReport:
-                    _check_report_rows(name, records, out)
-                if schema is metrics.REPORT:
-                    report_sets.append((name, records))
-                continue
-            bad_lines: list[SchemaError] = []
-            try:
-                header, rows = read_output_jsonl(path, bad_lines)
-            finally:
-                for exc in bad_lines:
-                    out.add(name, exc.line_no, exc.message)
-            manifests[name] = header[MANIFEST_KEY]
-            if not rows:
-                continue
-            schema = _JSONL_KINDS.get(frozenset(rows[0][1]))
-            if schema is None:
-                raise SchemaError(path, rows[0][0], "unrecognized row shape")
-            loaded = out.parse_each(schema.load, rows, name)
-            if schema is pipeline.TRACED:
-                for line_no, sample in loaded:
-                    if traced_samples.setdefault(sample.example.id, sample) is not sample:
-                        out.add(path, line_no, f"duplicate traced id {sample.example.id!r}")
-                    else:
-                        _check_traced_row(sample, path, line_no, out)
-            elif schema is pipeline.CONTEXT:
-                for line_no, context in loaded:
-                    _check_context_row(context, path, line_no, out)
-            else:
-                numbered: dict[str, tuple[int, pipeline.HybridRecord]] = {}
-                for line_no, record in loaded:
-                    if numbered.setdefault(record.example_id, (line_no, record))[1] is not record:
-                        out.add(path, line_no, f"duplicate eval id {record.example_id!r}")
-                eval_sets.append((name, header["seed"], numbered))
+            manifests[str(path)], seed, schema, loaded = _load_file(path, problems)
         except SchemaError as exc:
-            out.add(name, exc.line_no, exc.message)
-        except CtxTraceError as exc:
-            out.add(name, 0, str(exc))
+            problems.append(exc)
+            continue
+        finally:
+            for exc in sorted(problems, key=attrgetter("line_no")):
+                out.add(path, exc.line_no, exc.message)
+        if schema is pipeline.TRACED:
+            for line_no, sample in loaded:
+                # A repeat inside one file failed to load; this is one across files.
+                if traced_samples.setdefault(sample.example.id, sample) is not sample:
+                    out.add(path, line_no, f"duplicate traced id {sample.example.id!r}")
+                else:
+                    _check_traced_row(sample, path, line_no, out)
+        elif schema is pipeline.CONTEXT:
+            for line_no, context in loaded:
+                _check_context_row(context, path, line_no, out)
+        elif schema is pipeline.HYBRID:
+            eval_sets.append((path, seed, loaded))
+        elif schema is not None and schema.cls is metrics.MetricsReport:
+            _check_report_rows(path, loaded, out)
+            if schema is metrics.REPORT:
+                report_sets.append((path, loaded))
 
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
         out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
 
-    for name, header_seed, numbered in eval_sets:
+    for path, header_seed, loaded in eval_sets:
         if traced_samples:
-            for line_no, record in numbered.values():
-                _check_eval_row(record, traced_samples, header_seed, name, line_no, out)
-            records = [record for _, record in numbered.values()]
+            # Only the records of live samples are recounted into reports.
+            records = []
+            for line_no, record in loaded:
+                if _check_eval_row(record, traced_samples, header_seed, path, line_no, out):
+                    records.append(record)
+            evaluated = {record.example_id for record in records}
             for qid, sample in traced_samples.items():
-                if sample.live and qid not in numbered:
-                    out.add(name, 0, f"no eval record for live example {qid!r}")
+                if sample.live and qid not in evaluated:
+                    out.add(path, 0, f"no eval record for live example {qid!r}")
             for report_name, reports in report_sets:
                 _check_report_against_eval(report_name, reports, traced_samples, records, out)
 
-    return out.problems
+    return list(out)

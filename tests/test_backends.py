@@ -415,6 +415,18 @@ def test_bm25_corpus_file_roundtrip(tmp_path):
     assert ":1:" in str(err.value)
 
 
+def test_bm25_corpus_file_names_a_repeated_doc_id(tmp_path):
+    path = write_jsonl(tmp_path / "corpus.jsonl", [
+        {"doc_id": d, "title": t, "text": x} for d, t, x in ORACLE_DOCS[:2] + ORACLE_DOCS[:1]])
+    with pytest.raises(SchemaError) as err:
+        Bm25Index.from_corpus_file(path, Bm25Params())
+    assert (err.value.path, err.value.line_no, err.value.message) == (
+        path, 3, f"duplicate doc_id {ORACLE_DOCS[0][0]!r}")
+    assert err.value.exit_code == 3
+    with pytest.raises(ValidationError, match="duplicate doc_ids"):
+        Bm25Index(ORACLE_DOCS[:2] + ORACLE_DOCS[:1], Bm25Params())
+
+
 def _oracle_top1(docs, question, k1, b):
     """Independent Okapi implementation used to cross-check the index."""
     from ctxtrace.textnorm import tokens

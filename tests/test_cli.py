@@ -353,6 +353,26 @@ def test_malformed_sim_cell_is_a_validation_failure(run_cli, world):
     assert f"{sim}:3:" in err
 
 
+def test_repeated_sim_row_is_a_validation_failure(run_cli, world):
+    _traced_world(run_cli, world)
+    sim = world.path("sim.csv")
+    code, _, err = run_cli("analyze", "sim", "--traced", world.path("traced.jsonl"),
+                           "--out", sim, "--subset", "ALL", *world.config_args())
+    assert code == 0, err
+    with open(sim, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(sim, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:3] + lines[2:]) + "\n")
+    code, _, err = run_cli("analyze", "slices", "--sim", sim,
+                           "--eval", world.path("eval.jsonl"),
+                           "--out", world.path("slices.csv"), *world.config_args())
+    assert code == 3
+    assert f"{sim}:4: duplicate sim example_id 'q01'" in err
+    code, out, _ = run_cli("validate", sim)
+    assert code == 3
+    assert out.splitlines() == [f"{sim}:4: duplicate sim example_id 'q01'"]
+
+
 def test_analyze_sim_external_scores(run_cli, world, tmp_path):
     _traced_world(run_cli, world)
     live = ("q01", "q02", "q03")

@@ -455,6 +455,21 @@ def test_run_trace_filters_and_labels(tmp_path):
     assert reread == with_filter
 
 
+def test_read_traced_rejects_a_repeated_id(tmp_path):
+    world, reader, generator, retriever = _build_world(tmp_path)
+    examples = read_questions(world.questions_path)
+    run_prepare(examples, retriever, generator, (80, 100, 120),
+                tmp_path / "contexts.jsonl", "aa", seed=0)
+    _, by_id = read_contexts(tmp_path / "contexts.jsonl")
+    path = tmp_path / "traced.jsonl"
+    run_trace(examples, by_id, reader, ABST, False, path, "aa", seed=0)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_traced(path)
+    assert (err.value.line_no, err.value.message) == (4, "duplicate traced id 'q02'")
+
+
 def test_run_trace_requires_complete_context_pairs(tmp_path):
     world, reader, generator, retriever = _build_world(tmp_path)
     examples = read_questions(world.questions_path)

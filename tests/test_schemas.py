@@ -6,14 +6,15 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from ctxtrace import analysis, metrics, pipeline
 from ctxtrace.errors import SchemaError
-from ctxtrace.jsonl import dumps_row
+from ctxtrace.jsonl import dumps_row, header_obj, read_csv, write_jsonl
 from ctxtrace.metrics import MetricsReport
 from ctxtrace.pipeline import Context, HybridRecord, QaExample, TracedSample
+from ctxtrace.validate import validate_files
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -91,3 +92,55 @@ def test_readme_lists_every_output_format():
                            re.M | re.S)
         assert bullet, f"README lists no {filename}"
         assert re.findall(r"`(\w+)`", bullet.group(1)) == schema.keys, filename
+        key = re.match(r" \([^;)]*; one row per ([\w ]+)\):", bullet.group(1))
+        assert key and tuple(key.group(1).split(" and ")) == schema.key, filename
+
+
+# Every schema, with how one record appears in its file: an object or cells.
+ROW_CASES = [(name, schema, records, schema.dump) for name, schema, records in JSONL_CASES]
+ROW_CASES += [(name, schema, records, schema.cells) for name, schema, records in CSV_CASES]
+
+
+@pytest.mark.parametrize("schema,records,to_row", [case[1:] for case in ROW_CASES],
+                         ids=[case[0] for case in ROW_CASES])
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_repeated_key_is_rejected_at_its_line(schema, records, to_row, data):
+    row = to_row(data.draw(records))
+    unloadable = {} if isinstance(row, dict) else []
+    rows = [(2, row), (3, unloadable), (5, row), (8, row)]
+    with pytest.raises(SchemaError) as err:
+        schema.load_rows([rows[0], rows[2]], "p")
+    assert err.value.line_no == 5
+    assert err.value.message.startswith(f"duplicate {schema.name} {schema.key[0]} ")
+    problems = []
+    assert [line for line, _ in schema.load_rows(rows, "p", problems)] == [2]
+    assert [exc.line_no for exc in problems] == [3, 5, 8]
+    assert [exc.message for exc in problems[1:]] == [err.value.message] * 2
+
+
+# The stage that reads each output file back; the rest are read by validate only.
+STAGE_READERS = {"contexts": pipeline.read_contexts, "traced": pipeline.read_traced,
+                 "eval": pipeline.read_eval, "report": metrics.read_report_csv,
+                 "sim": analysis.read_sim_csv}
+
+
+@pytest.mark.parametrize("name,schema,records", JSONL_CASES[1:] + CSV_CASES,
+                         ids=[case[0] for case in JSONL_CASES[1:] + CSV_CASES])
+def test_stage_reader_and_validate_reject_a_repeated_row_alike(tmp_path, name, schema, records):
+    record = find(records, lambda _: True)
+    if schema in [case[1] for case in CSV_CASES]:
+        path = tmp_path / f"{name}.csv"
+        schema.write_table(path, [record, record], "feedbead12345678", 4)
+        repeat = read_csv(path)[3][1].line_no
+    else:
+        path = tmp_path / f"{name}.jsonl"
+        write_jsonl(path, [schema.dump(record)] * 2, header_obj("feedbead12345678", 4))
+        repeat = 3
+    reader = STAGE_READERS.get(name, schema.read_table)
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert err.value.line_no == repeat
+    assert err.value.message.startswith(f"duplicate {schema.name} ")
+    repeats = [(p.line, p.message) for p in validate_files([path]) if "duplicate" in p.message]
+    assert repeats == [(repeat, err.value.message)]

@@ -362,3 +362,66 @@ def test_every_unparsable_jsonl_line_is_a_problem(run):
     assert by_line[3].startswith("invalid JSON")
     assert "'order'" in by_line[4]
     assert by_line[5] == "expected a JSON object"
+
+
+def _repeat_line(path, line_no):
+    """Append a copy of line *line_no*; returns the copy's line number."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[line_no - 1]]) + "\n")
+    return len(lines) + 1
+
+
+def test_a_repeated_key_is_a_problem_in_every_file_kind(run, tmp_path):
+    contexts, report = run["contexts.jsonl"], run["report.csv"]
+    contexts_line = _repeat_line(contexts, 2)
+    aig = next(n for n, line in enumerate(report.read_text().splitlines(), 1)
+               if line.startswith("AIG,"))
+    report_line = _repeat_line(report, aig)
+    sim = tmp_path / "sim.csv"
+    sim.write_text(SIM_HEADER + "q01,0.5,0.5,jaccard,max,0.0\nq02,0.5,0.5,jaccard,max,0.0\n")
+    sim_line = _repeat_line(sim, 3)
+    problems = validate_files([contexts, report, sim])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(contexts), contexts_line, "duplicate context id 'q01', source 'retrieved'"),
+        (str(report), report_line, "duplicate report subset 'AIG'"),
+        (str(sim), sim_line, "duplicate sim example_id 'q01'"),
+    ]
+
+
+def test_a_traced_id_repeated_across_files_is_one_problem_per_repeat(run, tmp_path):
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(run["traced.jsonl"].read_bytes())
+    rows = len(copy.read_text().splitlines()) - 1
+    problems = validate_files([run["traced.jsonl"], copy])
+    assert [(p.path, p.line) for p in problems] == [(str(copy), n) for n in range(2, rows + 2)]
+    assert all(p.message.startswith("duplicate traced id ") for p in problems)
+
+
+def test_problems_of_one_file_come_out_in_line_order(run):
+    path = run["eval.jsonl"]
+
+    def bogus_order(obj):
+        obj["order"] = "bogus"
+    _edit_jsonl(path, 3, bogus_order)
+    lines = path.read_text().splitlines()
+    lines[3] = "not json"
+    path.write_text("\n".join(lines) + "\n")
+    assert [p.line for p in validate_files([path])] == [3, 4]
+
+
+def test_eval_record_for_an_unknown_example_beside_a_report(run):
+    # Only the records of live samples are recounted into the report.
+    with open(run["eval.jsonl"], "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "q99", "order": "generated_first", "seed": 4,
+                             "hybrid_answer": "x", "classification": "other"}) + "\n")
+    problems = validate_files([run["traced.jsonl"], run["eval.jsonl"], run["report.csv"]])
+    assert [p.message for p in problems] == ["eval record for unknown example 'q99'"]
+
+
+def test_a_file_of_no_known_kind_still_counts_its_manifest(run, tmp_path):
+    unknown = tmp_path / "extra.csv"
+    unknown.write_text("# manifest=0123456789abcdef seed=4\nsubset,n,surprise\nAIG,1,x\n")
+    problems = validate_files([unknown, run["report.csv"]])
+    assert [(p.line, p.message.split(":")[0]) for p in problems] == [
+        (2, "unrecognized columns ['subset', 'n', 'surprise']"),
+        (0, "mixed manifest hashes across inputs")]
