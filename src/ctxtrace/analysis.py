@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import metrics, pipeline, textnorm
-from .errors import MissingScoreError, SchemaError, UndefinedMetricError, ValidationError
-from .jsonl import RowSchema, iter_jsonl, require_field, require_finite
+from .errors import MissingScoreError, UndefinedMetricError, ValidationError
+from .jsonl import RowSchema, iter_jsonl
 
 SIM_METRICS = ("jaccard", "external")
 AGGREGATIONS = ("max", "mean")
@@ -117,27 +117,25 @@ def delta_sim(sim_gen: float, sim_ret: float) -> float:
     return (sim_gen - sim_ret) / denominator
 
 
-def ingest_similarity(path: str | Path) -> dict[tuple[str, str], float]:
-    """Load external similarity scores keyed by (example_id, key).
+@dataclass(slots=True)
+class ExternalScore:
+    example_id: str
+    key: str
+    score: float
 
-    Rows hold {"example_id", "key", "score"} with key one of generated,
-    retrieved, nature, trunc, strunc and score in [-1, 1].
-    """
-    scores: dict[tuple[str, str], float] = {}
-    for line_no, obj in iter_jsonl(path):
-        example_id = require_field(obj, "example_id", str, path, line_no)
-        key = require_field(obj, "key", str, path, line_no)
-        if key not in SCORE_KEYS:
-            raise SchemaError(path, line_no, f"unknown score key {key!r}")
-        score = require_field(obj, "score", (int, float), path, line_no)
-        score = require_finite(float(score), "score", path, line_no)
-        if not -1.0 <= score <= 1.0:
-            raise SchemaError(path, line_no, f"score out of range [-1, 1]: {score}")
-        pair = (example_id, key)
-        if pair in scores:
-            raise SchemaError(path, line_no, f"duplicate score for {pair!r}")
-        scores[pair] = score
-    return scores
+    def __post_init__(self) -> None:
+        if not -1.0 <= self.score <= 1.0:
+            raise ValueError(f"score out of range [-1, 1]: {self.score}")
+
+
+EXTERNAL_SCORE = RowSchema(ExternalScore, "score", ("example_id", "key"),
+                           choices={"key": SCORE_KEYS})
+
+
+def ingest_similarity(path: str | Path) -> dict[tuple[str, str], float]:
+    """The score of each :data:`EXTERNAL_SCORE` row, keyed by (example_id, key)."""
+    loaded = EXTERNAL_SCORE.load_keyed(iter_jsonl(path), path)
+    return {pair: row.score for pair, (_, row) in loaded.items()}
 
 
 def build_similarity_records(samples: Sequence[pipeline.TracedSample], metric: str = "jaccard",

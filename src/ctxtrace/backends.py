@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from . import textnorm
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .jsonl import iter_jsonl, require_field, require_finite
+from .jsonl import RowSchema, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -237,15 +237,28 @@ class HttpBackend:
         return text
 
 
-class ReaderScript:
-    """Deterministic reader oracle loaded from a script JSONL file.
+# A reader script row; a hybrid entry with a null fingerprint is its question's fallback.
+@dataclass(slots=True)
+class ScriptEntry:
+    question_id: str
+    mode: str
+    context_fingerprint: str | None
+    answer: str
 
-    Each line holds {"question_id", "mode", "context_fingerprint", "answer"}.
-    single_context entries carry the fingerprint of their context; hybrid
-    entries may carry the fingerprint of the joined context block or null
-    (the null entry is the fallback when no exact hybrid match exists);
-    closed_book entries carry null.
-    """
+    def __post_init__(self) -> None:
+        if self.mode == "single_context" and self.context_fingerprint is None:
+            raise ValueError("single_context entries need a fingerprint")
+        if self.mode == "closed_book" and self.context_fingerprint is not None:
+            raise ValueError("closed_book entries must have a null fingerprint")
+
+
+SCRIPT_ENTRY = RowSchema(ScriptEntry, "script entry",
+                         ("question_id", "mode", "context_fingerprint"),
+                         choices={"mode": SCRIPT_MODES})
+
+
+class ReaderScript:
+    """Deterministic reader oracle: the answer of each :class:`ScriptEntry`."""
 
     def __init__(self, entries: Mapping[tuple[str, str, str | None], str], source: str) -> None:
         self._entries = dict(entries)
@@ -253,24 +266,8 @@ class ReaderScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReaderScript":
-        entries: dict[tuple[str, str, str | None], str] = {}
-        for line_no, obj in iter_jsonl(path):
-            qid = require_field(obj, "question_id", str, path, line_no)
-            mode = require_field(obj, "mode", str, path, line_no)
-            if mode not in SCRIPT_MODES:
-                raise SchemaError(path, line_no, f"unknown mode {mode!r}")
-            fingerprint = require_field(obj, "context_fingerprint", str, path, line_no,
-                                        allow_none=True)
-            answer = require_field(obj, "answer", str, path, line_no)
-            if mode == "single_context" and fingerprint is None:
-                raise SchemaError(path, line_no, "single_context entries need a fingerprint")
-            if mode == "closed_book" and fingerprint is not None:
-                raise SchemaError(path, line_no, "closed_book entries must have a null fingerprint")
-            key = (qid, mode, fingerprint)
-            if key in entries:
-                raise SchemaError(path, line_no, f"duplicate script entry {key!r}")
-            entries[key] = answer
-        return cls(entries, str(path))
+        loaded = SCRIPT_ENTRY.load_keyed(iter_jsonl(path), path)
+        return cls({key: entry.answer for key, (_, entry) in loaded.items()}, str(path))
 
     def answer(self, question_id: str, mode: str, fingerprint: str | None) -> str:
         key = (question_id, mode, fingerprint)
@@ -282,12 +279,19 @@ class ReaderScript:
         return hit
 
 
-class GenerationScript:
-    """Deterministic generator oracle.
+# A generation script row; a null target_words is the unconstrained prompt.
+@dataclass(slots=True)
+class GenerationEntry:
+    question_id: str
+    target_words: int | None
+    text: str
 
-    Lines hold {"question_id", "target_words", "text"}; target_words null
-    means the unconstrained prompt. (question_id, target_words) is unique.
-    """
+
+GENERATION_ENTRY = RowSchema(GenerationEntry, "generation entry", ("question_id", "target_words"))
+
+
+class GenerationScript:
+    """Deterministic generator oracle: the text of each :class:`GenerationEntry`."""
 
     def __init__(self, entries: Mapping[tuple[str, int | None], str], source: str) -> None:
         self._entries = dict(entries)
@@ -295,16 +299,8 @@ class GenerationScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "GenerationScript":
-        entries: dict[tuple[str, int | None], str] = {}
-        for line_no, obj in iter_jsonl(path):
-            qid = require_field(obj, "question_id", str, path, line_no)
-            target = require_field(obj, "target_words", int, path, line_no, allow_none=True)
-            text = require_field(obj, "text", str, path, line_no)
-            key = (qid, target)
-            if key in entries:
-                raise SchemaError(path, line_no, f"duplicate generation entry {key!r}")
-            entries[key] = text
-        return cls(entries, str(path))
+        loaded = GENERATION_ENTRY.load_keyed(iter_jsonl(path), path)
+        return cls({key: entry.text for key, (_, entry) in loaded.items()}, str(path))
 
     def text_for(self, question_id: str, target_words: int | None) -> str:
         key = (question_id, target_words)
@@ -312,6 +308,23 @@ class GenerationScript:
             return self._entries[key]
         except KeyError:
             raise ScriptMissError(f"no generation entry for {key!r} in {self.source}") from None
+
+
+@dataclass(slots=True)
+class CorpusDoc:
+    doc_id: str
+    title: str
+    text: str
+
+
+CORPUS_DOC = RowSchema(CorpusDoc, "document", ("doc_id",))
+
+
+def _exact_corpus_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    for line_no, obj in iter_jsonl(path):
+        if obj.keys() != {"doc_id", "title", "text"}:
+            raise SchemaError(path, line_no, "corpus rows carry exactly doc_id, title, text")
+        yield line_no, obj
 
 
 def _analyze(text: str) -> list[str]:
@@ -368,18 +381,8 @@ class Bm25Index:
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
-        docs: dict[str, tuple[str, str, str]] = {}
-        for line_no, obj in iter_jsonl(path):
-            if set(obj) != {"doc_id", "title", "text"}:
-                raise SchemaError(path, line_no,
-                                  "corpus rows carry exactly doc_id, title, text")
-            doc_id = require_field(obj, "doc_id", str, path, line_no)
-            title = require_field(obj, "title", str, path, line_no)
-            text = require_field(obj, "text", str, path, line_no)
-            if doc_id in docs:
-                raise SchemaError(path, line_no, f"duplicate doc_id {doc_id!r}")
-            docs[doc_id] = (doc_id, title, text)
-        return cls(list(docs.values()), params)
+        rows = CORPUS_DOC.load_rows(_exact_corpus_rows(path), path)
+        return cls([(doc.doc_id, doc.title, doc.text) for _, doc in rows], params)
 
     def _idf(self, term: str) -> float:
         df = len(self._postings.get(term, ()))
@@ -450,19 +453,27 @@ class Bm25Index:
         return self.top1(question)
 
 
+@dataclass(slots=True)
+class GoldHit:
+    question_id: str
+    doc_id: str
+    title: str
+    body: str
+
+
+@dataclass(slots=True)
+class IngestedHit(GoldHit):
+    score: float
+
+
+GOLD_HIT = RowSchema(GoldHit, "gold annotation", (), nonempty=("body",))
+INGESTED_HIT = RowSchema(IngestedHit, "retrieval hit", ("question_id",), nonempty=("body",))
+
+
 class KeyedRetriever:
-    """Passages looked up by question id rather than searched for.
-
-    Two kinds share one row format, {"question_id", "doc_id", "title",
-    "body"}, and differ only in scores and duplicates:
-
-    * golden: annotated gold passages.  Hits carry score 1.0; a duplicated
-      question keeps its first annotation and logs a warning.
-    * ingest: results produced outside the toolkit (a dense model, say).
-      Rows add a finite "score"; a duplicated question is a schema error.
-
-    Empty bodies are rejected in both.
-    """
+    """Passages looked up by question id: golden annotations (:data:`GOLD_HIT`;
+    score 1.0, and a repeated question keeps its first row and logs a warning)
+    or the scored hits of an outside retriever, a dense one say (:data:`INGESTED_HIT`)."""
 
     def __init__(self, name: str, hits: Mapping[str, RetrievedHit]) -> None:
         self.name = name
@@ -470,25 +481,15 @@ class KeyedRetriever:
 
     @classmethod
     def load(cls, path: str | Path, kind: str) -> "KeyedRetriever":
+        schema = INGESTED_HIT if kind == "ingest" else GOLD_HIT
         hits: dict[str, RetrievedHit] = {}
-        for line_no, obj in iter_jsonl(path):
-            qid = require_field(obj, "question_id", str, path, line_no)
-            doc_id = require_field(obj, "doc_id", str, path, line_no)
-            title = require_field(obj, "title", str, path, line_no)
-            body = require_field(obj, "body", str, path, line_no)
-            score = 1.0
-            if kind == "ingest":
-                score = require_field(obj, "score", (int, float), path, line_no)
-                score = require_finite(float(score), "score", path, line_no)
-            if not body:
-                raise SchemaError(path, line_no, "hit body must not be empty")
-            if qid in hits:
-                if kind == "ingest":
-                    raise SchemaError(path, line_no, f"duplicate retrieval hit for {qid!r}")
+        for line_no, row in schema.load_rows(iter_jsonl(path), path):
+            if row.question_id in hits:
                 logger.warning("%s:%d: duplicate gold annotation for %s; keeping the first",
-                               path, line_no, qid)
-                continue
-            hits[qid] = RetrievedHit(doc_id, title, body, score)
+                               path, line_no, row.question_id)
+            else:
+                score = row.score if kind == "ingest" else 1.0
+                hits[row.question_id] = RetrievedHit(row.doc_id, row.title, row.body, score)
         return cls(kind, hits)
 
     def retrieve(self, question_id: str, question: str) -> RetrievedHit:

@@ -19,7 +19,7 @@ import os
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -70,11 +70,25 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+def _finite(text: str) -> float:
+    if math.isfinite(value := float(text)):
+        return value
+    raise json.JSONDecodeError(f"{text} is not a finite number", text, 0)
+
+
+# NaN, the infinities and numbers too large for a float are not JSON (RFC 8259).
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+
+
 def _parse_line(line: str, path: str | Path, line_no: int) -> dict[str, Any]:
+    text = line.strip(" \t\n\r")  # JSON whitespace only, as json.loads skips
     try:
-        obj = json.loads(line)
+        obj, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
-        raise SchemaError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[:1] == "\ufeff" else exc.msg
+        raise SchemaError(path, line_no, f"invalid JSON: {msg}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(path, line_no, "expected a JSON object")
     return obj
@@ -109,26 +123,6 @@ def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = No
     if not isinstance(header.get(MANIFEST_KEY), str) or not isinstance(header.get("seed"), int):
         raise SchemaError(path, 1, "malformed manifest header line")
     return header, rows[1:]
-
-
-def require_field(obj: dict[str, Any], name: str, kinds: type | tuple[type, ...],
-                  path: str | Path, line_no: int, *, allow_none: bool = False) -> Any:
-    if name not in obj:
-        raise SchemaError(path, line_no, f"missing field {name!r}")
-    value = obj[name]
-    if value is None:
-        if allow_none:
-            return None
-        raise SchemaError(path, line_no, f"field {name!r} must not be null")
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
-        raise SchemaError(path, line_no, f"field {name!r} has the wrong type")
-    return value
-
-
-def require_finite(value: float, name: str, path: str | Path, line_no: int) -> float:
-    if not math.isfinite(value):
-        raise SchemaError(path, line_no, f"field {name!r} must be finite")
-    return float(value)
 
 
 def csv_header_comment(manifest_hash: str, seed: int) -> str:
@@ -189,13 +183,14 @@ def read_csv(path: str | Path) -> tuple[str, int, CsvRow, list[CsvRow]]:
     return manifest_hash, seed, table[0], table[1:]
 
 
-# Field annotation -> the type a CSV cell parses to.  In a JSON row a tuple
-# is a list, a nested record an object, and a float may be written as an int.
+# Field annotation -> the type a CSV cell parses to, and the exact types of
+# its JSON value (plain built-ins, so ``true`` is no int): a tuple is a list,
+# a nested record an object, and a float may be written as an int.
 _KINDS = {"str": str, "int": int, "float": float, "tuple[str, ...]": tuple}
-_JSON_TYPES: dict[type, Any] = {str: str, int: int, float: (int, float), tuple: list, dict: dict}
+_JSON_TYPES = {str: (str,), int: (int,), float: (float, int), tuple: (list,), dict: (dict,)}
 _NONE: Mapping[str, Any] = MappingProxyType({})
 # One record field as it appears in a row; see RowSchema.
-Col = namedtuple("Col", "attr key kind nullable choices nonempty nested flat fmt")
+Col = namedtuple("Col", "attr key kind types nullable choices nonempty nested flat fmt")
 
 
 class RowSchema:
@@ -224,7 +219,8 @@ class RowSchema:
         for f in fields(cls):
             annotation, _, none = f.type.partition(" | ")
             sub = nested.get(f.name) or flatten.get(f.name)
-            self.cols.append(Col(f.name, keys.get(f.name, f.name), dict if sub else _KINDS[annotation],
+            kind = dict if sub else _KINDS[annotation]
+            self.cols.append(Col(f.name, keys.get(f.name, f.name), kind, _JSON_TYPES[kind],
                                  none == "None", choices.get(f.name), f.name in nonempty, sub,
                                  f.name in flatten, fmt.get(f.name, ".6f")))
         # Keys in file order; a flattened record contributes its own.
@@ -245,25 +241,35 @@ class RowSchema:
         return row
 
     def load(self, obj: dict[str, Any], path: str | Path, line_no: int) -> Any:
-        """The record in one JSON object; keys outside the schema are ignored."""
+        """The record in one JSON object; keys outside the schema are ignored,
+        and a ValueError from the record class's ``__post_init__`` names the line."""
         values = []
-        for col in self.cols:
+        for _, key, kind, types, nullable, choices, nonempty, nested, flat, _ in self.cols:
+            if not flat and key not in obj:
+                raise SchemaError(path, line_no, f"missing field {key!r}")
             # A flattened record reads its keys from this same object.
-            value = obj if col.flat else require_field(obj, col.key, _JSON_TYPES[col.kind],
-                                                       path, line_no, allow_none=col.nullable)
-            if col.nested is not None:
-                value = col.nested.load(value, path, line_no)
-            elif col.kind is tuple:
-                if not all(isinstance(item, str) for item in value):
-                    raise SchemaError(path, line_no, f"field {col.key!r} must hold strings")
+            value = obj if flat else obj[key]
+            if value is None:
+                if not nullable:
+                    raise SchemaError(path, line_no, f"field {key!r} must not be null")
+            elif type(value) not in types:
+                raise SchemaError(path, line_no, f"field {key!r} has the wrong type")
+            elif nested is not None:
+                value = nested.load(value, path, line_no)
+            elif kind is tuple:
+                if not all(type(item) is str for item in value):
+                    raise SchemaError(path, line_no, f"field {key!r} must hold strings")
                 value = tuple(value)
-            if col.choices is not None and value is not None and value not in col.choices:
-                raise SchemaError(path, line_no, f"field {col.key!r} has unknown value {value!r}")
-            if col.nonempty and (not value or col.kind is tuple and "" in value):
-                what = "a non-empty list of non-empty strings" if col.kind is tuple else "non-empty"
-                raise SchemaError(path, line_no, f"field {col.key!r} must be {what}")
+            if choices is not None and value is not None and value not in choices:
+                raise SchemaError(path, line_no, f"field {key!r} has unknown value {value!r}")
+            if nonempty and (not value or kind is tuple and "" in value):
+                what = "a non-empty list of non-empty strings" if kind is tuple else "non-empty"
+                raise SchemaError(path, line_no, f"field {key!r} must be {what}")
             values.append(value)
-        return self.cls(*values)
+        try:
+            return self.cls(*values)
+        except ValueError as exc:
+            raise SchemaError(path, line_no, str(exc)) from None
 
     def cells(self, record: Any) -> list[str]:
         """The CSV cells of one record; None is an empty cell."""
@@ -286,26 +292,33 @@ class RowSchema:
                                                  f"valid {col.kind.__name__}") from None
         return obj
 
-    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path,
-                  problems: list[SchemaError] | None = None) -> list[tuple[int, Any]]:
-        """(line, record) of each (line, JSON object or CSV cells) pair.  A row
-        that does not load or repeats an earlier row's key raises, unless a
-        *problems* list is given: then its error goes there and reading goes on."""
-        loaded: dict[tuple[Any, ...], tuple[int, Any]] = {}
+    def load_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,
+                   problems: list[SchemaError] | None = None) -> dict[Any, tuple[int, Any]]:
+        """{key: (line, record)} of each (line, JSON object or CSV cells) pair;
+        a one-column key is its value, an empty one the line.  A row that does
+        not load or repeats an earlier row's key raises, unless a *problems*
+        list is given: then its error goes there and reading goes on."""
+        key_of = itemgetter(*self.key) if self.key else None
+        loaded: dict[Any, tuple[int, Any]] = {}
         for line_no, row in rows:
             try:
                 obj = row if isinstance(row, dict) else self._cell_values(row, path, line_no)
                 record = self.load(obj, path, line_no)
-                key = tuple(map(obj.__getitem__, self.key))
+                key = key_of(obj) if key_of else line_no
                 if key in loaded:
                     raise SchemaError(path, line_no, f"duplicate {self.name} " + ", ".join(
-                        f"{name} {value!r}" for name, value in zip(self.key, key)))
+                        f"{name} {obj[name]!r}" for name in self.key))
                 loaded[key] = (line_no, record)
             except SchemaError as exc:
                 if problems is None:
                     raise
                 problems.append(exc)
-        return list(loaded.values())
+        return loaded
+
+    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path,
+                  problems: list[SchemaError] | None = None) -> list[tuple[int, Any]]:
+        """(line, record) of each row, in order; see :meth:`load_keyed`."""
+        return list(self.load_keyed(rows, path, problems).values())
 
     def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
         """(header, records) of a pipeline-written JSONL file."""

@@ -122,7 +122,7 @@ def recall(contexts: Mapping[str, "Context"],
         example = examples.get(qid)
         if example is None:
             raise ValidationError(f"no gold answers for example {qid!r}")
-        if any(textnorm.contains_candidate(context.text, gold) for gold in example.answers):
+        if any(textnorm.contains_answer(context.text, gold) for gold in example.answers):
             hits += 1
     return hits / len(contexts)
 

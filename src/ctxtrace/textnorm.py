@@ -107,24 +107,15 @@ def contains_answer(context_text: str, answer: str) -> bool:
     Both sides are normalized first; the answer's token sequence must occur
     contiguously in the context's token sequence, so "Washington" inside
     "George Washington Carver" counts but a raw substring like "ashing"
-    never does.  Raises ValueError on an empty answer (malformed candidate).
-    An answer that normalizes to nothing (articles or punctuation only) is
-    reported as not contained.
+    never does.  An answer that normalizes to nothing (blank, or articles or
+    punctuation only) is reported as not contained.
     """
-    if not answer.strip():
-        raise ValueError("contains_answer: empty answer")
     needle = normalize_answer(answer)
     if not needle:
         return False
     # Normalized tokens hold no whitespace and are joined by single spaces,
     # so a space-bounded substring match is a whole-token sequence match.
     return f" {needle} " in f" {normalize_answer(context_text)} "
-
-
-def contains_candidate(context_text: str, answer: str) -> bool:
-    """:func:`contains_answer` for stored candidates, where a blank answer
-    is simply not contained instead of malformed."""
-    return bool(answer.strip()) and contains_answer(context_text, answer)
 
 
 def word_count(text: str) -> int:

@@ -8,6 +8,7 @@ a broken run fails here with its line number.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -59,9 +60,9 @@ def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int
         return
     if sample.dropped is not None:
         return
-    if not textnorm.contains_candidate(sample.generated.text, sample.answer_from_generated):
+    if not textnorm.contains_answer(sample.generated.text, sample.answer_from_generated):
         out.add(path, line, "generated candidate is not contained in the generated context")
-    if not textnorm.contains_candidate(sample.retrieved.text, sample.answer_from_retrieved):
+    if not textnorm.contains_answer(sample.retrieved.text, sample.answer_from_retrieved):
         out.add(path, line, "retrieved candidate is not contained in the retrieved context")
     label = pipeline.exclusivity_label(sample.answer_from_generated,
                                        sample.answer_from_retrieved,
@@ -88,28 +89,48 @@ def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.T
     return True
 
 
+def _gap_range(g: float, r: float) -> tuple[float, float]:
+    """The range of (g - r) / (g + r), plus one cell ulp, over all values the
+    six-decimal cells g and r could have come from; it is wide if g + r is small."""
+    h = FRACTION_CELL_TOLERANCE
+    return metrics.diff_gr(max(g - h, 0.0), r + h) - h, metrics.diff_gr(g + h, max(r - h, 0.0)) + h
+
+
 def _check_report_rows(path: str | Path, reports: Sequence[tuple[int, metrics.MetricsReport]],
                        out: _Collector) -> None:
     for line, report in reports:
         total = report.rho_gen + report.rho_ret + (report.rho_llm or 0.0) + report.others
         if abs(total - 1.0) > PROPORTION_SUM_TOLERANCE + FRACTION_CELL_TOLERANCE * 4:
             out.add(path, line, f"proportions sum to {total!r}, not 1")
-        g, r, h = report.rho_gen, report.rho_ret, FRACTION_CELL_TOLERANCE
         try:
-            expected = metrics.diff_gr(g, r)
-            # g and r are six-decimal cells; the quotient can move by far
-            # more than one cell ulp when g + r is small, so bound diff_gr
-            # over every value the rounded cells could have come from.
-            low = metrics.diff_gr(max(g - h, 0.0), r + h)
-            high = metrics.diff_gr(g + h, max(r - h, 0.0))
+            expected = metrics.diff_gr(report.rho_gen, report.rho_ret)
+            low, high = _gap_range(report.rho_gen, report.rho_ret)
         except CtxTraceError:
             out.add(path, line, "diff_gr row with zero gen and ret proportions")
             continue
-        if not low - h <= report.diff_gr <= high + h:
+        if not low <= report.diff_gr <= high:
             out.add(path, line,
                     f"stored diff_gr {report.diff_gr} != recomputed {expected:.6f}")
         if not -1.0 <= report.diff_gr <= 1.0:
             out.add(path, line, f"diff_gr out of range [-1, 1]: {report.diff_gr}")
+
+
+def _check_sim_rows(path: str | Path, records: Sequence[tuple[int, analysis.SimilarityRecord]],
+                    samples: dict[str, pipeline.TracedSample], out: _Collector) -> None:
+    for line, record in records:
+        if samples and not getattr(samples.get(record.example_id), "live", False):
+            out.add(path, line, f"similarity row for non-live example {record.example_id!r}")
+        g, r, stored = record.sim_gen, record.sim_ret, record.delta_sim
+        if not all(map(math.isfinite, (g, r, stored))):
+            out.add(path, line, "similarity cells must be finite")
+        elif record.metric == "jaccard" and not (0.0 <= g <= 1.0 and 0.0 <= r <= 1.0):
+            out.add(path, line, "jaccard similarity out of range [0, 1]")
+        elif record.metric == "jaccard":
+            # analysis stores 0.0 when both sides are zero.
+            low, high = _gap_range(g, r) if g or r else (0.0, 0.0)
+            if not low <= stored <= high:
+                expected = analysis.delta_sim(g, r) if g or r else 0.0
+                out.add(path, line, f"stored delta_sim {stored} != recomputed {expected:.6f}")
 
 
 def _check_report_against_eval(path: str | Path,
@@ -169,6 +190,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     traced_samples: dict[str, pipeline.TracedSample] = {}
     eval_sets: list[tuple[str | Path, int, list[tuple[int, pipeline.HybridRecord]]]] = []
     report_sets: list[tuple[str | Path, list[tuple[int, metrics.MetricsReport]]]] = []
+    sim_sets: list[tuple[str | Path, list[tuple[int, analysis.SimilarityRecord]]]] = []
 
     for path in paths:
         if not Path(path).is_file():
@@ -195,6 +217,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                 _check_context_row(context, path, line_no, out)
         elif schema is pipeline.HYBRID:
             eval_sets.append((path, seed, loaded))
+        elif schema is analysis.SIM:
+            sim_sets.append((path, loaded))
         elif schema is not None and schema.cls is metrics.MetricsReport:
             _check_report_rows(path, loaded, out)
             if schema is metrics.REPORT:
@@ -203,6 +227,9 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
         out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
+
+    for path, loaded in sim_sets:
+        _check_sim_rows(path, loaded, traced_samples, out)
 
     for path, header_seed, loaded in eval_sets:
         if traced_samples:

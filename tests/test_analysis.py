@@ -155,7 +155,7 @@ def test_ingest_similarity(tmp_path):
     assert scores == {("q1", "generated"): 0.83, ("q1", "retrieved"): -1.0,
                       ("q2", "nature"): 1.0}
     for bad_rows, fragment in (
-            ([{"example_id": "q", "key": "vibes", "score": 0.1}], "unknown score key"),
+            ([{"example_id": "q", "key": "vibes", "score": 0.1}], "field 'key' has unknown value"),
             ([{"example_id": "q", "key": "trunc", "score": 1.5}], "out of range"),
             ([{"example_id": "q", "key": "trunc"}], "missing field"),
             ([{"example_id": "q", "key": "trunc", "score": 0.1}] * 2, "duplicate"),

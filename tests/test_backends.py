@@ -421,7 +421,7 @@ def test_bm25_corpus_file_names_a_repeated_doc_id(tmp_path):
     with pytest.raises(SchemaError) as err:
         Bm25Index.from_corpus_file(path, Bm25Params())
     assert (err.value.path, err.value.line_no, err.value.message) == (
-        path, 3, f"duplicate doc_id {ORACLE_DOCS[0][0]!r}")
+        path, 3, f"duplicate document doc_id {ORACLE_DOCS[0][0]!r}")
     assert err.value.exit_code == 3
     with pytest.raises(ValidationError, match="duplicate doc_ids"):
         Bm25Index(ORACLE_DOCS[:2] + ORACLE_DOCS[:1], Bm25Params())

@@ -3,10 +3,12 @@
 ``perfbench/tracer.py`` and ``perfbench/worker.py`` patch library functions
 and methods by name, so renaming one breaks the benchmark rather than the
 program.  This installs both, in a fresh process, and drives the BM25 index
-through the wrapped constructor and query.
+through the wrapped constructor and query, and each input loader that
+perfbench times through its wrapped name.
 """
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +35,44 @@ def test_perfbench_tracer_and_call_counter_install():
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "d1 ['backends.bm25.build', 'backends.bm25.query']"
+
+
+LOADERS_PROBE = """
+import sys
+from collections import Counter
+from pathlib import Path
+
+import tracer
+from ctxtrace import backends
+
+t = tracer.Tracer()
+t.install()
+root = Path(sys.argv[1])
+reader = backends.ReaderScript.load(root / "reader.jsonl")
+generation = backends.GenerationScript.load(root / "generation.jsonl")
+gold = backends.KeyedRetriever.load(root / "gold.jsonl", "golden")
+index = backends.Bm25Index.from_corpus_file(root / "corpus.jsonl", backends.Bm25Params())
+print(reader.answer("q1", "closed_book", None), generation.text_for("q1", None),
+      gold.retrieve("q1", "?").body, index.top1("apple").doc_id,
+      sorted(Counter(span[1] for span in t.spans).items()))
+"""
+
+
+def test_perfbench_wraps_each_input_loader(tmp_path):
+    files = {
+        "reader.jsonl": {"question_id": "q1", "mode": "closed_book",
+                         "context_fingerprint": None, "answer": "Lisbon"},
+        "generation.jsonl": {"question_id": "q1", "target_words": None, "text": "Porto"},
+        "gold.jsonl": {"question_id": "q1", "doc_id": "d1", "title": "T", "body": "Faro"},
+        "corpus.jsonl": {"doc_id": "d1", "title": "T", "text": "apple pie"},
+    }
+    for name, row in files.items():
+        (tmp_path / name).write_text(json.dumps(row) + "\n", encoding="utf-8")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    done = subprocess.run([sys.executable, "-c", LOADERS_PROBE, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    # The loaders keep their traced names and read through the traced iter_jsonl.
+    assert done.stdout.strip() == (
+        "Lisbon Porto Faro d1 [('backends.bm25.build', 1), ('backends.bm25.query', 1), "
+        "('backends.script.load', 2), ('backends.script.lookup', 2), ('jsonl.iter_jsonl', 4)]")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from ctxtrace.backends import GENERATION_ENTRY, GenerationEntry
 from ctxtrace.errors import SchemaError, ValidationError
 from ctxtrace.jsonl import (
     csv_header_comment,
@@ -11,8 +12,6 @@ from ctxtrace.jsonl import (
     parse_csv_header_comment,
     read_csv,
     read_output_jsonl,
-    require_field,
-    require_finite,
     write_csv,
     write_jsonl,
 )
@@ -59,28 +58,34 @@ def test_read_output_jsonl_requires_header(tmp_path):
         read_output_jsonl(path)
 
 
-def test_require_field():
-    obj = {"n": 3, "s": "x", "flag": True, "none": None}
-    assert require_field(obj, "n", int, "p", 1) == 3
-    assert require_field(obj, "s", str, "p", 1) == "x"
-    assert require_field(obj, "none", str, "p", 1, allow_none=True) is None
-    with pytest.raises(SchemaError):
-        require_field(obj, "gone", int, "p", 1)
-    with pytest.raises(SchemaError):
-        require_field(obj, "none", str, "p", 1)
-    with pytest.raises(SchemaError):
-        require_field(obj, "s", int, "p", 1)
-    # Booleans are ints to Python; they must not pass as counts.
-    with pytest.raises(SchemaError):
-        require_field(obj, "flag", int, "p", 1)
-    assert require_field(obj, "flag", bool, "p", 1) is True
+def test_row_fields_have_exact_types():
+    row = {"question_id": "q", "target_words": 3, "text": "x"}
+    assert GENERATION_ENTRY.load(row, "p", 1) == GenerationEntry("q", 3, "x")
+    assert GENERATION_ENTRY.load(dict(row, target_words=None), "p", 1).target_words is None
+    for bad, message in (
+            ({"question_id": "q", "text": "x"}, "missing field 'target_words'"),
+            (dict(row, text=None), "field 'text' must not be null"),
+            (dict(row, text=3), "field 'text' has the wrong type"),
+            (dict(row, target_words="3"), "field 'target_words' has the wrong type"),
+            # Booleans are ints to Python; they must not pass as counts.
+            (dict(row, target_words=True), "field 'target_words' has the wrong type"),
+    ):
+        with pytest.raises(SchemaError) as err:
+            GENERATION_ENTRY.load(bad, "p", 4)
+        assert (err.value.line_no, err.value.message) == (4, message)
 
 
-def test_require_finite():
-    assert require_finite(0.5, "x", "p", 1) == 0.5
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(SchemaError):
-            require_finite(bad, "x", "p", 1)
+def test_parser_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "n.jsonl"
+    path.write_text('{"x": 0.5, "n": -2}\n')
+    assert list(iter_jsonl(path)) == [(1, {"x": 0.5, "n": -2})]
+    # NaN and Infinity are not JSON; 1e400 overflows a float to infinity.
+    for bad in ("NaN", "Infinity", "-Infinity", "1e400"):
+        path.write_text('{"ok": 1}\n' f'{{"x": {bad}}}\n')
+        with pytest.raises(SchemaError) as err:
+            list(iter_jsonl(path))
+        assert (err.value.line_no, err.value.message) == (
+            2, f"invalid JSON: {bad} is not a finite number")
 
 
 def test_csv_header_comment_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from ctxtrace import analysis, metrics, pipeline
+from ctxtrace import analysis, backends, metrics, pipeline
 from ctxtrace.errors import SchemaError
 from ctxtrace.jsonl import dumps_row, header_obj, read_csv, write_jsonl
 from ctxtrace.metrics import MetricsReport
@@ -39,15 +39,38 @@ sims = st.builds(analysis.SimilarityRecord, texts, floats, floats,
 slice_rows = st.builds(analysis.SliceRow, st.integers(), st.integers(), floats,
                        st.none() | floats)
 
+fingerprints = st.text("0123456789abcdef", min_size=16, max_size=16)
+script_entries = st.sampled_from(backends.SCRIPT_MODES).flatmap(lambda mode: st.builds(
+    backends.ScriptEntry, texts, st.just(mode), {
+        "closed_book": st.none(), "single_context": fingerprints,
+        "hybrid": st.none() | fingerprints}[mode], texts))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+gold_hits = st.builds(backends.GoldHit, texts, texts, texts, filled)
+# The input files: user-authored, headerless JSONL.
+INPUT_CASES = [
+    ("questions", pipeline.QUESTION, questions),
+    ("corpus", backends.CORPUS_DOC, st.builds(backends.CorpusDoc, texts, texts, texts)),
+    ("gold", backends.GOLD_HIT, gold_hits),
+    ("ingested", backends.INGESTED_HIT,
+     st.builds(backends.IngestedHit, texts, texts, texts, filled, finite)),
+    ("generation", backends.GENERATION_ENTRY,
+     st.builds(backends.GenerationEntry, texts, st.none() | st.integers(1, 10**4), texts)),
+    ("reader", backends.SCRIPT_ENTRY, script_entries),
+    ("scores", analysis.EXTERNAL_SCORE, st.builds(
+        analysis.ExternalScore, texts, st.sampled_from(analysis.SCORE_KEYS), st.floats(-1, 1))),
+]
+
 JSONL_CASES = [("questions", pipeline.QUESTION, questions), ("contexts", pipeline.CONTEXT, contexts),
                ("traced", pipeline.TRACED, traced), ("eval", pipeline.HYBRID, hybrids)]
+# Questions are both an input and the example part of traced rows.
+JSONL_ROUND_TRIPS = JSONL_CASES + INPUT_CASES[1:]
 CSV_CASES = [("report", metrics.REPORT, reports), ("sim", analysis.SIM, sims),
              ("slices", analysis.SLICES, slice_rows), ("order", analysis.ORDER, reports),
              ("completeness", analysis.COMPLETENESS, reports)]
 
 
-@pytest.mark.parametrize("schema,records", [case[1:] for case in JSONL_CASES],
-                         ids=[case[0] for case in JSONL_CASES])
+@pytest.mark.parametrize("schema,records", [case[1:] for case in JSONL_ROUND_TRIPS],
+                         ids=[case[0] for case in JSONL_ROUND_TRIPS])
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_jsonl_rows_round_trip(schema, records, data):
@@ -96,8 +119,10 @@ def test_readme_lists_every_output_format():
         assert key and tuple(key.group(1).split(" and ")) == schema.key, filename
 
 
-# Every schema, with how one record appears in its file: an object or cells.
+# Every keyed schema, with how one record appears in its file: an object or cells.
 ROW_CASES = [(name, schema, records, schema.dump) for name, schema, records in JSONL_CASES]
+ROW_CASES += [(name, schema, records, schema.dump)
+              for name, schema, records in INPUT_CASES[1:] if schema.key]
 ROW_CASES += [(name, schema, records, schema.cells) for name, schema, records in CSV_CASES]
 
 
@@ -144,3 +169,32 @@ def test_stage_reader_and_validate_reject_a_repeated_row_alike(tmp_path, name, s
     assert err.value.message.startswith(f"duplicate {schema.name} ")
     repeats = [(p.line, p.message) for p in validate_files([path]) if "duplicate" in p.message]
     assert repeats == [(repeat, err.value.message)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(record=gold_hits)
+def test_golden_annotations_may_repeat(record):
+    row = backends.GOLD_HIT.dump(record)
+    problems = []
+    loaded = backends.GOLD_HIT.load_rows([(2, row), (3, {}), (5, row)], "p", problems)
+    assert loaded == [(2, record), (5, record)]
+    assert [(exc.line_no, exc.message) for exc in problems] == [(3, "missing field 'question_id'")]
+
+
+def test_readme_lists_every_input_format():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Input file formats", 1)[1].split("\n## ", 1)[0]
+    titles = {"questions": "Questions", "corpus": "BM25 corpus", "gold": "Golden annotations",
+              "ingested": "Ingested retrieval", "generation": "Generation script",
+              "reader": "Reader script", "scores": "External similarity scores"}
+    for name, schema, _ in INPUT_CASES:
+        bullet = re.search(rf"^\* \*\*{titles[name]}\*\* \(`[^`]+`; ([^)]*)\):\s([^.]*)\.",
+                           section, re.M)
+        assert bullet, f"README lists no {titles[name]}"
+        assert re.findall(r"`(\w+)`", bullet.group(2)) == schema.keys, name
+        key = " ".join(bullet.group(1).split())
+        if schema.key:
+            assert key.startswith("one row per "), name
+            assert re.split(r", | and ", key.removeprefix("one row per ")) == list(schema.key), name
+        else:
+            assert key == "repeats allowed", name

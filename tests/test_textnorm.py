@@ -96,8 +96,7 @@ def test_contains_answer_needs_contiguous_tokens():
 
 
 def test_contains_answer_empty_and_degenerate():
-    with pytest.raises(ValueError):
-        contains_answer("some text", "   ")
+    assert not contains_answer("some text", "   ")
     # Normalizes to nothing: present in spirit, contained nowhere.
     assert not contains_answer("the cat", "the")
     assert not contains_answer("", "cat")

@@ -425,3 +425,40 @@ def test_a_file_of_no_known_kind_still_counts_its_manifest(run, tmp_path):
     assert [(p.line, p.message.split(":")[0]) for p in problems] == [
         (2, "unrecognized columns ['subset', 'n', 'surprise']"),
         (0, "mixed manifest hashes across inputs")]
+
+
+def test_sim_rows_need_live_traced_samples(run, tmp_path):
+    # q01 is live, q04 abstained, q99 was never traced.
+    sim = tmp_path / "sim.csv"
+    sim.write_text(SIM_HEADER + "q01,0.5,0.5,jaccard,max,0.0\nq04,0.5,0.5,jaccard,max,0.0\n"
+                                "q99,0.5,0.5,jaccard,max,0.0\n")
+    problems = validate_files([sim, run["traced.jsonl"]])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(sim), 4, "similarity row for non-live example 'q04'"),
+        (str(sim), 5, "similarity row for non-live example 'q99'"),
+    ]
+    # Without a traced file there is nothing to check the ids against.
+    assert validate_files([sim]) == []
+
+
+def test_sim_cells_are_recomputed(tmp_path):
+    rows = [
+        "q01,0.500000,0.250000,jaccard,max,0.333333",   # honest
+        "q02,0.000001,0.000002,jaccard,max,-0.333333",  # honest, though tiny
+        "q03,0.000000,0.000000,jaccard,max,0.000000",   # both zero: stored as 0.0
+        "q04,-0.500000,0.900000,external,max,-3.500000",  # external: any finite cells
+        "q05,0.500000,0.250000,jaccard,max,0.500000",
+        "q06,7.000000,0.250000,jaccard,max,0.931034",
+        "q07,0.000000,0.000000,jaccard,max,0.200000",
+        "q08,nan,0.250000,external,max,0.000000",
+        "q09,0.500000,0.250000,jaccard,max,inf",
+    ]
+    sim = tmp_path / "sim.csv"
+    sim.write_text(SIM_HEADER + "\n".join(rows) + "\n")
+    assert [(p.line, p.message) for p in validate_files([sim])] == [
+        (7, "stored delta_sim 0.5 != recomputed 0.333333"),
+        (8, "jaccard similarity out of range [0, 1]"),
+        (9, "stored delta_sim 0.2 != recomputed 0.000000"),
+        (10, "similarity cells must be finite"),
+        (11, "similarity cells must be finite"),
+    ]
