@@ -24,9 +24,7 @@ DEFAULT_MATCH_THRESHOLD = 0.05
 DEFAULT_SLICES = 5
 
 ORDER = metrics.report_schema("order")
-ORDER_COLUMNS = ORDER.keys
 COMPLETENESS = metrics.report_schema("variant")
-COMPLETENESS_COLUMNS = COMPLETENESS.keys
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,6 @@ class SimilarityRecord:
 
 SIM = RowSchema(SimilarityRecord, "sim", ("example_id",),
                 choices={"metric": SIM_METRICS, "aggregation": AGGREGATIONS})
-SIM_COLUMNS = SIM.keys
 read_sim_csv = SIM.read_table
 
 
@@ -64,7 +61,6 @@ class SliceRow:
 
 
 SLICES = RowSchema(SliceRow, "slice", ("slice_index",))
-SLICE_COLUMNS = SLICES.keys
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

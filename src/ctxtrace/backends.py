@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -137,7 +136,7 @@ class RetrievedHit:
 
 
 class HttpBackend:
-    """Chat-completions client with retries and a shared rate gate.
+    """Chat-completions client with retries.
 
     Each calling thread has one request in flight at a time, so the number
     of threads calling :meth:`complete` (the ``workers`` pool) is the number
@@ -153,7 +152,6 @@ class HttpBackend:
         spec: BackendSpec,
         session: Any | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        min_interval: float = 0.0,
     ) -> None:
         if spec.kind != "http":
             raise ValidationError("HttpBackend requires an http backend spec")
@@ -164,19 +162,6 @@ class HttpBackend:
             session = requests.Session()
         self._session = session
         self._sleep = sleep
-        self._lock = threading.Lock()
-        self._min_interval = min_interval
-        self._next_slot = 0.0
-
-    def _throttle(self) -> None:
-        if self._min_interval <= 0:
-            return
-        with self._lock:
-            now = time.monotonic()
-            wait = self._next_slot - now
-            self._next_slot = max(now, self._next_slot) + self._min_interval
-        if wait > 0:
-            self._sleep(wait)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -196,7 +181,6 @@ class HttpBackend:
         for attempt in range(attempts):
             if attempt:
                 self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
-            self._throttle()
             try:
                 response = self._session.post(
                     self.spec.endpoint,

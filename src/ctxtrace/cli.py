@@ -14,11 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .analysis import (
+    SimilarityRecord,
     ingest_similarity,
     read_sim_csv,
     run_completeness,
@@ -33,7 +36,10 @@ from .jsonl import MANIFEST_KEY
 from .metrics import read_report_csv, recall, render_markdown
 from .pipeline import (
     DROP_REASONS,
+    Context,
     Generator,
+    HybridRecord,
+    QaExample,
     Reader,
     TracedSample,
     read_contexts,
@@ -111,11 +117,6 @@ def _overrides(ns: argparse.Namespace) -> dict[str, Any]:
     return out
 
 
-def _load(ns: argparse.Namespace) -> tuple[RunConfig, str]:
-    cfg = load_config(ns.config, _overrides(ns))
-    return cfg, config_hash(cfg)
-
-
 def build_retriever(cfg: RetrieverConfig):
     path = cfg.require_path()
     if cfg.kind == "bm25":
@@ -123,23 +124,46 @@ def build_retriever(cfg: RetrieverConfig):
     return KeyedRetriever.load(path, cfg.kind)
 
 
-def _note_mismatch(found: str, run_id: str, path: str) -> None:
-    if found != run_id:
-        print(f"note: {path} carries manifest {found}, this run is {run_id}",
-              file=sys.stderr)
+def _manifested(read: Callable[[str], tuple[dict[str, Any], Any]],
+                ) -> Callable[[str], tuple[str, Any]]:
+    """*read* of a JSONL output file, returning its manifest in place of its header."""
+    def read_input(path: str) -> tuple[str, Any]:
+        header, contents = read(path)
+        return header[MANIFEST_KEY], contents
+    return read_input
 
 
-def _load_traced(ns: argparse.Namespace) -> tuple[RunConfig, str, list[TracedSample]]:
-    """Config, run id, and the --traced samples, noting a manifest mismatch."""
-    cfg, run_id = _load(ns)
-    header, samples = read_traced(ns.traced)
-    _note_mismatch(header[MANIFEST_KEY], run_id, ns.traced)
-    return cfg, run_id, samples
+# Each stage input flag: its help, and a reader returning the file's manifest
+# (None for the user-written questions file) and its contents.
+_INPUTS: dict[str, tuple[str, Callable[[str], tuple[str | None, Any]]]] = {
+    "questions": ("questions jsonl: id, question, answers",
+                  lambda path: (None, read_questions(path))),
+    "contexts": ("contexts.jsonl from prepare", _manifested(read_contexts)),
+    "traced": ("traced.jsonl from trace", _manifested(read_traced)),
+    "sim": ("sim.csv from sim", lambda path: itemgetter(0, 2)(read_sim_csv(path))),
+    "eval": ("eval.jsonl from evaluate", _manifested(read_eval)),
+}
 
 
-def cmd_prepare(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    examples = read_questions(ns.questions)
+def _run_stage(run: Callable[..., None], inputs: tuple[str, ...], ns: argparse.Namespace) -> int:
+    """Load the config, read *inputs* in order with a note for each one another
+    run wrote, and pass them to *run* after the namespace, config and run id."""
+    cfg = load_config(ns.config, _overrides(ns))
+    run_id = config_hash(cfg)
+    contents = []
+    for flag in inputs:
+        path = getattr(ns, flag)
+        manifest, content = _INPUTS[flag][1](path)
+        if manifest not in (None, run_id):
+            print(f"note: {path} carries manifest {manifest}, this run is {run_id}",
+                  file=sys.stderr)
+        contents.append(content)
+    run(ns, cfg, run_id, *contents)
+    return EXIT_OK
+
+
+def _prepare(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+             examples: list[QaExample]) -> None:
     retriever = build_retriever(cfg.retriever)
     generator = Generator(cfg.generator, cfg.prompts)
     contexts, stats = run_prepare(examples, retriever, generator, cfg.length_candidates,
@@ -155,14 +179,10 @@ def cmd_prepare(ns: argparse.Namespace) -> int:
     if stats.warn:
         print(f"warning: length discrepancy {stats.discrepancy:.4f} exceeds 0.03",
               file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_trace(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    examples = read_questions(ns.questions)
-    header, contexts_by_id = read_contexts(ns.contexts)
-    _note_mismatch(header[MANIFEST_KEY], run_id, ns.contexts)
+def _trace(ns: argparse.Namespace, cfg: RunConfig, run_id: str, examples: list[QaExample],
+           contexts_by_id: dict[str, dict[str, Context]]) -> None:
     reader = Reader(cfg.reader, cfg.prompts)
     samples = run_trace(examples, contexts_by_id, reader, cfg.abstention_set,
                         ns.parametric, ns.out, run_id, cfg.seed, cfg.workers)
@@ -176,11 +196,10 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         print(f"dropped {drops.total()}: {detail}")
     if neutral:
         print(f"non-exclusive (answer in both or neither): {neutral}")
-    return EXIT_OK
 
 
-def cmd_evaluate(ns: argparse.Namespace) -> int:
-    cfg, run_id, samples = _load_traced(ns)
+def _evaluate(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+              samples: list[TracedSample]) -> None:
     reader = Reader(cfg.reader, cfg.prompts)
     report_path = ns.report if ns.report else str(Path(ns.out).with_name("report.csv"))
     reports = run_evaluate(samples, reader, cfg.order, cfg.seed, ns.out, report_path,
@@ -191,45 +210,37 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
         print(f"{rep.subset}: n={rep.n} rho_gen={rep.rho_gen:.4f} "
               f"rho_ret={rep.rho_ret:.4f} rho_llm={llm} others={rep.others:.4f} "
               f"diff_gr={rep.diff_gr:.4f} em={rep.em_percent:.2f}%")
-    return EXIT_OK
 
 
-def cmd_analyze_sim(ns: argparse.Namespace) -> int:
-    cfg, run_id, samples = _load_traced(ns)
+def _sim(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+         samples: list[TracedSample]) -> None:
     scores = ingest_similarity(ns.scores) if ns.scores else None
     records = run_sim(samples, ns.subset, cfg.sim_metric, cfg.aggregation, scores,
                       ns.out, run_id, cfg.seed)
     print(f"wrote {len(records)} similarity rows -> {ns.out} (manifest {run_id})")
-    return EXIT_OK
 
 
-def cmd_analyze_slices(ns: argparse.Namespace) -> int:
-    cfg, run_id = _load(ns)
-    sim_manifest, _, records = read_sim_csv(ns.sim)
-    _note_mismatch(sim_manifest, run_id, ns.sim)
-    eval_header, eval_records = read_eval(ns.eval)
-    _note_mismatch(eval_header[MANIFEST_KEY], run_id, ns.eval)
+def _slices(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+            records: list[SimilarityRecord], eval_records: list[HybridRecord]) -> None:
     slices = run_slices(records, eval_records, cfg.slice_count, ns.out, run_id, cfg.seed)
     print(f"wrote {len(slices)} slices -> {ns.out} (manifest {run_id})")
     for piece in slices:
         print(f"slice {piece.index}: n={len(piece.example_ids)} "
               f"mean_delta_sim={piece.mean_delta_sim:.4f} diff_gr={piece.diff_gr:.4f}")
-    return EXIT_OK
 
 
-def cmd_analyze_order(ns: argparse.Namespace) -> int:
-    cfg, run_id, samples = _load_traced(ns)
+def _order(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+           samples: list[TracedSample]) -> None:
     reader = Reader(cfg.reader, cfg.prompts)
     reports = run_order(samples, reader, ns.subset, cfg.seed, ns.out, run_id, cfg.workers)
     print(f"wrote order sweep -> {ns.out} (manifest {run_id})")
     for order, rep in reports.items():
         print(f"{order}: rho_gen={rep.rho_gen:.4f} rho_ret={rep.rho_ret:.4f} "
               f"diff_gr={rep.diff_gr:.4f} em={rep.em_percent:.2f}%")
-    return EXIT_OK
 
 
-def cmd_analyze_completeness(ns: argparse.Namespace) -> int:
-    cfg, run_id, samples = _load_traced(ns)
+def _completeness(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
+                  samples: list[TracedSample]) -> None:
     reader = Reader(cfg.reader, cfg.prompts)
     generator = Generator(cfg.generator, cfg.prompts)
     scores = ingest_similarity(ns.scores) if ns.scores else None
@@ -241,7 +252,6 @@ def cmd_analyze_completeness(ns: argparse.Namespace) -> int:
     for variant, rep in reports.items():
         print(f"{variant}: n={rep.n} rho_gen={rep.rho_gen:.4f} "
               f"rho_ret={rep.rho_ret:.4f} diff_gr={rep.diff_gr:.4f}")
-    return EXIT_OK
 
 
 def cmd_validate(ns: argparse.Namespace) -> int:
@@ -261,9 +271,27 @@ def cmd_report(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _subset_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--subset", choices=("AIG", "AIR", "ALL"), default="AIR",
-                        help="which conflicting subset to analyze (default AIR)")
+# Hand-declared stage flags beyond the inputs, --out, --subset and the config.
+_SCORES = {"--scores": dict(metavar="PATH", default=None,
+                            help="external similarity scores jsonl (with --sim-metric external)")}
+
+
+def _add_stage(commands: Any, name: str, summary: str, run: Callable[..., None],
+               inputs: tuple[str, ...], out: str, flags: dict[str, dict[str, Any]] | None = None,
+               subset: bool = False) -> None:
+    """The subcommand running stage *run*: one required flag per input, --out,
+    the hand-declared *flags*, --subset when asked, then the config flags."""
+    stage = commands.add_parser(name, help=summary)
+    for flag in inputs:
+        stage.add_argument("--" + flag, required=True, metavar="PATH", help=_INPUTS[flag][0])
+    stage.add_argument("--out", required=True, metavar="PATH", help=f"where to write {out}")
+    for option, kwargs in (flags or {}).items():
+        stage.add_argument(option, **kwargs)
+    if subset:
+        stage.add_argument("--subset", choices=("AIG", "AIR", "ALL"), default="AIR",
+                           help="which conflicting subset to analyze (default AIR)")
+    _add_config_flags(stage)
+    stage.set_defaults(func=partial(_run_stage, run, inputs))
 
 
 def build_parser() -> _Parser:
@@ -272,78 +300,27 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    prepare = commands.add_parser(
-        "prepare", help="retrieve and generate one context pair per question")
-    prepare.add_argument("--questions", required=True, metavar="PATH",
-                         help="questions jsonl: id, question, answers")
-    prepare.add_argument("--out", required=True, metavar="PATH",
-                         help="where to write contexts.jsonl")
-    _add_config_flags(prepare)
-    prepare.set_defaults(func=cmd_prepare)
-
-    trace = commands.add_parser(
-        "trace", help="single-context reads plus traceability and exclusivity filters")
-    trace.add_argument("--questions", required=True, metavar="PATH")
-    trace.add_argument("--contexts", required=True, metavar="PATH",
-                       help="contexts.jsonl from prepare")
-    trace.add_argument("--out", required=True, metavar="PATH",
-                       help="where to write traced.jsonl")
-    trace.add_argument("--parametric", action="store_true",
-                       help="also drop questions the reader answers closed-book")
-    _add_config_flags(trace)
-    trace.set_defaults(func=cmd_trace)
-
-    evaluate = commands.add_parser(
-        "evaluate", help="hybrid reads over conflicting samples; metric report")
-    evaluate.add_argument("--traced", required=True, metavar="PATH",
-                          help="traced.jsonl from trace")
-    evaluate.add_argument("--out", required=True, metavar="PATH",
-                          help="where to write eval.jsonl")
-    evaluate.add_argument("--report", metavar="PATH", default=None,
-                          help="where to write report.csv (default: next to --out)")
-    _add_config_flags(evaluate)
-    evaluate.set_defaults(func=cmd_evaluate)
+    _add_stage(commands, "prepare", "retrieve and generate one context pair per question",
+               _prepare, ("questions",), "contexts.jsonl")
+    _add_stage(commands, "trace", "single-context reads plus traceability and exclusivity filters",
+               _trace, ("questions", "contexts"), "traced.jsonl",
+               {"--parametric": dict(action="store_true",
+                                     help="also drop questions the reader answers closed-book")})
+    _add_stage(commands, "evaluate", "hybrid reads over conflicting samples; metric report",
+               _evaluate, ("traced",), "eval.jsonl",
+               {"--report": dict(metavar="PATH", default=None,
+                                 help="where to write report.csv (default: next to --out)")})
 
     analyze = commands.add_parser("analyze", help="controlled-variable analyses")
     analyses = analyze.add_subparsers(dest="analysis", required=True, metavar="KIND")
-
-    sim = analyses.add_parser("sim", help="question-context similarity per sample")
-    sim.add_argument("--traced", required=True, metavar="PATH")
-    sim.add_argument("--out", required=True, metavar="PATH",
-                     help="where to write sim.csv")
-    sim.add_argument("--scores", metavar="PATH", default=None,
-                     help="external similarity scores jsonl (with --sim-metric external)")
-    _subset_flag(sim)
-    _add_config_flags(sim)
-    sim.set_defaults(func=cmd_analyze_sim)
-
-    slices = analyses.add_parser("slices", help="quantile slices of the similarity gap")
-    slices.add_argument("--sim", required=True, metavar="PATH", help="sim.csv from sim")
-    slices.add_argument("--eval", required=True, metavar="PATH",
-                        help="eval.jsonl from evaluate")
-    slices.add_argument("--out", required=True, metavar="PATH",
-                        help="where to write slices.csv")
-    _add_config_flags(slices)
-    slices.set_defaults(func=cmd_analyze_slices)
-
-    order = analyses.add_parser("order", help="metric sweep over context orders")
-    order.add_argument("--traced", required=True, metavar="PATH")
-    order.add_argument("--out", required=True, metavar="PATH",
-                       help="where to write order.csv")
-    _subset_flag(order)
-    _add_config_flags(order)
-    order.set_defaults(func=cmd_analyze_order)
-
-    completeness = analyses.add_parser(
-        "completeness", help="nature vs truncated generated contexts")
-    completeness.add_argument("--traced", required=True, metavar="PATH")
-    completeness.add_argument("--out", required=True, metavar="PATH",
-                              help="where to write completeness.csv")
-    completeness.add_argument("--scores", metavar="PATH", default=None,
-                              help="external similarity scores jsonl")
-    _subset_flag(completeness)
-    _add_config_flags(completeness)
-    completeness.set_defaults(func=cmd_analyze_completeness)
+    _add_stage(analyses, "sim", "question-context similarity per sample",
+               _sim, ("traced",), "sim.csv", _SCORES, subset=True)
+    _add_stage(analyses, "slices", "quantile slices of the similarity gap",
+               _slices, ("sim", "eval"), "slices.csv")
+    _add_stage(analyses, "order", "metric sweep over context orders",
+               _order, ("traced",), "order.csv", subset=True)
+    _add_stage(analyses, "completeness", "nature vs truncated generated contexts",
+               _completeness, ("traced",), "completeness.csv", _SCORES, subset=True)
 
     validate = commands.add_parser("validate", help="recheck pipeline output files")
     validate.add_argument("paths", nargs="+", metavar="PATH",

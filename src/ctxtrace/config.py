@@ -72,8 +72,6 @@ class RunConfig:
     match_threshold: float = DEFAULT_MATCH_THRESHOLD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer: {self.seed!r}")
         if self.order not in ORDERS:
             raise ValidationError(f"order must be one of {ORDERS}")
         if self.workers < 1:
@@ -98,10 +96,17 @@ _SECTIONS: dict[str, type] = {
     "RetrieverConfig": RetrieverConfig,
     "PromptSet": PromptSet,
 }
-_LIST_OF_INT = "list_of_int"
-_LIST_OF_STR = "list_of_str"
-_COERCIONS = {"int": "int", "float": "float",
-              "tuple[int, ...]": _LIST_OF_INT, "tuple[str, ...]": _LIST_OF_STR}
+# Leaf annotation, less any "| None" -> what its JSON value must be, the
+# exact types that value may have and, for a list, those of its items.  As in
+# RowSchema.load, ``true`` is no int, and an int may stand for a float.  The
+# first type parses a flag's string, or each comma-separated part of a list's.
+_LEAF_TYPES = {
+    "str": ("a string", (str,), None),
+    "int": ("an integer", (int,), None),
+    "float": ("a number", (float, int), None),
+    "tuple[int, ...]": ("a list of integers", (list,), (int,)),
+    "tuple[str, ...]": ("a list of strings", (list,), (str,)),
+}
 
 
 def _leaves(cls: type, prefix: str = "") -> Iterator[tuple[str, Field]]:
@@ -125,9 +130,9 @@ def _apply_dotted(doc: dict[str, Any], dotted: str, value: Any) -> None:
 
 
 _LEAVES = list(_leaves(RunConfig))
-# Leaf fields and their coercions from command-line strings.  These names
-# double as the dotted override flags.
-CONFIG_FIELDS: dict[str, str] = {name: _COERCIONS.get(f.type, "str") for name, f in _LEAVES}
+# Leaf fields and their _LEAF_TYPES keys.  These names double as the dotted
+# override flags.
+CONFIG_FIELDS: dict[str, str] = {name: f.type.removesuffix(" | None") for name, f in _LEAVES}
 _DEFAULTS: dict[str, Any] = {}
 for _name, _field in _LEAVES:
     _apply_dotted(_DEFAULTS, _name, _plain(
@@ -139,19 +144,13 @@ def coerce_override(dotted: str, raw: object) -> Any:
         raise ValidationError(f"unknown config field {dotted!r}")
     if not isinstance(raw, str):
         return raw
-    kind = CONFIG_FIELDS[dotted]
+    _, types, items = _LEAF_TYPES[CONFIG_FIELDS[dotted]]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == _LIST_OF_INT:
-            return [int(part) for part in raw.split(",") if part.strip()]
-        if kind == _LIST_OF_STR:
-            return [part.strip() for part in raw.split(",") if part.strip()]
+        if items:
+            return [items[0](part.strip()) for part in raw.split(",") if part.strip()]
+        return types[0](raw)
     except ValueError:
         raise ValidationError(f"cannot parse {raw!r} for config field {dotted!r}") from None
-    return raw
 
 
 def _deep_merge(base: dict[str, Any], extra: dict[str, Any], path: str = "") -> None:
@@ -187,14 +186,18 @@ def load_config(path: str | Path | None = None,
     return _build(RunConfig, doc)
 
 
-def _build(cls: type, doc: dict[str, Any]) -> Any:
+def _build(cls: type, doc: dict[str, Any], prefix: str = "") -> Any:
     kwargs: dict[str, Any] = {}
     for f in fields(cls):
-        value = doc[f.name]
+        value, where = doc[f.name], prefix + f.name
         if f.type in _SECTIONS:
-            value = _build(_SECTIONS[f.type], value)
-        elif f.type.startswith("tuple["):
-            value = tuple(value)
+            value = _build(_SECTIONS[f.type], value, where + ".")
+        elif value is not None or not f.type.endswith(" | None"):
+            what, types, items = _LEAF_TYPES[CONFIG_FIELDS[where]]
+            if type(value) not in types or items and any(type(v) not in items for v in value):
+                raise ValidationError(f"config field {where!r} must be {what}: {value!r}")
+            if items:
+                value = tuple(value)
         kwargs[f.name] = value
     return cls(**kwargs)
 

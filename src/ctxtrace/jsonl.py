@@ -286,10 +286,13 @@ class RowSchema:
         obj: dict[str, Any] = {}
         for col, cell in zip(self.cols, cells):
             try:
-                obj[col.key] = None if col.nullable and not cell else col.kind(cell)
+                value = obj[col.key] = None if col.nullable and not cell else col.kind(cell)
             except ValueError:
                 raise SchemaError(path, line_no, f"column {col.key!r}: {cell!r} is not a "
                                                  f"valid {col.kind.__name__}") from None
+            # As in JSONL, NaN, the infinities and overflowing numbers are refused.
+            if col.kind is float and value is not None and not math.isfinite(value):
+                raise SchemaError(path, line_no, f"column {col.key!r}: {cell!r} is not finite")
         return obj
 
     def load_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,

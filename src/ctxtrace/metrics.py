@@ -51,9 +51,6 @@ def report_schema(first_column: str) -> RowSchema:
 
 
 REPORT = report_schema("subset")
-REPORT_COLUMNS = REPORT.keys
-report_to_cells = REPORT.cells
-report_from_cells = REPORT.parse
 read_report_csv = REPORT.read_table
 write_report_csv = REPORT.write_table
 

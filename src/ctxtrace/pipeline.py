@@ -114,8 +114,6 @@ class Context:
 
 CONTEXT = RowSchema(Context, "context", ("id", "source"),
                     choices={"source": SOURCES, "variant": VARIANTS}, nonempty=("text",))
-context_to_row = CONTEXT.dump
-context_from_row = CONTEXT.load
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,6 @@ class TracedSample:
 TRACED = RowSchema(TracedSample, "traced", ("id",), flatten={"example": QUESTION},
                    nested={"retrieved": CONTEXT, "generated": CONTEXT},
                    choices={"subset": SUBSETS, "dropped": DROP_REASONS})
-traced_to_row = TRACED.dump
-traced_from_row = TRACED.load
 
 
 @dataclass(frozen=True)
@@ -153,8 +149,6 @@ class HybridRecord:
 HYBRID = RowSchema(HybridRecord, "eval", ("id",),
                    keys={"example_id": "id", "answer": "hybrid_answer"},
                    choices={"order": ORDERS, "classification": CLASSIFICATIONS})
-hybrid_to_row = HYBRID.dump
-hybrid_from_row = HYBRID.load
 
 
 def render_passage(title: str, body: str) -> str:

@@ -190,7 +190,7 @@ def test_criterion_04_cc_invariants_on_random_fixtures(tmp_path):
     samples = [_random_traced_fixture(rng, i) for i in range(1000)]
     assert {s.subset for s in samples} == {"AIG", "AIR"}
     path = tmp_path / "traced.jsonl"
-    write_jsonl(path, (pipeline.traced_to_row(s) for s in samples),
+    write_jsonl(path, (pipeline.TRACED.dump(s) for s in samples),
                 header=header_obj("bbbbbbbbbbbbbbbb", SEED))
     assert cli_main(["validate", str(path)]) == 0
     clock.done("criterion 4: 1000 random AIG/AIR fixtures validate with zero violations")

@@ -8,13 +8,12 @@ import pytest
 
 from ctxtrace.analysis import (
     AGGREGATIONS,
-    COMPLETENESS_COLUMNS,
+    COMPLETENESS,
     COMPLETENESS_VARIANTS,
     DEFAULT_MATCH_THRESHOLD,
-    ORDER_COLUMNS,
-    SIM_COLUMNS,
+    ORDER,
     SIM_METRICS,
-    SLICE_COLUMNS,
+    SLICES,
     SimilarityRecord,
     build_completeness_variants,
     build_similarity_records,
@@ -373,7 +372,7 @@ def test_run_slices_writes_csv(tmp_path):
     out = tmp_path / "slices.csv"
     filled = run_slices(sims, evals, 3, out, "beef", 1)
     manifest, seed, columns, rows = read_csv(out)
-    assert columns == SLICE_COLUMNS
+    assert columns == SLICES.keys
     assert len(rows) == 3
     assert [int(r[1]) for r in rows] == [2, 2, 2]
     assert [s.index for s in filled] == [0, 1, 2]
@@ -415,7 +414,7 @@ def test_run_order_sweeps_all_three_orders(tmp_path):
     assert 0 < gen_picks < 6  # world large enough to see both orders
 
     manifest, seed, columns, table = read_csv(out)
-    assert columns == ORDER_COLUMNS
+    assert columns == ORDER.keys
     assert [row[0] for row in table] == ["generated_first", "retrieved_first", "random"]
     with pytest.raises(ValidationError):
         run_order([], reader, "AIG", 0, tmp_path / "o.csv", "aa")
@@ -471,7 +470,7 @@ def test_run_completeness_filters_and_reports(tmp_path):
         assert report.diff_gr == pytest.approx(1 / 3)
         assert report.em_percent == pytest.approx(200 / 3)
     manifest, seed, columns, rows = read_csv(out)
-    assert columns == COMPLETENESS_COLUMNS
+    assert columns == COMPLETENESS.keys
     assert [row[0] for row in rows] == list(COMPLETENESS_VARIANTS)
 
     divergent = {(qid, key): (0.9 if key == "nature" else 0.4)

@@ -117,13 +117,13 @@ class FakeSession:
         return outcome
 
 
-def _backend(outcomes, max_retries=3, **kwargs):
+def _backend(outcomes, max_retries=3):
     spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat",
                        model_name="reader-1", temperature=0.0, timeout=9.0,
                        max_retries=max_retries)
     session = FakeSession(outcomes)
     sleeps = []
-    backend = HttpBackend(spec, session=session, sleep=sleeps.append, **kwargs)
+    backend = HttpBackend(spec, session=session, sleep=sleeps.append)
     return backend, session, sleeps
 
 
@@ -213,15 +213,6 @@ def test_http_retryable_status_set():
     assert 400 not in RETRYABLE_STATUSES
     assert 404 not in RETRYABLE_STATUSES
     assert 200 not in RETRYABLE_STATUSES
-
-
-def test_http_rate_gate_spaces_requests():
-    backend, _, sleeps = _backend([_ok("a"), _ok("b")], min_interval=5.0)
-    backend.complete("one")
-    backend.complete("two")
-    waits = [w for w in sleeps if w > 0]
-    assert len(waits) == 1
-    assert 4.0 < waits[0] <= 5.0
 
 
 def test_http_workers_set_the_requests_in_flight():

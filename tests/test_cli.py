@@ -1,13 +1,15 @@
 """Command line behavior: flags, stage chaining, exit codes, and notes."""
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
 import pytest
 
 from ctxtrace.analysis import read_sim_csv
-from ctxtrace.config import config_hash, load_config
+from ctxtrace.cli import build_parser
+from ctxtrace.config import CONFIG_FIELDS, config_hash, load_config
 from ctxtrace.errors import SchemaError, ValidationError
 from ctxtrace.jsonl import read_csv, read_output_jsonl
 
@@ -93,6 +95,42 @@ def test_backend_misses_exit_2(run_cli, world, tmp_path):
                            "--reader.script_path", gutted)
     assert code == 2
     assert "ctxtrace: error:" in err
+
+
+def _subcommand(parser, *names):
+    for name in names:
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    return parser
+
+
+PATH = (True, None)  # a required path flag
+SUBSET = (False, "AIR")
+# Each stage's own flags, in order, as (required, default); the config flags follow.
+STAGE_FLAGS = {
+    ("prepare",): {"--questions": PATH, "--out": PATH},
+    ("trace",): {"--questions": PATH, "--contexts": PATH, "--out": PATH,
+                 "--parametric": (False, False)},
+    ("evaluate",): {"--traced": PATH, "--out": PATH, "--report": (False, None)},
+    ("analyze", "sim"): {"--traced": PATH, "--out": PATH, "--scores": (False, None),
+                         "--subset": SUBSET},
+    ("analyze", "slices"): {"--sim": PATH, "--eval": PATH, "--out": PATH},
+    ("analyze", "order"): {"--traced": PATH, "--out": PATH, "--subset": SUBSET},
+    ("analyze", "completeness"): {"--traced": PATH, "--out": PATH, "--scores": (False, None),
+                                  "--subset": SUBSET},
+}
+
+
+@pytest.mark.parametrize("command", list(STAGE_FLAGS), ids=" ".join)
+def test_stage_flags_are_pinned(command):
+    actions = _subcommand(build_parser(), *command)._actions
+    config = ["--config"] + [f"--{dotted}" for dotted in CONFIG_FIELDS]
+    own = [a for a in actions[1:] if a.option_strings[0] not in config]  # after --help
+    assert {a.option_strings[0]: (a.required, a.default) for a in own} == STAGE_FLAGS[command]
+    assert [a.option_strings[0] for a in own] == list(STAGE_FLAGS[command])
+    assert [a.option_strings[0] for a in actions[len(own) + 1:]] == config
+    assert all(a.choices == ("AIG", "AIR", "ALL") for a in own if a.dest == "subset")
+    assert all(a.default is None and not a.required for a in actions[len(own) + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +226,54 @@ def test_manifest_note_on_config_drift(run_cli, world):
                            "--seed", "99", *world.config_args())
     assert code == 0  # drift is noted, not fatal
     assert "note:" in err and "carries manifest" in err
+
+
+# Each manifest-bearing input: its file name, given a tag.
+DRIFT_FILES = {"contexts": "contexts{}.jsonl", "traced": "traced{}.jsonl",
+               "sim": "sim{}.csv", "eval": "eval{}.jsonl"}
+# The stage that reads each of them, and that stage's manifest-bearing inputs.
+DRIFT_READERS = {"contexts": ("trace", ["contexts"]), "traced": ("evaluate", ["traced"]),
+                 "sim": ("analyze slices", ["sim", "eval"]),
+                 "eval": ("analyze slices", ["sim", "eval"])}
+
+
+def _chain_at(run_cli, world, tag, *extra):
+    """Write every manifest-bearing file, its name tagged with *tag*; returns the
+    run's manifest.  One slice, as the one AIR sample allows."""
+    args = [*world.config_args(), "--slices", "1", *extra]
+    contexts, traced, sim, evals = (world.path(DRIFT_FILES[name].format(tag))
+                                    for name in ("contexts", "traced", "sim", "eval"))
+    manifests = set()
+    for argv in (["prepare", "--questions", world.questions_path, "--out", contexts],
+                 ["trace", "--questions", world.questions_path, "--contexts", contexts,
+                  "--out", traced],
+                 ["evaluate", "--traced", traced, "--out", evals],
+                 ["analyze", "sim", "--traced", traced, "--out", sim]):
+        code, out, err = run_cli(*argv, *args)
+        assert code == 0, err
+        manifests.add(_manifest_of(out))
+    (manifest,) = manifests
+    return manifest
+
+
+@pytest.mark.parametrize("flag", list(DRIFT_FILES))
+def test_drift_note_names_each_manifest_bearing_input(run_cli, world, flag):
+    _standard_world(world)
+    base = _chain_at(run_cli, world, "")
+    drifted = _chain_at(run_cli, world, "99", "--seed", "99")
+    assert base != drifted
+    # Only *flag*'s file comes from the base run.
+    command, inputs = DRIFT_READERS[flag]
+    argv = command.split()
+    if command == "trace":
+        argv += ["--questions", world.questions_path]
+    for name in inputs:
+        argv += [f"--{name}", world.path(DRIFT_FILES[name].format("" if name == flag else "99"))]
+    code, _, err = run_cli(*argv, "--out", world.path("stage.out"), *world.config_args(),
+                           "--slices", "1", "--seed", "99")
+    assert code == 0, err
+    stale = world.path(DRIFT_FILES[flag].format(""))
+    assert err == f"note: {stale} carries manifest {base}, this run is {drifted}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +547,50 @@ def test_load_config_rejects_unknown_fields(tmp_path):
         load_config(broken)
     with pytest.raises(ValidationError):
         load_config(tmp_path / "missing.json")
+
+
+CONFIG_TYPE_CASES = [
+    ({"workers": "two"}, "'workers' must be an integer: 'two'"),
+    ({"seed": True}, "'seed' must be an integer: True"),
+    ({"seed": 1.5}, "'seed' must be an integer: 1.5"),
+    ({"length_candidates": 5}, "'length_candidates' must be a list of integers: 5"),
+    ({"length_candidates": [80, True]},
+     "'length_candidates' must be a list of integers: [80, True]"),
+    ({"match_threshold": "x"}, "'match_threshold' must be a number: 'x'"),
+    ({"reader": {"temperature": "hot"}}, "'reader.temperature' must be a number: 'hot'"),
+    ({"abstention_set": "no answer"}, "'abstention_set' must be a list of strings: 'no answer'"),
+    ({"order": None}, "'order' must be a string: None"),
+    ({"retriever": {"corpus_path": 7}}, "'retriever.corpus_path' must be a string: 7"),
+]
+
+
+@pytest.mark.parametrize("doc,message", CONFIG_TYPE_CASES,
+                         ids=[message.split("'")[1] for _, message in CONFIG_TYPE_CASES])
+def test_load_config_checks_value_types(tmp_path, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_config(path, {"reader.script_path": "r.jsonl", "generator.script_path": "g.jsonl"})
+    assert str(err.value) == "config field " + message
+
+
+def test_load_config_accepts_ints_for_floats_and_nulls_for_optional_paths(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"match_threshold": 1, "reader": {"temperature": 1},
+                                "retriever": {"corpus_path": None}}))
+    cfg = load_config(path, {"reader.script_path": "r.jsonl", "generator.script_path": "g.jsonl"})
+    assert (cfg.match_threshold, cfg.reader.temperature, cfg.retriever.corpus_path) == (1, 1, None)
+
+
+def test_wrongly_typed_config_value_exits_3(run_cli, world, tmp_path):
+    _standard_world(world)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workers": "two"}))
+    code, out, err = run_cli("prepare", "--questions", world.questions_path,
+                             "--out", world.path("contexts.jsonl"), "--config", str(path),
+                             *world.config_args())
+    assert (code, out) == (3, "")
+    assert err == "ctxtrace: error: config field 'workers' must be an integer: 'two'\n"
 
 
 def _cfg(**extra):

@@ -8,7 +8,7 @@ import pytest
 from ctxtrace.errors import UndefinedMetricError, ValidationError
 from ctxtrace.metrics import (
     LENGTH_WARN_THRESHOLD,
-    REPORT_COLUMNS,
+    REPORT,
     MetricsReport,
     build_report,
     diff_gr,
@@ -18,8 +18,6 @@ from ctxtrace.metrics import (
     read_report_csv,
     recall,
     render_markdown,
-    report_from_cells,
-    report_to_cells,
     write_report_csv,
 )
 from ctxtrace.pipeline import Context, HybridRecord, QaExample
@@ -176,24 +174,24 @@ def test_report_cells_roundtrip():
     without = MetricsReport("AIR", 623, 0.1291, 0.6783, None, 0.1926,
                             diff_gr(0.1291, 0.6783), 77.05)
     for report in (with_llm, without):
-        cells = report_to_cells(report)
-        assert len(cells) == len(REPORT_COLUMNS)
-        parsed = report_from_cells(cells, "p")
+        cells = REPORT.cells(report)
+        assert len(cells) == len(REPORT.keys)
+        parsed = REPORT.parse(cells, "p")
         assert parsed.subset == report.subset and parsed.n == report.n
         assert parsed.rho_gen == pytest.approx(report.rho_gen, abs=5e-7)
         assert parsed.diff_gr == pytest.approx(report.diff_gr, abs=5e-7)
         assert parsed.em_percent == pytest.approx(report.em_percent, abs=5e-5)
     # Fraction cells carry six decimals, EM four; absent rho_llm is empty.
-    cells = report_to_cells(without)
+    cells = REPORT.cells(without)
     assert cells[2] == "0.129100"
     assert cells[4] == ""
     assert cells[7] == "77.0500"
-    parsed = report_from_cells(cells, "p")
+    parsed = REPORT.parse(cells, "p")
     assert parsed.rho_llm is None
     assert parsed.n == 623
     assert parsed.rho_gen == pytest.approx(0.1291, abs=5e-7)
     with pytest.raises(ValidationError):
-        report_from_cells(cells[:-1], "p")
+        REPORT.parse(cells[:-1], "p")
 
 
 def test_report_csv_roundtrip_is_stable(tmp_path):

@@ -21,10 +21,13 @@ from ctxtrace.errors import (
 )
 from ctxtrace.pipeline import (
     CLOSED_BOOK_PROMPT,
+    CONTEXT,
     CONTEXT_JOIN,
     GENERATION_PROMPT,
     GENERATION_PROMPT_UNCONSTRAINED,
+    HYBRID,
     READING_PROMPT,
+    TRACED,
     Context,
     Generator,
     HybridRecord,
@@ -33,13 +36,9 @@ from ctxtrace.pipeline import (
     Reader,
     TracedSample,
     classify_answer,
-    context_from_row,
-    context_to_row,
     exclusivity_label,
     generate_length_matched,
     hybrid_answer,
-    hybrid_from_row,
-    hybrid_to_row,
     is_abstention,
     map_examples,
     parametric_keep,
@@ -53,8 +52,6 @@ from ctxtrace.pipeline import (
     run_prepare,
     run_trace,
     traceability_drop_reason,
-    traced_from_row,
-    traced_to_row,
 )
 from ctxtrace.textnorm import word_count
 
@@ -303,47 +300,47 @@ def test_scripted_reader_misses_loudly(tmp_path):
 
 def test_context_row_roundtrip():
     for context in (_ctx("alpha beta"), _ctx("Title: T Content: x", source="retrieved")):
-        assert context_from_row(context_to_row(context), "p", 1) == context
+        assert CONTEXT.load(CONTEXT.dump(context), "p", 1) == context
 
 
 def test_context_row_rejects_bad_fields():
-    row = context_to_row(_ctx("alpha"))
+    row = CONTEXT.dump(_ctx("alpha"))
     for key, value in (("source", "oracle"), ("variant", "squished"), ("text", ""),
                        ("word_count", True), ("word_count", "1"), ("id", 3)):
         broken = dict(row, **{key: value})
         with pytest.raises(SchemaError):
-            context_from_row(broken, "p", 7)
+            CONTEXT.load(broken, "p", 7)
     with pytest.raises(SchemaError) as err:
-        context_from_row({k: v for k, v in row.items() if k != "backend"}, "p", 7)
+        CONTEXT.load({k: v for k, v in row.items() if k != "backend"}, "p", 7)
     assert "p:7:" in str(err.value)
 
 
 def test_traced_row_roundtrip():
     for sample in (_sample(), _sample(closed="x", subset="none", dropped="parametric"),
                    _sample(dropped="abstained_gen", subset="none")):
-        assert traced_from_row(traced_to_row(sample), "p", 1) == sample
+        assert TRACED.load(TRACED.dump(sample), "p", 1) == sample
 
 
 def test_traced_row_rejects_bad_enums():
-    row = traced_to_row(_sample())
+    row = TRACED.dump(_sample())
     with pytest.raises(SchemaError):
-        traced_from_row(dict(row, subset="AIX"), "p", 1)
+        TRACED.load(dict(row, subset="AIX"), "p", 1)
     with pytest.raises(SchemaError):
-        traced_from_row(dict(row, dropped="vibes"), "p", 1)
+        TRACED.load(dict(row, dropped="vibes"), "p", 1)
     with pytest.raises(SchemaError):
-        traced_from_row(dict(row, answers=[]), "p", 1)
+        TRACED.load(dict(row, answers=[]), "p", 1)
 
 
 def test_hybrid_row_roundtrip():
     rec = HybridRecord("q1", "random", 42, "Paris", "gen")
-    assert hybrid_from_row(hybrid_to_row(rec), "p", 1) == rec
-    assert hybrid_to_row(rec)["hybrid_answer"] == "Paris"
+    assert HYBRID.load(HYBRID.dump(rec), "p", 1) == rec
+    assert HYBRID.dump(rec)["hybrid_answer"] == "Paris"
     with pytest.raises(SchemaError):
-        hybrid_from_row(dict(hybrid_to_row(rec), order="shuffled"), "p", 1)
+        HYBRID.load(dict(HYBRID.dump(rec), order="shuffled"), "p", 1)
     with pytest.raises(SchemaError):
-        hybrid_from_row(dict(hybrid_to_row(rec), classification="hunch"), "p", 1)
+        HYBRID.load(dict(HYBRID.dump(rec), classification="hunch"), "p", 1)
     with pytest.raises(SchemaError):
-        hybrid_from_row(dict(hybrid_to_row(rec), seed="42"), "p", 1)
+        HYBRID.load(dict(HYBRID.dump(rec), seed="42"), "p", 1)
 
 
 def test_read_questions_validation(tmp_path):

@@ -30,21 +30,20 @@ traced = st.builds(TracedSample, questions, contexts, contexts, texts, texts,
                    st.none() | st.sampled_from(pipeline.DROP_REASONS))
 hybrids = st.builds(HybridRecord, texts, st.sampled_from(pipeline.ORDERS),
                     st.integers(-2**63, 2**63), texts, st.sampled_from(pipeline.CLASSIFICATIONS))
-floats = st.floats()
-reports = st.builds(MetricsReport, texts, st.integers(), floats, floats, st.none() | floats,
-                    floats, floats, floats)
-sims = st.builds(analysis.SimilarityRecord, texts, floats, floats,
+finite = st.floats(allow_nan=False, allow_infinity=False)
+reports = st.builds(MetricsReport, texts, st.integers(), finite, finite, st.none() | finite,
+                    finite, finite, finite)
+sims = st.builds(analysis.SimilarityRecord, texts, finite, finite,
                  st.sampled_from(analysis.SIM_METRICS), st.sampled_from(analysis.AGGREGATIONS),
-                 floats)
-slice_rows = st.builds(analysis.SliceRow, st.integers(), st.integers(), floats,
-                       st.none() | floats)
+                 finite)
+slice_rows = st.builds(analysis.SliceRow, st.integers(), st.integers(), finite,
+                       st.none() | finite)
 
 fingerprints = st.text("0123456789abcdef", min_size=16, max_size=16)
 script_entries = st.sampled_from(backends.SCRIPT_MODES).flatmap(lambda mode: st.builds(
     backends.ScriptEntry, texts, st.just(mode), {
         "closed_book": st.none(), "single_context": fingerprints,
         "hybrid": st.none() | fingerprints}[mode], texts))
-finite = st.floats(allow_nan=False, allow_infinity=False)
 gold_hits = st.builds(backends.GoldHit, texts, texts, texts, filled)
 # The input files: user-authored, headerless JSONL.
 INPUT_CASES = [
@@ -90,8 +89,21 @@ def test_csv_cells_round_trip(schema, records, data):
     assert schema.cells(schema.parse(cells, "p", 3)) == cells
 
 
+@pytest.mark.parametrize("schema,records", [case[1:] for case in CSV_CASES],
+                         ids=[case[0] for case in CSV_CASES])
+def test_csv_non_finite_cells_are_refused(schema, records):
+    cells = schema.cells(find(records, lambda _: True))
+    columns = [i for i, col in enumerate(schema.cols) if col.kind is float]
+    assert columns
+    for i in columns:
+        for cell in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(SchemaError) as err:
+                schema.parse(cells[:i] + [cell] + cells[i + 1:], "p", 3)
+            assert str(err.value) == f"p:3: column {schema.keys[i]!r}: {cell!r} is not finite"
+
+
 def test_gold_answer_rule_is_shared():
-    row = pipeline.traced_to_row(TracedSample(
+    row = pipeline.TRACED.dump(TracedSample(
         QaExample("q1", "who?", ("Ada",)),
         Context("q1", "retrieved", "golden", "T", "Title: T Content: Ada", 4, None, "retrieved"),
         Context("q1", "generated", "gen", None, "Ada wrote it.", 3, 80, "nature"),

@@ -230,6 +230,16 @@ def test_report_recount_against_eval(run):
     assert any("stored em_percent" in p.message for p in problems)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_report_cell_is_a_problem(run, cell):
+    # A NaN share once passed both the proportions sum and the recount.
+    path = run["report.csv"]
+    _edit_csv_cell(path, 3, 5, cell)  # others
+    problems = validate_files(list(run.values()))
+    assert [(p.line, p.message) for p in problems] == [
+        (3, f"column 'others': {cell!r} is not finite")]
+
+
 def test_mixed_manifests_reported(run):
     ctx = run["contexts.jsonl"]
     lines = ctx.read_text().splitlines()
@@ -456,9 +466,9 @@ def test_sim_cells_are_recomputed(tmp_path):
     sim = tmp_path / "sim.csv"
     sim.write_text(SIM_HEADER + "\n".join(rows) + "\n")
     assert [(p.line, p.message) for p in validate_files([sim])] == [
+        (10, "column 'sim_gen': 'nan' is not finite"),
+        (11, "column 'delta_sim': 'inf' is not finite"),
         (7, "stored delta_sim 0.5 != recomputed 0.333333"),
         (8, "jaccard similarity out of range [0, 1]"),
         (9, "stored delta_sim 0.2 != recomputed 0.000000"),
-        (10, "similarity cells must be finite"),
-        (11, "similarity cells must be finite"),
     ]
