@@ -49,6 +49,9 @@ class Slice:
     mean_delta_sim: float
     diff_gr: float | None
 
+    def row(self) -> SliceRow:
+        return SliceRow(self.index, len(self.example_ids), self.mean_delta_sim, self.diff_gr)
+
 
 @dataclass(frozen=True)
 class SliceRow:
@@ -328,8 +331,7 @@ def run_slices(sim_records: Sequence[SimilarityRecord],
                eval_records: Sequence[pipeline.HybridRecord], n: int,
                out_path: str | Path, manifest_hash: str, seed: int) -> list[Slice]:
     filled = slice_report(quantile_slices(sim_records, n), eval_records)
-    SLICES.write_table(out_path, [SliceRow(s.index, len(s.example_ids), s.mean_delta_sim,
-                                           s.diff_gr) for s in filled], manifest_hash, seed)
+    SLICES.write_table(out_path, [s.row() for s in filled], manifest_hash, seed)
     return filled
 
 

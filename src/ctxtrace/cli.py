@@ -105,18 +105,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                            help=_HELP.get(dotted, argparse.SUPPRESS))
 
 
-def _overrides(ns: argparse.Namespace) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for dotted in CONFIG_FIELDS:
-        value = getattr(ns, dotted, None)
-        if value is None:
-            continue
-        if dotted == "order" and isinstance(value, str):
-            value = value.replace("-", "_")
-        out[dotted] = value
-    return out
-
-
 def build_retriever(cfg: RetrieverConfig):
     path = cfg.require_path()
     if cfg.kind == "bm25":
@@ -148,7 +136,8 @@ _INPUTS: dict[str, tuple[str, Callable[[str], tuple[str | None, Any]]]] = {
 def _run_stage(run: Callable[..., None], inputs: tuple[str, ...], ns: argparse.Namespace) -> int:
     """Load the config, read *inputs* in order with a note for each one another
     run wrote, and pass them to *run* after the namespace, config and run id."""
-    cfg = load_config(ns.config, _overrides(ns))
+    cfg = load_config(ns.config, {dotted: getattr(ns, dotted) for dotted in CONFIG_FIELDS
+                                  if getattr(ns, dotted) is not None})
     run_id = config_hash(cfg)
     contents = []
     for flag in inputs:

@@ -2,20 +2,19 @@
 
 One JSON document configures a whole run; every leaf field can be overridden
 on the command line by a flag of the same dotted name (flags win).  The
-dataclasses below are the single definition of that document: its fields,
-their defaults, and the flag coercions are all derived from them.  The
-manifest hash identifies a run: sha256 over the tool version plus the fully
-resolved config (seed included), so every stage launched from the same config
-stamps the same hash into its output headers, and mixed-run inputs are
-detectable downstream.
+dataclasses below are the config: its fields, their defaults and the flag
+coercions all come from them, a run's config is built straight into them
+from the file and the flags, and it is hashed as it stands.  The manifest
+hash identifies a run: sha256 over the tool version plus the resolved config
+(seed included), so every stage launched from the same config stamps the
+same hash into its output headers, and mixed-run inputs are detectable
+downstream.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import MISSING, Field, dataclass, field, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -118,25 +117,10 @@ def _leaves(cls: type, prefix: str = "") -> Iterator[tuple[str, Field]]:
             yield prefix + f.name, f
 
 
-def _plain(value: Any) -> Any:
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _apply_dotted(doc: dict[str, Any], dotted: str, value: Any) -> None:
-    *parents, leaf = dotted.split(".")
-    for part in parents:
-        doc = doc.setdefault(part, {})
-    doc[leaf] = value
-
-
-_LEAVES = list(_leaves(RunConfig))
 # Leaf fields and their _LEAF_TYPES keys.  These names double as the dotted
 # override flags.
-CONFIG_FIELDS: dict[str, str] = {name: f.type.removesuffix(" | None") for name, f in _LEAVES}
-_DEFAULTS: dict[str, Any] = {}
-for _name, _field in _LEAVES:
-    _apply_dotted(_DEFAULTS, _name, _plain(
-        _field.default_factory() if _field.default is MISSING else _field.default))
+CONFIG_FIELDS: dict[str, str] = {name: f.type.removesuffix(" | None")
+                                 for name, f in _leaves(RunConfig)}
 
 
 def coerce_override(dotted: str, raw: object) -> Any:
@@ -144,6 +128,8 @@ def coerce_override(dotted: str, raw: object) -> Any:
         raise ValidationError(f"unknown config field {dotted!r}")
     if not isinstance(raw, str):
         return raw
+    if dotted == "order":
+        return raw.replace("-", "_")  # --order generated-first
     _, types, items = _LEAF_TYPES[CONFIG_FIELDS[dotted]]
     try:
         if items:
@@ -153,46 +139,53 @@ def coerce_override(dotted: str, raw: object) -> Any:
         raise ValidationError(f"cannot parse {raw!r} for config field {dotted!r}") from None
 
 
-def _deep_merge(base: dict[str, Any], extra: dict[str, Any], path: str = "") -> None:
-    for key, value in extra.items():
+def _check_keys(cls: type, doc: dict[str, Any], path: str = "") -> None:
+    """Refuse, in file order, a key that names no field of *cls* and a section
+    that is no object."""
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in types:
             raise ValidationError(f"unknown config field {where!r}")
-        if isinstance(base[key], dict):
+        if types[key] in _SECTIONS:
             if not isinstance(value, dict):
                 raise ValidationError(f"config field {where!r} must be an object")
-            _deep_merge(base[key], value, where)
-        else:
-            base[key] = value
+            _check_keys(_SECTIONS[types[key]], value, where)
 
 
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, Any] | None = None) -> RunConfig:
-    """Defaults, then the config file, then dotted overrides; later wins."""
-    doc = copy.deepcopy(_DEFAULTS)
+    """Dotted overrides, then the config file, then the dataclass defaults;
+    the first that sets a leaf wins."""
+    doc: dict[str, Any] = {}
     if path is not None:
         file_path = Path(path)
         if not file_path.is_file():
             raise ValidationError(f"missing config file: {file_path}")
         try:
-            loaded = json.loads(file_path.read_text(encoding="utf-8"))
+            doc = json.loads(file_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{file_path}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(doc, dict):
             raise ValidationError(f"{file_path}: config must be a JSON object")
-        _deep_merge(doc, loaded)
-    for dotted, value in (overrides or {}).items():
-        _apply_dotted(doc, dotted, coerce_override(dotted, value))
-    return _build(RunConfig, doc)
+        _check_keys(RunConfig, doc)
+    flags = {dotted: coerce_override(dotted, value) for dotted, value in (overrides or {}).items()}
+    return _build(RunConfig, doc, flags)
 
 
-def _build(cls: type, doc: dict[str, Any], prefix: str = "") -> Any:
+def _build(cls: type, doc: dict[str, Any], flags: dict[str, Any], prefix: str = "") -> Any:
+    """*cls* from the leaves under *prefix*: each from *flags*, else from the
+    file section *doc*, else left at its default."""
     kwargs: dict[str, Any] = {}
     for f in fields(cls):
-        value, where = doc[f.name], prefix + f.name
+        where = prefix + f.name
         if f.type in _SECTIONS:
-            value = _build(_SECTIONS[f.type], value, where + ".")
-        elif value is not None or not f.type.endswith(" | None"):
+            kwargs[f.name] = _build(_SECTIONS[f.type], doc.get(f.name, {}), flags, where + ".")
+            continue
+        value = flags[where] if where in flags else doc.get(f.name, MISSING)
+        if value is MISSING:
+            continue
+        if value is not None or not f.type.endswith(" | None"):
             what, types, items = _LEAF_TYPES[CONFIG_FIELDS[where]]
             if type(value) not in types or items and any(type(v) not in items for v in value):
                 raise ValidationError(f"config field {where!r} must be {what}: {value!r}")
@@ -202,15 +195,7 @@ def _build(cls: type, doc: dict[str, Any], prefix: str = "") -> Any:
     return cls(**kwargs)
 
 
-def resolved_doc(cfg: RunConfig) -> dict[str, Any]:
-    """The fully resolved config as a plain JSON document."""
-    doc: dict[str, Any] = {}
-    for name, _ in _LEAVES:
-        _apply_dotted(doc, name, _plain(attrgetter(name)(cfg)))
-    return doc
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps({"tool_version": __version__, "config": resolved_doc(cfg)},
+    canonical = json.dumps({"tool_version": __version__, "config": cfg}, default=vars,
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

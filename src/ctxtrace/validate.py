@@ -2,12 +2,13 @@
 
 The validator re-derives every checkable claim a file makes: stored word
 counts, traceability containment, exclusivity labels, hybrid classifications,
-and report-row arithmetic.  It never trusts pipeline state; everything is
-recomputed from the stored strings, so a file edited by hand or produced by
-a broken run fails here with its line number.
+report rows and quantile slices.  It never trusts pipeline state; everything
+is recomputed from the stored strings, so a file edited by hand or produced
+by a broken run fails here with its line number.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -137,20 +138,41 @@ def _check_report_against_eval(path: str | Path,
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
     recounted = {r.subset: r for r in pipeline.subset_reports(live, list(records))}
-    schema = metrics.REPORT
     for line, report in reports:
         expected = recounted.get(report.subset)
         if expected is None:
             out.add(path, line, f"report row for empty subset {report.subset!r}")
             continue
-        for col, stored, fresh in zip(schema.cols, schema.values(report), schema.values(expected)):
-            # A stored float may differ from the recount by its cell's rounding.
-            tolerance = 0.5 * 10.0 ** -int(col.fmt[1:-1]) if col.kind is float else 0
-            if (stored is None) != (fresh is None):
-                out.add(path, line, f"subset {report.subset}: {col.key} tracking mismatch")
-            elif col.kind is not str and stored is not None and abs(stored - fresh) > tolerance:
-                out.add(path, line, f"subset {report.subset}: stored {col.key} {stored} "
-                                    f"!= recount {fresh}")
+        _check_recount(metrics.REPORT, report, expected, f"subset {report.subset}",
+                       path, line, out)
+
+
+def _check_slices(path: str | Path, rows: Sequence[tuple[int, analysis.SliceRow]],
+                  sims: Sequence[tuple[int, analysis.SimilarityRecord]],
+                  evals: Sequence[tuple[int, pipeline.HybridRecord]], out: _Collector) -> None:
+    total = sum(row.n for _, row in rows)
+    if total != len(sims):
+        out.add(path, 0, f"slice sizes sum to {total}, not to the {len(sims)} similarity rows")
+    try:
+        fresh = analysis.slice_report(analysis.quantile_slices([s for _, s in sims], len(rows)),
+                                      [record for _, record in evals])
+    except CtxTraceError as exc:
+        out.add(path, 0, str(exc))
+        return
+    for (line, row), piece in zip(rows, fresh):
+        _check_recount(analysis.SLICES, row, piece.row(), f"slice {row.slice_index}",
+                       path, line, out)
+
+
+def _check_recount(schema: RowSchema, row: Any, recount: Any, label: str,
+                   path: str | Path, line: int, out: _Collector) -> None:
+    """Each cell of a stored *row* against its *recount*, a float within its cell's rounding."""
+    for col, stored, fresh in zip(schema.cols, schema.values(row), schema.values(recount)):
+        tolerance = 0.5 * 10.0 ** -int(col.fmt[1:-1]) if col.kind is float else 0
+        if (stored is None) != (fresh is None):
+            out.add(path, line, f"{label}: {col.key} tracking mismatch")
+        elif col.kind is not str and stored is not None and abs(stored - fresh) > tolerance:
+            out.add(path, line, f"{label}: stored {col.key} {stored} != recount {fresh}")
 
 
 # The file kinds validate recognises: a JSONL file by the exact key set of
@@ -185,9 +207,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     out = _Collector()
     manifests: dict[str, str] = {}
     traced_samples: dict[str, pipeline.TracedSample] = {}
-    eval_sets: list[tuple[str | Path, int, list[tuple[int, pipeline.HybridRecord]]]] = []
-    report_sets: list[tuple[str | Path, list[tuple[int, metrics.MetricsReport]]]] = []
-    sim_sets: list[tuple[str | Path, list[tuple[int, analysis.SimilarityRecord]]]] = []
+    # Files the cross-file checks below need, by kind: path, header seed, (line, record) pairs.
+    files: dict[RowSchema, list[tuple[str | Path, int, list]]] = defaultdict(list)
 
     for path in paths:
         if not Path(path).is_file():
@@ -202,6 +223,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
         finally:
             for exc in sorted(problems, key=attrgetter("line_no")):
                 out.add(path, exc.line_no, exc.message)
+        if schema in (analysis.SIM, analysis.SLICES, pipeline.HYBRID, metrics.REPORT):
+            files[schema].append((path, seed, loaded))
         if schema is pipeline.TRACED:
             for line_no, sample in loaded:
                 # A repeat inside one file failed to load; this is one across files.
@@ -212,23 +235,23 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
         elif schema is pipeline.CONTEXT:
             for line_no, context in loaded:
                 _check_context_row(context, path, line_no, out)
-        elif schema is pipeline.HYBRID:
-            eval_sets.append((path, seed, loaded))
-        elif schema is analysis.SIM:
-            sim_sets.append((path, loaded))
         elif schema is not None and schema.cls is metrics.MetricsReport:
             _check_report_rows(path, loaded, out)
-            if schema is metrics.REPORT:
-                report_sets.append((path, loaded))
 
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
         out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
 
-    for path, loaded in sim_sets:
+    sims, evals = files[analysis.SIM], files[pipeline.HYBRID]
+    for path, _, loaded in sims:
         _check_sim_rows(path, loaded, traced_samples, out)
 
-    for path, header_seed, loaded in eval_sets:
+    if len(sims) == len(evals) == 1:
+        # Slices re-derive from the one sim file and every record of the one eval file.
+        for path, _, loaded in files[analysis.SLICES]:
+            _check_slices(path, loaded, sims[0][2], evals[0][2], out)
+
+    for path, header_seed, loaded in evals:
         if traced_samples:
             # Only the records of live samples are recounted into reports.
             records = []
@@ -239,7 +262,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
             for qid, sample in traced_samples.items():
                 if sample.live and qid not in evaluated:
                     out.add(path, 0, f"no eval record for live example {qid!r}")
-            for report_name, reports in report_sets:
+            for report_name, _, reports in files[metrics.REPORT]:
                 _check_report_against_eval(report_name, reports, traced_samples, records, out)
 
     return list(out)

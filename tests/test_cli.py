@@ -4,12 +4,14 @@ from __future__ import annotations
 import argparse
 import json
 import re
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 from ctxtrace.analysis import read_sim_csv
 from ctxtrace.cli import build_parser
-from ctxtrace.config import CONFIG_FIELDS, config_hash, load_config
+from ctxtrace.config import CONFIG_FIELDS, coerce_override, config_hash, load_config
 from ctxtrace.errors import SchemaError, ValidationError
 from ctxtrace.jsonl import read_csv, read_output_jsonl
 
@@ -86,7 +88,7 @@ def test_backend_misses_exit_2(run_cli, world, tmp_path):
             "--out", world.path("traced.jsonl"), *world.config_args())
     # A reader script with no hybrid replies cannot serve evaluate.
     rows = [json.loads(line) for line in
-            open(world.reader_path, encoding="utf-8")]
+            Path(world.reader_path).read_text(encoding="utf-8").splitlines()]
     gutted = write_jsonl(tmp_path / "gutted.jsonl",
                          [r for r in rows if r["mode"] != "hybrid"])
     code, _, err = run_cli("evaluate", "--traced", world.path("traced.jsonl"),
@@ -335,7 +337,7 @@ def test_prepare_with_ingested_retrieval(run_cli, world, tmp_path):
     code, _, err = run_cli("prepare", "--questions", world.questions_path,
                            "--out", world.path("golden.jsonl"), *world.config_args())
     assert code == 0, err
-    assert open(world.path("ingest.jsonl"), encoding="utf-8").read().count(
+    assert Path(world.path("ingest.jsonl")).read_text(encoding="utf-8").count(
         '"backend":"ingest"') == len(hits)
     # Same passages as the gold run; only the retrieved backend name differs.
     _, ingested = read_output_jsonl(world.path("ingest.jsonl"))
@@ -356,7 +358,7 @@ def test_prepare_with_ingested_retrieval(run_cli, world, tmp_path):
 
 
 def _replace_cell(path, line_no, column, value):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     cells = lines[line_no - 1].split(",")
     cells[column] = value
     lines[line_no - 1] = ",".join(cells)
@@ -516,7 +518,7 @@ def test_analyze_completeness(run_cli, world, tmp_path):
 def test_validate_cli_reports_problems(run_cli, world):
     _traced_world(run_cli, world)
     traced = world.path("traced.jsonl")
-    lines = open(traced, encoding="utf-8").read().splitlines()
+    lines = Path(traced).read_text(encoding="utf-8").splitlines()
     row = json.loads(lines[1])
     row["subset"] = "AIR" if row["subset"] == "AIG" else "AIG"
     lines[1] = json.dumps(row)
@@ -640,3 +642,104 @@ def test_config_hash_is_pinned():
                               "abstention_set": "no, idk",
                               "seed": "7", "retriever.k1": "0.9"})
     assert config_hash(http) == "1cde145737c59c50"
+
+
+def test_config_hash_pins_every_leaf(tmp_path):
+    # Every one of the 33 leaves away from its default, some from the file and
+    # some from flags, including an int standing for a float (hashed as 1).
+    doc = {"reader": {"kind": "http", "endpoint": "http://r", "model_name": "rm",
+                      "temperature": 0.5},
+           "generator": {"kind": "http", "endpoint": "http://g", "model_name": "gm",
+                         "temperature": 1, "timeout": 9.5, "max_retries": 0,
+                         "script_path": "g.jsonl"},
+           "retriever": {"kind": "ingest", "corpus_path": "c.jsonl", "k1": 0.9},
+           "prompts": {"generation": "G {#question} {#n}", "reading": "R {#contexts} {#question}"},
+           "order": "retrieved_first", "seed": 7, "length_candidates": [50, 70],
+           "slice_count": 3, "aggregation": "mean", "match_threshold": 1}
+    flags = {"reader.timeout": "12", "reader.max_retries": "5", "reader.script_path": "r.jsonl",
+             "retriever.b": "0.5", "retriever.gold_path": "gold.jsonl",
+             "retriever.results_path": "res.jsonl",
+             "prompts.generation_unconstrained": "U {#question}",
+             "prompts.closed_book": "C {#question}", "workers": "4",
+             "abstention_set": "nope, idk", "sim_metric": "external"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(path, flags)
+    default = _cfg()
+    moved = [dotted for dotted in CONFIG_FIELDS
+             if attrgetter(dotted)(cfg) != attrgetter(dotted)(default)]
+    assert moved == list(CONFIG_FIELDS)
+    assert config_hash(cfg) == "a747316826454230"
+
+
+def test_flag_beats_file_leaf_in_the_same_section(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"reader": {"script_path": "file.jsonl", "temperature": 0.5},
+                                "generator": {"script_path": "g.jsonl"}}))
+    cfg = load_config(path, {"reader.script_path": "flag.jsonl"})
+    assert (cfg.reader.script_path, cfg.reader.temperature) == ("flag.jsonl", 0.5)
+    assert cfg.generator.script_path == "g.jsonl"
+
+
+def test_file_leaf_beats_the_default(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"workers": 3, "retriever": {"k1": 0.9}}))
+    cfg = load_config(path, {"reader.script_path": "r.jsonl", "generator.script_path": "g.jsonl"})
+    assert (cfg.workers, cfg.retriever.k1) == (3, 0.9)
+    # Leaves set nowhere keep their dataclass defaults.
+    assert (cfg.seed, cfg.retriever.b, cfg.reader.timeout) == (0, 0.75, 30.0)
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"reader": {"fuzz": 1}, "speed": 3}', "reader.fuzz"),
+    ('{"speed": 3, "reader": {"fuzz": 1}}', "speed"),
+    ('{"seed": 1, "prompts": {"reading": "x", "tone": "y"}, "speed": 3}', "prompts.tone"),
+])
+def test_unknown_config_keys_are_reported_in_file_order(tmp_path, text, field):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_config(path, {"seed": "not a number"})  # files are checked before flags parse
+    assert str(err.value) == f"unknown config field {field!r}"
+
+
+def test_non_object_section_exits_3_before_flags_apply(run_cli, world, tmp_path):
+    _standard_world(world)
+    path = tmp_path / "c.json"
+    path.write_text('{"reader": 5}')
+    code, out, err = run_cli("prepare", "--questions", world.questions_path,
+                             "--out", world.path("contexts.jsonl"), "--config", str(path),
+                             "--reader.kind", "http")
+    assert (code, out) == (3, "")
+    assert err == "ctxtrace: error: config field 'reader' must be an object\n"
+
+
+def test_hyphenated_order_flag_reaches_the_config(run_cli, world):
+    _traced_world(run_cli, world)
+    code, out, err = run_cli("evaluate", "--traced", world.path("traced.jsonl"),
+                             "--out", world.path("eval.jsonl"),
+                             "--order", "generated-first", *world.config_args())
+    assert code == 0, err
+    args = world.config_args()
+    overrides = dict(zip((flag[2:] for flag in args[::2]), args[1::2]))
+    expected = load_config(None, {**overrides, "order": "generated_first"})
+    assert _manifest_of(out) == config_hash(expected)
+    _, records = read_output_jsonl(world.path("eval.jsonl"))
+    assert {row["order"] for _, row in records} == {"generated_first"}
+
+
+def test_library_overrides_may_spell_order_with_a_hyphen():
+    assert coerce_override("order", "retrieved-first") == "retrieved_first"
+    assert _cfg(order="generated-first").order == "generated_first"
+
+
+def test_readme_lists_every_default():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` +\| `([^`]*)`", section, re.M)
+    assert len(rows) == 12
+    default = _cfg()
+    for dotted, shown in rows:
+        value = coerce_override(dotted, shown)
+        want = attrgetter(dotted)(default)
+        assert (tuple(value) if isinstance(want, tuple) else value) == want, dotted

@@ -5,13 +5,17 @@ import json
 
 import pytest
 
+from ctxtrace.analysis import read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
+from ctxtrace.jsonl import read_csv
 from ctxtrace.pipeline import (
     Generator,
     PromptSet,
     Reader,
     read_contexts,
+    read_eval,
     read_questions,
+    read_traced,
     run_evaluate,
     run_prepare,
     run_trace,
@@ -472,3 +476,66 @@ def test_sim_cells_are_recomputed(tmp_path):
         (8, "jaccard similarity out of range [0, 1]"),
         (9, "stored delta_sim 0.2 != recomputed 0.000000"),
     ]
+
+
+@pytest.fixture
+def sliced(tmp_path):
+    """A finished run plus its sim.csv and slices.csv, made as `analyze` makes them."""
+    world = WorldBuilder(tmp_path)
+    picks = ["gen", "ret", "ret", "gen", "gen", "ret"]
+    for i, pick in enumerate(picks, 1):
+        world.add_case(f"q{i:02d}", outcome="AIG" if i % 2 else "AIR", hybrid_pick=pick)
+    world.write()
+    paths = _finish_run(tmp_path, world)
+    paths["sim.csv"], paths["slices.csv"] = tmp_path / "sim.csv", tmp_path / "slices.csv"
+    _, samples = read_traced(paths["traced.jsonl"])
+    run_sim(samples, "ALL", "jaccard", "max", None, paths["sim.csv"], "feedbead12345678", 4)
+    _, _, sims = read_sim_csv(paths["sim.csv"])
+    _, records = read_eval(paths["eval.jsonl"])
+    run_slices(sims, records, 3, paths["slices.csv"], "feedbead12345678", 4)
+    return paths
+
+
+def _slice_problems(sliced):
+    return [(p.line, p.message) for p in validate_files(list(sliced.values()))
+            if p.path == str(sliced["slices.csv"])]
+
+
+def test_clean_slices_validate(sliced):
+    _, _, _, rows = read_csv(sliced["slices.csv"])
+    assert [int(cells[1]) for cells in rows] == [2, 2, 2]
+    assert validate_files(list(sliced.values())) == []
+    assert validate_files([sliced[n] for n in ("sim.csv", "eval.jsonl", "slices.csv")]) == []
+
+
+def test_slice_sizes_must_sum_to_the_sim_rows(sliced):
+    _edit_csv_cell(sliced["slices.csv"], 3, 1, "999")
+    assert _slice_problems(sliced) == [
+        (0, "slice sizes sum to 1003, not to the 6 similarity rows"),
+        (3, "slice 0: stored n 999 != recount 2"),
+    ]
+    # Without one eval file beside one sim file there is nothing to re-derive from.
+    assert validate_files([sliced["sim.csv"], sliced["slices.csv"]]) == []
+
+
+def test_slice_cells_are_rederived(sliced):
+    _edit_csv_cell(sliced["slices.csv"], 4, 2, "0.900000")
+    problems = _slice_problems(sliced)
+    assert [(line, message.split(" != ")[0]) for line, message in problems] == [
+        (4, "slice 1: stored mean_delta_sim 0.9")]
+
+
+def test_a_dropped_last_slice_is_a_problem(sliced):
+    path = sliced["slices.csv"]
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    problems = _slice_problems(sliced)
+    assert problems[0] == (0, "slice sizes sum to 4, not to the 6 similarity rows")
+    assert (3, "slice 0: stored n 2 != recount 3") in problems
+    assert (4, "slice 1: stored n 2 != recount 3") in problems
+
+
+def test_slices_that_cannot_be_rederived_are_a_problem(sliced):
+    path = sliced["slices.csv"]
+    path.write_text(path.read_text() + "".join(f"{i},0,0.000000,0.000000\n" for i in (3, 4, 5, 6)))
+    assert _slice_problems(sliced) == [(0, "slice count 7 out of range 1..6")]
+
