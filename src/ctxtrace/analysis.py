@@ -310,7 +310,7 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
 def select_subset(samples: Sequence[pipeline.TracedSample], subset: str,
                   ) -> list[pipeline.TracedSample]:
     """Live samples of one subset (AIG, AIR or ALL); empty is an error."""
-    if subset not in ("AIG", "AIR", "ALL"):
+    if subset not in pipeline.REPORT_SUBSETS:
         raise ValidationError(f"unknown subset {subset!r}")
     chosen = [s for s in samples if s.live and subset in ("ALL", s.subset)]
     if not chosen:
@@ -324,7 +324,8 @@ def run_sim(samples: Sequence[pipeline.TracedSample], subset: str, metric: str,
     chosen = select_subset(samples, subset)
     records = build_similarity_records(chosen, metric, aggregation, external_scores)
     SIM.write_table(out_path, records, manifest_hash, seed)
-    return records
+    # The records as sim.csv stores them, so run_slices gives what validate re-derives.
+    return [SIM.parse(SIM.cells(r), out_path) for r in records]
 
 
 def run_slices(sim_records: Sequence[SimilarityRecord],
@@ -389,7 +390,7 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
             if variant == "nature":
                 candidate = sample.answer_from_generated
             else:
-                candidate = pipeline.candidate_answer(reader, sample.example, context)
+                candidate = reader.answer(sample.example, [context.text])
                 if pipeline.is_abstention(candidate, abstentions) or not textnorm.contains_answer(
                         context.text, candidate):
                     return None

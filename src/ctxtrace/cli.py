@@ -36,6 +36,7 @@ from .jsonl import MANIFEST_KEY
 from .metrics import read_report_csv, recall, render_markdown
 from .pipeline import (
     DROP_REASONS,
+    REPORT_SUBSETS,
     Context,
     Generator,
     HybridRecord,
@@ -277,7 +278,7 @@ def _add_stage(commands: Any, name: str, summary: str, run: Callable[..., None],
     for option, kwargs in (flags or {}).items():
         stage.add_argument(option, **kwargs)
     if subset:
-        stage.add_argument("--subset", choices=("AIG", "AIR", "ALL"), default="AIR",
+        stage.add_argument("--subset", choices=REPORT_SUBSETS, default="AIR",
                            help="which conflicting subset to analyze (default AIR)")
     _add_config_flags(stage)
     stage.set_defaults(func=partial(_run_stage, run, inputs))

@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import metrics, textnorm
 from .backends import (
+    SCRIPT_MODES,
     BackendSpec,
     GenerationScript,
     HttpBackend,
@@ -35,6 +36,8 @@ SOURCES = ("retrieved", "generated")
 VARIANTS = ("nature", "trunc", "strunc", "retrieved")
 ORDERS = ("random", "generated_first", "retrieved_first")
 SUBSETS = ("AIG", "AIR", "none")
+# The report rows and analyzable subsets: each conflicting subset, then both.
+REPORT_SUBSETS = ("AIG", "AIR", "ALL")
 CLASSIFICATIONS = ("gen", "ret", "llm", "other")
 DROP_REASONS = ("abstained_gen", "abstained_ret", "not_in_gen", "not_in_ret", "parametric")
 
@@ -63,11 +66,12 @@ _PLACEHOLDER_RE = re.compile(r"\{#(question|contexts|n)\}")
 
 
 def render_template(template: str, **values: Any) -> str:
-    """Substitute {#question}/{#contexts}/{#n} placeholders in one pass."""
+    """Substitute {#question}/{#contexts}/{#n} placeholders in one pass; a
+    placeholder whose value is missing or None raises."""
 
     def sub(match: re.Match[str]) -> str:
         name = match.group(1)
-        if name not in values:
+        if values.get(name) is None:
             raise ValidationError(f"template placeholder {{#{name}}} has no value here")
         return str(values[name])
 
@@ -156,10 +160,12 @@ def render_passage(title: str, body: str) -> str:
 
 
 class _Backend:
-    """Scripted-or-HTTP construction shared by readers and generators.
+    """A scripted or HTTP backend, shared by readers and generators.
 
-    Scripted backends load their table from ``spec.script_path`` unless one
-    is passed in; HTTP backends build a client unless a transport is passed.
+    A scripted backend holds its table, loaded from ``spec.script_path``
+    unless one is passed in; an HTTP backend holds its client, built from the
+    spec unless a transport is passed in.  Every call goes through
+    :meth:`_call`.
     """
 
     _script_type: Any
@@ -169,40 +175,45 @@ class _Backend:
         self.spec = spec
         self.prompts = prompts
         if spec.kind == "scripted":
-            self._script = script if script is not None else self._script_type.load(spec.script_path)
-            self._transport = None
+            self._source = script if script is not None else self._script_type.load(spec.script_path)
         else:
-            self._script = None
-            self._transport = transport if transport is not None else HttpBackend(spec)
+            self._source = transport if transport is not None else HttpBackend(spec)
 
     @property
     def name(self) -> str:
         return self.spec.name
 
+    def _call(self, lookup: Callable[[Any], str], template: str, **values: Any) -> str:
+        """The reply: *lookup* applied to the script table, or the HTTP
+        completion of *template* rendered with *values*."""
+        if self.spec.kind == "scripted":
+            return lookup(self._source)
+        return self._source.complete(render_template(template, **values))
+
 
 class Reader(_Backend):
     """Question answering over zero, one, or two contexts.
 
-    HTTP readers build prompts from the template set; scripted readers look
-    up (question_id, mode, context fingerprint) in their table.
+    A read's mode is its number of contexts (:data:`SCRIPT_MODES`): none is
+    closed_book, one is single_context, two is hybrid.  HTTP readers post the
+    closed-book or reading prompt; scripted readers look up (question_id,
+    mode, fingerprint of the joined contexts) in their table.
     """
 
     _script_type = ReaderScript
 
-    def answer(self, example: QaExample, context_texts: Sequence[str] | None, mode: str) -> str:
-        if mode == "closed_book":
-            if self._script is not None:
-                return self._script.answer(example.id, mode, None)
-            prompt = render_template(self.prompts.closed_book, question=example.question)
-            return self._transport.complete(prompt)
-        if not context_texts:
-            raise ValidationError(f"{mode} read needs at least one context")
-        block = CONTEXT_JOIN.join(context_texts)
-        if self._script is not None:
-            fingerprint = context_fingerprint(context_texts[0] if mode == "single_context" else block)
-            return self._script.answer(example.id, mode, fingerprint)
-        prompt = render_template(self.prompts.reading, contexts=block, question=example.question)
-        return self._transport.complete(prompt)
+    def answer(self, example: QaExample, context_texts: Sequence[str] = ()) -> str:
+        count = len(context_texts)
+        if count >= len(SCRIPT_MODES):
+            raise ValidationError(f"a read shows at most {len(SCRIPT_MODES) - 1} contexts, "
+                                  f"not {count}")
+        mode = SCRIPT_MODES[count]
+        block = CONTEXT_JOIN.join(context_texts) if count else None
+        return self._call(
+            lambda script: script.answer(example.id, mode,
+                                         context_fingerprint(block) if count else None),
+            self.prompts.reading if count else self.prompts.closed_book,
+            question=example.question, contexts=block)
 
 
 class Generator(_Backend):
@@ -211,15 +222,11 @@ class Generator(_Backend):
     _script_type = GenerationScript
 
     def generate(self, example: QaExample, target_words: int | None) -> str:
-        if self._script is not None:
-            return self._script.text_for(example.id, target_words)
-        if target_words is None:
-            prompt = render_template(self.prompts.generation_unconstrained,
-                                     question=example.question)
-        else:
-            prompt = render_template(self.prompts.generation,
-                                     question=example.question, n=target_words)
-        return self._transport.complete(prompt)
+        return self._call(
+            lambda script: script.text_for(example.id, target_words),
+            self.prompts.generation_unconstrained if target_words is None
+            else self.prompts.generation,
+            question=example.question, n=target_words)
 
 
 def prepare_retrieved(retriever: Any, example: QaExample) -> Context:
@@ -281,16 +288,6 @@ def is_abstention(answer: str, abstentions: Sequence[str]) -> bool:
     """Abstention check on normalized forms; empty replies abstain too."""
     norm = textnorm.normalize_answer(answer)
     return not norm or norm in _normalized_set(tuple(abstentions))
-
-
-def candidate_answer(reader: Reader, example: QaExample, context: Context) -> str:
-    """Read the answer from one context alone."""
-    return reader.answer(example, [context.text], "single_context")
-
-
-def closed_book(reader: Reader, example: QaExample) -> str:
-    """Read the answer with no context at all."""
-    return reader.answer(example, None, "closed_book")
 
 
 def traceability_drop_reason(answer_from_generated: str, answer_from_retrieved: str,
@@ -367,7 +364,7 @@ def hybrid_answer(reader: Reader, sample: TracedSample, order: str, seed: int) -
         texts = [sample.generated.text, sample.retrieved.text]
     else:
         texts = [sample.retrieved.text, sample.generated.text]
-    answer = reader.answer(sample.example, texts, "hybrid")
+    answer = reader.answer(sample.example, texts)
     return HybridRecord(
         example_id=sample.example.id,
         order=order,
@@ -444,8 +441,8 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
             raise ValidationError(
                 f"question {example.id!r} needs one retrieved and one generated context")
         retrieved, generated = slot["retrieved"], slot["generated"]
-        answer_ret = candidate_answer(reader, example, retrieved)
-        answer_gen = candidate_answer(reader, example, generated)
+        answer_ret = reader.answer(example, [retrieved.text])
+        answer_gen = reader.answer(example, [generated.text])
         dropped = traceability_drop_reason(answer_gen, answer_ret, generated, retrieved,
                                            abstentions)
         subset = "none"
@@ -453,7 +450,7 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
         if dropped is None:
             subset = exclusivity_label(answer_gen, answer_ret, example.answers)
             if parametric and subset != "none":
-                closed = closed_book(reader, example)
+                closed = reader.answer(example)
                 if not parametric_keep(closed, answer_gen, answer_ret):
                     dropped = "parametric"
         return TracedSample(example, retrieved, generated, answer_ret, answer_gen,
@@ -498,5 +495,5 @@ def subset_reports(live: Sequence[TracedSample],
     """Per-subset metric rows (AIG, AIR, then ALL), skipping empty subsets."""
     subset_of = {s.example.id: s.subset for s in live}
     groups = [(subset, [r for r in records if subset in ("ALL", subset_of[r.example_id])])
-              for subset in ("AIG", "AIR", "ALL")]
+              for subset in REPORT_SUBSETS]
     return build_reports(live, [group for group in groups if group[1]])

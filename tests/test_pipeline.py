@@ -9,6 +9,7 @@ import pytest
 from ctxtrace.backends import (
     BackendSpec,
     GenerationScript,
+    HttpBackend,
     KeyedRetriever,
     ReaderScript,
     context_fingerprint,
@@ -56,6 +57,7 @@ from ctxtrace.pipeline import (
 from ctxtrace.textnorm import word_count
 
 from .conftest import WorldBuilder, write_jsonl
+from .test_backends import FakeSession, _ok
 
 ABST = ("unknown", "i dont know", "not enough information", "no answer")
 
@@ -292,6 +294,83 @@ def test_scripted_reader_misses_loudly(tmp_path):
     sample = _sample()
     with pytest.raises(ScriptMissError):
         hybrid_answer(reader, sample, "generated_first", 0)
+
+
+# ---------------------------------------------------------------------------
+# HTTP readers and generators: the exact prompt of each call
+
+QUESTION_Q1 = QaExample("q1", "Who signed it?", ("a",))
+READ_PROMPT = ("Refer to the context below and answer the following question with just one "
+               "entity. context: {} Question: Who signed it? The answer is")
+
+
+def _http(cls, replies, prompts=PromptSet()):
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    session = FakeSession([_ok(reply) for reply in replies])
+    return cls(spec, prompts, transport=HttpBackend(spec, session=session)), session
+
+
+def _posted(session):
+    return [call["json"]["messages"][0]["content"] for call in session.calls]
+
+
+def test_http_reader_posts_one_prompt_per_read():
+    reader, session = _http(Reader, ["r0", "r1", "r2", "r3"])
+    assert reader.answer(QUESTION_Q1) == "r0"
+    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r1"
+    assert reader.answer(QUESTION_Q1, ["Alpha signed.", "Beta signed."]) == "r2"
+    assert reader.answer(QUESTION_Q1, ["Beta signed.", "Alpha signed."]) == "r3"
+    assert _posted(session) == [
+        "Answer the following question with just one entity. "
+        "Question: Who signed it? The answer is",
+        READ_PROMPT.format("Alpha signed."),
+        READ_PROMPT.format("Alpha signed.\nBeta signed."),
+        READ_PROMPT.format("Beta signed.\nAlpha signed."),
+    ]
+
+
+def test_http_generator_posts_the_length_or_free_prompt():
+    generator, session = _http(Generator, ["g0", "g1"])
+    assert generator.generate(QUESTION_Q1, 80) == "g0"
+    assert generator.generate(QUESTION_Q1, None) == "g1"
+    assert _posted(session) == [
+        "Generate a background context from Wikipedia to answer the given question "
+        "Who signed it?. Keep the length of the document around 80 words.",
+        "Generate a background context from Wikipedia to answer the given question "
+        "Who signed it?.",
+    ]
+
+
+def test_http_reads_compute_no_fingerprint():
+    reader, _ = _http(Reader, ["r0", "r1", "r2"])
+    before = context_fingerprint.cache_info()
+    reader.answer(QUESTION_Q1)
+    reader.answer(QUESTION_Q1, ["Never hashed once."])
+    reader.answer(QUESTION_Q1, ["Never hashed once.", "Nor this one."])
+    assert context_fingerprint.cache_info() == before
+
+
+def test_a_read_shows_at_most_two_contexts():
+    reader, session = _http(Reader, [])
+    with pytest.raises(ValidationError, match="at most 2 contexts, not 3"):
+        reader.answer(QUESTION_Q1, ["a", "b", "c"])
+    assert session.calls == []
+    scripted = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
+                      script=ReaderScript({}, "inline"))
+    with pytest.raises(ValidationError, match="at most 2 contexts, not 3"):
+        scripted.answer(QUESTION_Q1, ["a", "b", "c"])
+
+
+def test_http_placeholder_without_a_value_raises():
+    prompts = PromptSet(closed_book="{#contexts} {#question}",
+                        generation_unconstrained="{#question} in {#n} words")
+    reader, reader_session = _http(Reader, [], prompts)
+    with pytest.raises(ValidationError, match=r"\{#contexts\} has no value"):
+        reader.answer(QUESTION_Q1)
+    generator, generator_session = _http(Generator, [], prompts)
+    with pytest.raises(ValidationError, match=r"\{#n\} has no value"):
+        generator.generate(QUESTION_Q1, None)
+    assert reader_session.calls == generator_session.calls == []
 
 
 # ---------------------------------------------------------------------------

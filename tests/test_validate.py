@@ -478,14 +478,19 @@ def test_sim_cells_are_recomputed(tmp_path):
     ]
 
 
-@pytest.fixture
-def sliced(tmp_path):
-    """A finished run plus its sim.csv and slices.csv, made as `analyze` makes them."""
+def _slice_world(tmp_path):
+    """Six live cases, AIG and AIR in turn, for three slices of two."""
     world = WorldBuilder(tmp_path)
     picks = ["gen", "ret", "ret", "gen", "gen", "ret"]
     for i, pick in enumerate(picks, 1):
         world.add_case(f"q{i:02d}", outcome="AIG" if i % 2 else "AIR", hybrid_pick=pick)
-    world.write()
+    return world
+
+
+@pytest.fixture
+def sliced(tmp_path):
+    """A finished run plus its sim.csv and slices.csv, made as `analyze` makes them."""
+    world = _slice_world(tmp_path).write()
     paths = _finish_run(tmp_path, world)
     paths["sim.csv"], paths["slices.csv"] = tmp_path / "sim.csv", tmp_path / "slices.csv"
     _, samples = read_traced(paths["traced.jsonl"])
@@ -539,3 +544,20 @@ def test_slices_that_cannot_be_rederived_are_a_problem(sliced):
     path.write_text(path.read_text() + "".join(f"{i},0,0.000000,0.000000\n" for i in (3, 4, 5, 6)))
     assert _slice_problems(sliced) == [(0, "slice count 7 out of range 1..6")]
 
+
+
+def test_run_sim_records_slice_as_validate_rederives(tmp_path):
+    # q01's question gives it a delta_sim whose six-decimal cell moves its
+    # slice's mean: slicing run_sim's records at full precision would store
+    # 0.713317 against validate's recount of 0.7133175 from sim.csv.
+    world = _slice_world(tmp_path)
+    world.questions[0]["question"] = "Who settled the matter of q01 naming it twice?"
+    paths = _finish_run(tmp_path, world.write())
+    paths["sim.csv"], paths["slices.csv"] = tmp_path / "sim.csv", tmp_path / "slices.csv"
+    _, samples = read_traced(paths["traced.jsonl"])
+    sims = run_sim(samples, "ALL", "jaccard", "max", None, paths["sim.csv"],
+                   "feedbead12345678", 4)
+    _, records = read_eval(paths["eval.jsonl"])
+    run_slices(sims, records, 3, paths["slices.csv"], "feedbead12345678", 4)
+    assert validate_files(list(paths.values())) == []
+    assert sims == read_sim_csv(paths["sim.csv"])[2]
