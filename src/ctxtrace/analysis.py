@@ -340,13 +340,21 @@ def run_order(samples: Sequence[pipeline.TracedSample], reader: pipeline.Reader,
               subset: str, seed: int, out_path: str | Path, manifest_hash: str,
               workers: int = 1) -> dict[str, metrics.MetricsReport]:
     """Sweep all three presentation orders over one subset; each report's
-    subset field names its order."""
+    subset field names its order.
+
+    Only the two fixed orders are read: each sample's random-order record is
+    its record under the order :func:`pipeline.resolve_order` draws for it.
+    """
     chosen = select_subset(samples, subset)
     groups = []
-    for order in ("generated_first", "retrieved_first", "random"):
+    for order in ("generated_first", "retrieved_first"):
         groups.append((order, pipeline.map_examples(
             lambda s, order=order: pipeline.hybrid_answer(reader, s, order, seed),
             chosen, workers)))
+    fixed = dict(groups)
+    groups.append(("random", [
+        replace(fixed[pipeline.resolve_order("random", seed, s.example.id)][i], order="random")
+        for i, s in enumerate(chosen)]))
     reports = {r.subset: r for r in pipeline.build_reports(chosen, groups)}
     ORDER.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports

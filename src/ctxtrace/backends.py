@@ -242,11 +242,18 @@ SCRIPT_ENTRY = RowSchema(ScriptEntry, "script entry",
 
 
 class ReaderScript:
-    """Deterministic reader oracle: the answer of each :class:`ScriptEntry`."""
+    """Deterministic reader oracle: the answer of each :class:`ScriptEntry`.
+
+    ``fingerprinted`` holds the questions that have a hybrid row keyed by a
+    fingerprint; a hybrid lookup for any other question can only reach its
+    null row, so its caller may skip the hash.
+    """
 
     def __init__(self, entries: Mapping[tuple[str, str, str | None], str], source: str) -> None:
         self._entries = dict(entries)
         self.source = source
+        self.fingerprinted = frozenset(question for question, mode, fingerprint in self._entries
+                                       if mode == "hybrid" and fingerprint is not None)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReaderScript":

@@ -12,6 +12,7 @@ the reply is classified by which candidate it reproduces.
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from .backends import (
     RetrievedHit,
     context_fingerprint,
 )
-from .errors import EmptyResponseError, ValidationError
+from .errors import EmptyResponseError, ScriptMissError, ValidationError
 from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
 
 SOURCES = ("retrieved", "generated")
@@ -166,6 +167,10 @@ class _Backend:
     unless one is passed in; an HTTP backend holds its client, built from the
     spec unless a transport is passed in.  Every call goes through
     :meth:`_call`.
+
+    An HTTP backend at temperature 0 posts each distinct prompt once: its
+    replies are kept by the prompt's sha256 digest, so the memo holds no
+    prompt text.  Above temperature 0 every call posts.
     """
 
     _script_type: Any
@@ -178,6 +183,8 @@ class _Backend:
             self._source = script if script is not None else self._script_type.load(spec.script_path)
         else:
             self._source = transport if transport is not None else HttpBackend(spec)
+        self._replies: dict[bytes, str] | None = (
+            {} if spec.kind == "http" and spec.temperature == 0 else None)
 
     @property
     def name(self) -> str:
@@ -188,7 +195,16 @@ class _Backend:
         completion of *template* rendered with *values*."""
         if self.spec.kind == "scripted":
             return lookup(self._source)
-        return self._source.complete(render_template(template, **values))
+        prompt = render_template(template, **values)
+        if self._replies is None:
+            return self._source.complete(prompt)
+        key = hashlib.sha256(prompt.encode("utf-8")).digest()
+        reply = self._replies.get(key)
+        if reply is None:
+            # Two threads that miss the same key both post; both return the
+            # reply stored first.  A call that raises stores nothing.
+            reply = self._replies.setdefault(key, self._source.complete(prompt))
+        return reply
 
 
 class Reader(_Backend):
@@ -209,11 +225,17 @@ class Reader(_Backend):
                                   f"not {count}")
         mode = SCRIPT_MODES[count]
         block = CONTEXT_JOIN.join(context_texts) if count else None
-        return self._call(
-            lambda script: script.answer(example.id, mode,
-                                         context_fingerprint(block) if count else None),
-            self.prompts.reading if count else self.prompts.closed_book,
-            question=example.question, contexts=block)
+
+        def lookup(script: ReaderScript) -> str:
+            if mode == "hybrid" and example.id not in script.fingerprinted:
+                try:
+                    return script.answer(example.id, mode, None)
+                except ScriptMissError:
+                    pass  # looked up again below, so the miss names the block's fingerprint
+            return script.answer(example.id, mode, context_fingerprint(block) if count else None)
+
+        return self._call(lookup, self.prompts.reading if count else self.prompts.closed_book,
+                          question=example.question, contexts=block)
 
 
 class Generator(_Backend):

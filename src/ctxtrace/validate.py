@@ -166,12 +166,13 @@ def _check_slices(path: str | Path, rows: Sequence[tuple[int, analysis.SliceRow]
 
 def _check_recount(schema: RowSchema, row: Any, recount: Any, label: str,
                    path: str | Path, line: int, out: _Collector) -> None:
-    """Each cell of a stored *row* against its *recount*, a float within its cell's rounding."""
-    for col, stored, fresh in zip(schema.cols, schema.values(row), schema.values(recount)):
-        tolerance = 0.5 * 10.0 ** -int(col.fmt[1:-1]) if col.kind is float else 0
+    """Each cell of a stored *row* against its *recount*, both as the writer stores them."""
+    for col, stored, fresh, stored_cell, fresh_cell in zip(
+            schema.cols, schema.values(row), schema.values(recount),
+            schema.cells(row), schema.cells(recount)):
         if (stored is None) != (fresh is None):
             out.add(path, line, f"{label}: {col.key} tracking mismatch")
-        elif col.kind is not str and stored is not None and abs(stored - fresh) > tolerance:
+        elif col.kind is not str and stored_cell != fresh_cell:
             out.add(path, line, f"{label}: stored {col.key} {stored} != recount {fresh}")
 
 

@@ -51,6 +51,8 @@ from ctxtrace.pipeline import (
     QaExample,
     Reader,
     TracedSample,
+    build_reports,
+    hybrid_answer,
     read_contexts,
     read_questions,
     run_prepare,
@@ -378,7 +380,9 @@ def test_run_slices_writes_csv(tmp_path):
     assert [s.index for s in filled] == [0, 1, 2]
 
 
-def test_run_order_sweeps_all_three_orders(tmp_path):
+def _order_world(tmp_path):
+    """Six AIG samples whose generated-first read answers from the generated
+    context and whose retrieved-first read answers from the retrieved one."""
     samples = [_sample(f"q{i}", gen_text=f"token g{i} appears in text {i}",
                        ret_text=f"Title: T Content: token r{i} sits here {i}",
                        gen_ans=f"g{i}", ret_ans=f"r{i}") for i in range(6)]
@@ -393,7 +397,11 @@ def test_run_order_sweeps_all_three_orders(tmp_path):
                      "context_fingerprint": context_fingerprint(ret_first),
                      "answer": sample.answer_from_retrieved})
     script = write_jsonl(tmp_path / "r.jsonl", rows)
-    reader = Reader(BackendSpec(kind="scripted", script_path=script), PromptSet())
+    return samples, Reader(BackendSpec(kind="scripted", script_path=script), PromptSet())
+
+
+def test_run_order_sweeps_all_three_orders(tmp_path):
+    samples, reader = _order_world(tmp_path)
     out = tmp_path / "order.csv"
     reports = run_order(samples, reader, "AIG", seed=5, out_path=out,
                         manifest_hash="aa", workers=2)
@@ -418,6 +426,28 @@ def test_run_order_sweeps_all_three_orders(tmp_path):
     assert [row[0] for row in table] == ["generated_first", "retrieved_first", "random"]
     with pytest.raises(ValidationError):
         run_order([], reader, "AIG", 0, tmp_path / "o.csv", "aa")
+
+
+def test_run_order_builds_the_random_group_from_the_fixed_reads(tmp_path, monkeypatch):
+    samples, reader = _order_world(tmp_path)
+    # Every order read one sample at a time: the sweep as it was before the
+    # random group reused the fixed reads.
+    groups = [(order, [hybrid_answer(reader, s, order, 5) for s in samples])
+              for order in ("generated_first", "retrieved_first", "random")]
+    expected = build_reports(samples, groups)
+    ORDER.write_table(tmp_path / "expected.csv", expected, "aa", 5)
+
+    reads = []
+    answer = Reader.answer
+    monkeypatch.setattr(Reader, "answer",
+                        lambda self, *args: reads.append(args) or answer(self, *args))
+    out = tmp_path / "order.csv"
+    reports = run_order(samples, reader, "AIG", seed=5, out_path=out, manifest_hash="aa",
+                        workers=2)
+    assert len(reads) == 2 * len(samples)
+    assert reports["random"] == expected[2]
+    assert 0 < reports["random"].rho_gen < 1
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def _completeness_world(tmp_path):

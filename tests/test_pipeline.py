@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -15,6 +18,7 @@ from ctxtrace.backends import (
     context_fingerprint,
 )
 from ctxtrace.errors import (
+    BackendUnavailableError,
     EmptyResponseError,
     ScriptMissError,
     SchemaError,
@@ -57,7 +61,7 @@ from ctxtrace.pipeline import (
 from ctxtrace.textnorm import word_count
 
 from .conftest import WorldBuilder, write_jsonl
-from .test_backends import FakeSession, _ok
+from .test_backends import FakeResponse, FakeSession, _ok
 
 ABST = ("unknown", "i dont know", "not enough information", "no answer")
 
@@ -304,10 +308,13 @@ READ_PROMPT = ("Refer to the context below and answer the following question wit
                "entity. context: {} Question: Who signed it? The answer is")
 
 
-def _http(cls, replies, prompts=PromptSet()):
-    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
-    session = FakeSession([_ok(reply) for reply in replies])
-    return cls(spec, prompts, transport=HttpBackend(spec, session=session)), session
+def _http(cls, replies, prompts=PromptSet(), **spec_fields):
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m",
+                       **spec_fields)
+    session = FakeSession([reply if isinstance(reply, FakeResponse) else _ok(reply)
+                           for reply in replies])
+    transport = HttpBackend(spec, session=session, sleep=lambda seconds: None)
+    return cls(spec, prompts, transport=transport), session
 
 
 def _posted(session):
@@ -371,6 +378,104 @@ def test_http_placeholder_without_a_value_raises():
     with pytest.raises(ValidationError, match=r"\{#n\} has no value"):
         generator.generate(QUESTION_Q1, None)
     assert reader_session.calls == generator_session.calls == []
+
+
+def test_a_temperature_0_request_is_posted_once():
+    reader, session = _http(Reader, ["r0", "r1"])
+    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
+    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
+    assert _posted(session) == [READ_PROMPT.format("Alpha signed.")]
+    sampled, session = _http(Reader, ["r0", "r1"], temperature=0.7)
+    assert sampled.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
+    assert sampled.answer(QUESTION_Q1, ["Alpha signed."]) == "r1"
+    assert len(session.calls) == 2
+
+
+def test_a_failed_request_is_posted_again():
+    reader, session = _http(Reader, [FakeResponse(503)] * 2 + ["r0"], max_retries=1)
+    with pytest.raises(BackendUnavailableError):
+        reader.answer(QUESTION_Q1)
+    assert reader.answer(QUESTION_Q1) == "r0"
+    assert reader.answer(QUESTION_Q1) == "r0"
+    assert len(session.calls) == 3
+
+
+def test_a_reader_and_a_generator_never_share_replies():
+    # Both render the bare question, over one client.
+    prompts = PromptSet(closed_book="{#question}", generation_unconstrained="{#question}")
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    session = FakeSession([_ok("read"), _ok("generated")])
+    transport = HttpBackend(spec, session=session)
+    reader = Reader(spec, prompts, transport=transport)
+    generator = Generator(spec, prompts, transport=transport)
+    assert reader.answer(QUESTION_Q1) == "read"
+    assert generator.generate(QUESTION_Q1, None) == "generated"
+    assert _posted(session) == ["Who signed it?", "Who signed it?"]
+
+
+def test_workers_that_miss_one_prompt_together_return_one_reply():
+    # The first two posts wait for each other, so both workers miss the
+    # memo; each post gets its own reply, and both workers return the first
+    # one stored.  Later reads of the prompt post nothing.
+    barrier = threading.Barrier(2, timeout=5)
+    posts = []
+
+    class RacingSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            posts.append(json["messages"][0]["content"])
+            reply = f"reply {len(posts)}"
+            barrier.wait()
+            return _ok(reply)
+
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    reader = Reader(spec, PromptSet(), transport=HttpBackend(spec, session=RacingSession()))
+    replies = map_examples(reader.answer, [QUESTION_Q1] * 6, workers=2)
+    assert len(posts) == 2
+    assert len(set(replies)) == 1 and replies[0] in ("reply 1", "reply 2")
+
+
+def test_concurrent_reads_of_each_prompt_agree():
+    # More workers than cores with a short switch interval: every read of a
+    # question must return the one reply stored for its prompt.
+    posts = []
+
+    class CountingSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            posts.append(None)
+            reply = f"{json['messages'][0]['content']} #{len(posts)}"
+            time.sleep(0.001)  # so the first reads of each prompt overlap
+            return _ok(reply)
+
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    reader = Reader(spec, PromptSet(closed_book="{#question}"),
+                    transport=HttpBackend(spec, session=CountingSession()))
+    questions = [QaExample(f"q{i % 4}", f"question {i % 4}", ("a",)) for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies = map_examples(reader.answer, questions, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    by_question = {}
+    for question, reply in zip(questions, replies):
+        by_question.setdefault(question.question, set()).add(reply)
+    assert {q: len(r) for q, r in by_question.items()} == {f"question {i}": 1 for i in range(4)}
+    assert all(reply.startswith(q + " #") for q, (reply,) in by_question.items())
+    assert len(posts) <= 4 * 8
+
+
+def test_a_hybrid_read_without_a_fingerprinted_row_hashes_nothing():
+    script = ReaderScript({("q1", "hybrid", None): "fallback"}, "inline")
+    reader = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
+                    script=script)
+    before = context_fingerprint.cache_info()
+    assert reader.answer(QUESTION_Q1, ["Never hashed.", "Nor this."]) == "fallback"
+    assert context_fingerprint.cache_info() == before
+    # A miss still names the block's fingerprint.
+    other = QaExample("q2", "Who?", ("a",))
+    fingerprint = context_fingerprint(CONTEXT_JOIN.join(["Never hashed.", "Nor this."]))
+    with pytest.raises(ScriptMissError, match=fingerprint):
+        reader.answer(other, ["Never hashed.", "Nor this."])
 
 
 # ---------------------------------------------------------------------------

@@ -561,3 +561,20 @@ def test_run_sim_records_slice_as_validate_rederives(tmp_path):
     run_slices(sims, records, 3, paths["slices.csv"], "feedbead12345678", 4)
     assert validate_files(list(paths.values())) == []
     assert sims == read_sim_csv(paths["sim.csv"])[2]
+
+
+def test_a_recount_on_the_half_unit_matches_its_stored_cell(tmp_path):
+    # q01's question puts slice 0's mean on 0.4527925, which the writer
+    # stores as 0.452792: exactly half a unit in the last place away.
+    world = _slice_world(tmp_path)
+    world.questions[0]["question"] = "Who settled the matter of q01 in the ledger?"
+    paths = _finish_run(tmp_path, world.write())
+    paths["sim.csv"], paths["slices.csv"] = tmp_path / "sim.csv", tmp_path / "slices.csv"
+    _, samples = read_traced(paths["traced.jsonl"])
+    run_sim(samples, "ALL", "jaccard", "max", None, paths["sim.csv"], "feedbead12345678", 4)
+    _, _, sims = read_sim_csv(paths["sim.csv"])
+    _, records = read_eval(paths["eval.jsonl"])
+    run_slices(sims, records, 3, paths["slices.csv"], "feedbead12345678", 4)
+    _, _, _, rows = read_csv(paths["slices.csv"])
+    assert rows[0][2] == "0.452792"
+    assert validate_files(list(paths.values())) == []
