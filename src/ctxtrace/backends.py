@@ -9,7 +9,7 @@ line.
 
 Fingerprints are memoized per distinct text, like the normalized forms they
 hash (see :mod:`ctxtrace.textnorm`).  BM25 tokenizes its corpus and queries
-through :func:`textnorm.normalize_uncached`, so corpus documents, each seen
+through :func:`textnorm.tokens_uncached`, so corpus documents, each seen
 once, never fill that memo.  ``requests`` is imported only when an
 :class:`HttpBackend` has to build its own session.
 """
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -47,7 +47,7 @@ RETRYABLE_STATUSES = frozenset({408, 429}) | frozenset(range(500, 600))
 BACKOFF_BASE_SECONDS = 0.5
 
 # Applied when indexing and scoring BM25 documents and queries. Never used
-# for answer matching.
+# for answer matching.  Holds the articles, as textnorm.tokens_uncached needs.
 BM25_STOPWORDS = frozenset(
     "a an the and or of to in on for at by with from as is are was were be "
     "been it its this that these those".split()
@@ -319,11 +319,16 @@ def _exact_corpus_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]
 
 
 def _analyze(text: str) -> list[str]:
-    return [t for t in textnorm.normalize_uncached(text).split() if t not in BM25_STOPWORDS]
+    return textnorm.tokens_uncached(text, BM25_STOPWORDS)
 
 
 class Bm25Index:
     """Okapi BM25 over a passage corpus, tuned for exact top-1 retrieval.
+
+    Documents (title and body) and queries are split into their
+    :func:`textnorm.normalize_answer` tokens minus :data:`BM25_STOPWORDS`,
+    by :func:`textnorm.tokens_uncached`, which skips the article pass
+    where it cannot change a token.
 
     idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); a term scores
     idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
@@ -351,23 +356,27 @@ class Bm25Index:
         if not docs:
             raise ValidationError("bm25 corpus is empty")
         self.doc_ids = [d[0] for d in docs]
+        self._by_id = {doc_id: idx for idx, doc_id in enumerate(self.doc_ids)}
+        if len(self._by_id) != len(self.doc_ids):
+            raise ValidationError("bm25 corpus has duplicate doc_ids")
         self.titles = [d[1] for d in docs]
         self.bodies = [d[2] for d in docs]
         doc_len: list[int] = []
-        self._postings: dict[str, dict[int, int]] = {}
+        postings: defaultdict[str, dict[int, int]] = defaultdict(dict)
         for idx, (_, title, body) in enumerate(docs):
             doc_tokens = _analyze(title + " " + body)
             doc_len.append(len(doc_tokens))
             for tok, tf in Counter(doc_tokens).items():
-                self._postings.setdefault(tok, {})[idx] = tf
+                postings[tok][idx] = tf
+        # Unset, so looking up an unknown term cannot add it; a copy into a
+        # plain dict would hold a second term table at peak memory.
+        postings.default_factory = None
+        self._postings: dict[str, dict[int, int]] = postings
         total = sum(doc_len)
         avgdl = total / len(docs) if total else 1.0
         k1, b = params.k1, params.b
         self._k1_plus_1 = k1 + 1.0
         self._norm = [k1 * (1.0 - b + b * dl / avgdl) for dl in doc_len]
-        self._by_id = {doc_id: idx for idx, doc_id in enumerate(self.doc_ids)}
-        if len(self._by_id) != len(self.doc_ids):
-            raise ValidationError("bm25 corpus has duplicate doc_ids")
         self._lowest_id = min(self.doc_ids)
 
     @classmethod

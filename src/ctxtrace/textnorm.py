@@ -11,7 +11,8 @@ what counts as "the same answer".
 The same answers, contexts and sentences are compared many times over a run,
 so :func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs
 in a bounded memo.  Text that is seen once, such as a BM25 corpus document,
-goes through :func:`normalize_uncached` and never enters it.
+goes through :func:`tokens_uncached` or :func:`normalize_uncached` and never
+enters it.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
+_ARTICLES = frozenset({"a", "an", "the"})
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
 _TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
 _NON_SPACE_RE = re.compile(r"\S")
@@ -65,11 +67,29 @@ def strip_punct(text: str) -> str:
     return text.translate(_PUNCT_TABLE)
 
 
+def tokens_uncached(raw: str, stopwords: frozenset[str] = _ARTICLES) -> list[str]:
+    """The tokens of :func:`normalize_answer` without the memo, for text
+    seen only once, less any in *stopwords*, which must hold the articles.
+
+    The article pass runs only on the tokens it can change.  No whitespace
+    is a word character, so ``\\b`` inside a token does not depend on its
+    neighbours and the pass can run token by token.  Once punctuation
+    (``_`` among it) is stripped, ``re``'s ``\\w`` is exactly
+    :meth:`str.isalnum`, so in an alphanumeric token ``\\b`` falls only at
+    its two ends and the pass can only drop the whole token, when it is an
+    article.  A token holding a symbol or a combining mark (such as "the+x",
+    or the lowercase of "İ") goes through the regex.
+    """
+    words = strip_punct(raw.lower()).split()
+    if not "".join(words).isalnum():
+        words = [piece for word in words
+                 for piece in ((word,) if word.isalnum() else _ARTICLE_RE.sub(" ", word).split())]
+    return [word for word in words if word not in stopwords]
+
+
 def normalize_uncached(raw: str) -> str:
     """:func:`normalize_answer` without the memo, for text seen only once."""
-    lowered = strip_punct(raw.lower())
-    without_articles = _ARTICLE_RE.sub(" ", lowered)
-    return " ".join(without_articles.split())
+    return " ".join(tokens_uncached(raw))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -418,6 +418,15 @@ def test_bm25_corpus_file_names_a_repeated_doc_id(tmp_path):
         Bm25Index(ORACLE_DOCS[:2] + ORACLE_DOCS[:1], Bm25Params())
 
 
+def test_bm25_refuses_a_repeated_doc_id_before_tokenizing(monkeypatch):
+    def analyze(text):
+        raise AssertionError(f"tokenized {text!r} before checking the doc_ids")
+
+    monkeypatch.setattr("ctxtrace.backends._analyze", analyze)
+    with pytest.raises(ValidationError, match="duplicate doc_ids"):
+        Bm25Index(ORACLE_DOCS[:2] + ORACLE_DOCS[:1], Bm25Params())
+
+
 def _oracle_top1(docs, question, k1, b):
     """Independent Okapi implementation used to cross-check the index."""
     from ctxtrace.textnorm import tokens

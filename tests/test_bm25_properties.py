@@ -1,18 +1,24 @@
-"""Property tests pinning pruned BM25 top-1 to exhaustive scoring.
+"""Property tests pinning BM25 tokenization, index and pruned top-1 to
+plain references.
 
-The reference below is the plain term-at-a-time loop that ``top1`` was first
-written as: it scores every posting of every query term.  It stays frozen
-here as the oracle.  The pruned ``top1`` must return the same document and
-the same score, bit for bit, on every generated corpus and query.
+The references below are the code's first, plain forms, frozen here as
+oracles: the tokenizer runs the article regex over the whole text and drops
+the stopwords; the index fills its postings with one ``setdefault`` per
+(term, document) pair; and top-1 is the term-at-a-time loop that scores
+every posting of every query term.  The fast paths must give the same
+tokens, the same postings in the same order, and the same document and
+score, bit for bit.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxtrace.backends import BM25_STOPWORDS, Bm25Index, Bm25Params, RetrievedHit, _analyze
+from ctxtrace.textnorm import strip_punct
 
 exhaustively = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -20,14 +26,40 @@ COMMON = ["apple", "banana", "cherry", "date", "elder", "fig"]
 STOPWORDS = sorted(BM25_STOPWORDS)[:6]
 RARE = [f"rare{i}" for i in range(4)]
 UNINDEXED = ["zebra", "quokka"]
+# Words and articles, and the pieces that put a non-word character inside a
+# token: symbols, numbers, "_", a combining acute, "İ", Unicode spaces and a
+# separator control.
+PIECES = ["apple", "Fig", "x2", "a", "an", "The", "AN", "+", "$", "\u00a9", "\u00bd",
+          "\u00b2", "_", "\u0301", "\u0130", "\u00a0", "\u2003", "\x1c", ",", "'"]
 
 # ---------------------------------------------------------------------------
-# Reference: score every posting, in query term order.
+# References: the article pass on every text, postings filled document by
+# document, and every posting scored in query term order.
+
+
+def reference_analyze(text: str) -> list[str]:
+    lowered = strip_punct(text.lower())
+    return [t for t in re.sub(r"\b(?:a|an|the)\b", " ", lowered).split() if t not in BM25_STOPWORDS]
+
+
+def reference_index(docs: list[tuple[str, str, str]], params: Bm25Params):
+    """(postings, norm) as the index first built them."""
+    postings: dict[str, dict[int, int]] = {}
+    doc_len = []
+    for idx, (_, title, body) in enumerate(docs):
+        doc_tokens = reference_analyze(title + " " + body)
+        doc_len.append(len(doc_tokens))
+        for tok, tf in Counter(doc_tokens).items():
+            postings.setdefault(tok, {})[idx] = tf
+    total = sum(doc_len)
+    avgdl = total / len(docs) if total else 1.0
+    norm = [params.k1 * (1.0 - params.b + params.b * dl / avgdl) for dl in doc_len]
+    return postings, norm
 
 
 def reference_top1(index: Bm25Index, question: str) -> tuple[str, float]:
     scores: dict[int, float] = {}
-    for term, count in Counter(_analyze(question)).items():
+    for term, count in Counter(reference_analyze(question)).items():
         weight = count * index._idf(term)
         for idx, tf in index._postings.get(term, {}).items():
             scores[idx] = scores.get(idx, 0.0) + index._term_score(weight, tf, idx)
@@ -60,6 +92,12 @@ def corpora(draw) -> tuple[list[tuple[str, str, str]], Bm25Params]:
     params = Bm25Params(k1=draw(st.sampled_from([0.5, 1.2, 2.0])),
                         b=draw(st.sampled_from([0.0, 0.75, 1.0])))
     return docs, params
+
+
+def texts() -> st.SearchStrategy[str]:
+    """Pieces run together or with a space between them."""
+    return st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])),
+                    max_size=12).map(lambda parts: "".join(p + sep for p, sep in parts))
 
 
 def queries(words: list[str]) -> st.SearchStrategy[str]:
@@ -120,3 +158,28 @@ def test_a_rare_term_stops_the_walk_early(monkeypatch):
     assert (hit.doc_id, hit.score.hex()) == ("d0999", want_score.hex())
     assert want_id == "d0999"
     assert len(calls) < 50
+
+
+# ---------------------------------------------------------------------------
+# Tokenization and index build.
+
+
+@exhaustively
+@given(texts())
+def test_analyze_matches_the_whole_text_article_pass(text):
+    assert _analyze(text) == reference_analyze(text)
+
+
+@exhaustively
+@given(st.lists(st.tuples(texts(), texts()), min_size=1, max_size=8),
+       st.sampled_from([Bm25Params(), Bm25Params(k1=2.0, b=0.0), Bm25Params(k1=0.5, b=1.0)]),
+       texts())
+def test_index_matches_the_reference_build(pairs, params, question):
+    docs = [(f"d{i}", title, body) for i, (title, body) in enumerate(pairs)]
+    index = Bm25Index(docs, params)
+    postings, norm = reference_index(docs, params)
+    # Equal tables with equal iteration orders, down to each posting list.
+    assert ([(term, list(p.items())) for term, p in index._postings.items()]
+            == [(term, list(p.items())) for term, p in postings.items()])
+    assert [x.hex() for x in index._norm] == [x.hex() for x in norm]
+    assert_matches_reference((docs, params), question)

@@ -2,13 +2,17 @@
 
 The reference functions below are the plain per-character loops that
 punctuation stripping, sentence splitting and fingerprinting were first
-written as.  They stay frozen here as oracles: the library's versions must
-agree with them on every generated input.
+written as, and normalization with its article regex run over the whole
+text.  They stay frozen here as oracles: the library's versions must agree
+with them on every generated input.
 """
 from __future__ import annotations
 
+import re
+import sys
 import unicodedata
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +23,11 @@ from ctxtrace.textnorm import (
     SentenceSpan,
     contains_answer,
     normalize_answer,
+    normalize_uncached,
     split_sentences,
     strip_punct,
     tokens,
+    tokens_uncached,
     word_count,
 )
 
@@ -33,6 +39,11 @@ exhaustively = settings(derandomize=True, max_examples=200, deadline=None)
 
 def reference_strip_punct(text: str) -> str:
     return "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
+
+
+def reference_normalize(text: str) -> str:
+    lowered = reference_strip_punct(text.lower())
+    return " ".join(re.sub(r"\b(?:a|an|the)\b", " ", lowered).split())
 
 
 def reference_fingerprint(text: str) -> str:
@@ -126,6 +137,14 @@ terminators = st.sampled_from([".", "!", "?", "?!", "...", ".\"", ""])
 spaces = st.sampled_from(WHITESPACE)
 sentences_text = st.lists(st.tuples(words, terminators, spaces), max_size=25).map(
     lambda parts: "".join(w + t + s for w, t, s in parts))
+# Words and articles, and the pieces that put a non-word character inside a
+# token or test its edges: symbols (Sm, Sc, So), numbers (No), "_" (Pc), a
+# combining acute (Mn), "İ" (which lowercases to "i" plus a combining dot),
+# Unicode spaces and a separator control, run together or spaced apart.
+PIECES = ["apple", "Fig", "x2", "a", "an", "The", "AN", "+", "$", "\u00a9", "\u00bd",
+          "\u00b2", "_", "\u0301", "\u0130", "\u00a0", "\u2003", "\x1c", ",", "'"]
+pieces_text = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])),
+                       max_size=12).map(lambda parts: "".join(p + sep for p, sep in parts))
 any_text = st.text(max_size=80) | sentences_text
 
 
@@ -146,6 +165,49 @@ def test_split_sentences_matches_the_character_loop(text):
         assert span.text == text[span.start:span.end]
         covered.update(range(span.start, span.end))
     assert all(i in covered for i, ch in enumerate(text) if not ch.isspace())
+
+
+def test_word_characters_are_the_alphanumeric_ones_and_underscore():
+    # The premise of tokens_uncached, over all of Unicode: re's \w is
+    # str.isalnum plus "_", and no whitespace character is a word character.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.sub(r"[\W_]+", "", chars) == "".join(filter(str.isalnum, chars))
+    assert re.search(r"(?=\w)\s", chars) is None
+
+
+@exhaustively
+@given(pieces_text | any_text)
+def test_normalize_matches_the_whole_text_article_pass(text):
+    assert tokens_uncached(text) == reference_normalize(text).split()
+    assert normalize_uncached(text) == reference_normalize(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("the+x", ["+x"]),                               # a symbol makes "the" a word of its own
+    ("\u0130the", ["i\u0307"]),                      # so does the lowercase dot above "i"
+    ("\u00bdthe \u00b2an", ["\u00bdthe", "\u00b2an"]),  # numbers are word characters
+    ("the_end, a_b", ["theend", "ab"]),              # "_" is punctuation, stripped first
+])
+def test_tokens_keep_the_article_pass_where_it_changes_a_token(text, want):
+    assert tokens_uncached(text) == reference_normalize(text).split() == want
+
+
+def test_tokens_run_the_article_pass_on_non_alphanumeric_tokens_only(monkeypatch):
+    seen = []
+
+    class Recording:
+        def sub(self, repl, text):
+            seen.append(text)
+            return re.sub(r"\b(?:a|an|the)\b", repl, text)
+
+    monkeypatch.setattr(textnorm, "_ARTICLE_RE", Recording())
+    assert tokens_uncached("The Orchard's 2nd fig, an apple\u00a0\u00bd") == [
+        "orchards", "2nd", "fig", "apple", "\u00bd"]
+    assert seen == []
+    # A combining mark is not a word character, so "an" before one is an article.
+    text = "The sum: the+x, a $5 an\u0301"
+    assert tokens_uncached(text) == reference_normalize(text).split() == ["sum", "+x", "$5", "\u0301"]
+    assert seen == ["the+x", "$5", "an\u0301"]
 
 
 @exhaustively
