@@ -20,8 +20,10 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -44,7 +46,10 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "CTX_API_KEY"
 SCRIPT_MODES = ("closed_book", "single_context", "hybrid")
 RETRYABLE_STATUSES = frozenset({408, 429}) | frozenset(range(500, 600))
+# Statuses whose Retry-After header is honoured (RFC 9110 §10.2.3).
+RETRY_AFTER_STATUSES = frozenset({429, 503})
 BACKOFF_BASE_SECONDS = 0.5
+RETRY_AFTER_CAP_SECONDS = 60.0
 
 # Applied when indexing and scoring BM25 documents and queries. Never used
 # for answer matching.  Holds the articles, as textnorm.tokens_uncached needs.
@@ -135,16 +140,56 @@ class RetrievedHit:
     score: float
 
 
+class _HeldSlot(threading.local):
+    semaphore: threading.Semaphore | None = None
+
+
+_held = _HeldSlot()
+
+
+@contextmanager
+def holding_slot(slots: threading.Semaphore) -> Iterator[None]:
+    """Run the body on one of *slots*.  While the body runs, an
+    :meth:`HttpBackend.complete` on this thread gives the slot back for as
+    long as it sleeps a backoff."""
+    slots.acquire()
+    _held.semaphore = slots
+    try:
+        yield
+    finally:
+        _held.semaphore = None
+        slots.release()
+
+
+def _retry_after_seconds(response: Any) -> float:
+    """The delta-seconds ``Retry-After`` of *response*, capped at
+    :data:`RETRY_AFTER_CAP_SECONDS`; 0.0 when the header is absent, an
+    HTTP-date, negative or unparsable."""
+    headers = getattr(response, "headers", None)
+    value = headers.get("Retry-After") if headers is not None else None
+    if not isinstance(value, str):
+        return 0.0
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return 0.0
+    return min(float(value), RETRY_AFTER_CAP_SECONDS)
+
+
 class HttpBackend:
     """Chat-completions client with retries.
 
-    Each calling thread has one request in flight at a time, so the number
-    of threads calling :meth:`complete` (the ``workers`` pool) is the number
-    of concurrent requests.
+    A call posts one request at a time.  Inside
+    :func:`pipeline.map_examples`, a call runs on one of ``workers`` slots,
+    so at most ``workers`` requests are in flight; a call sleeping a backoff
+    hands its slot to another item and takes a slot back before it posts
+    again.  Outside it, a call just sleeps.
 
     Transport failures and 408/429/5xx responses are retried with exponential
-    backoff; at most ``max_retries + 1`` attempts are ever issued.  Other
-    non-2xx statuses raise immediately.  An empty completion is an error.
+    backoff; at most ``max_retries + 1`` attempts are ever issued.  After a
+    429 or 503 whose ``Retry-After`` gives delta-seconds, the backoff is the
+    larger of that (capped at :data:`RETRY_AFTER_CAP_SECONDS`) and the
+    exponential delay.  Other non-2xx statuses raise immediately.  An empty
+    completion is an error.
     """
 
     def __init__(
@@ -170,6 +215,17 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _back_off(self, seconds: float) -> None:
+        slots = _held.semaphore
+        if slots is None:
+            self._sleep(seconds)
+            return
+        slots.release()
+        try:
+            self._sleep(seconds)
+        finally:
+            slots.acquire()
+
     def complete(self, prompt: str) -> str:
         payload = {
             "model": self.spec.model_name,
@@ -178,9 +234,11 @@ class HttpBackend:
         }
         attempts = self.spec.max_retries + 1
         last_failure = "no attempt made"
+        retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
-                self._sleep(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
+                self._back_off(max(BACKOFF_BASE_SECONDS * 2 ** (attempt - 1), retry_after))
+                retry_after = 0.0
             try:
                 response = self._session.post(
                     self.spec.endpoint,
@@ -200,6 +258,7 @@ class HttpBackend:
             status = response.status_code
             if status in RETRYABLE_STATUSES:
                 last_failure = f"HTTP {status}"
+                retry_after = _retry_after_seconds(response) if status in RETRY_AFTER_STATUSES else 0.0
                 logger.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_failure)
                 continue
             if not 200 <= status < 300:
@@ -346,8 +405,8 @@ class Bm25Index:
     score plus that bound reaches (1 - 1e-9) times the best partial score
     are rescored.  The two margins absorb rounding in the partial sums,
     which run in bound order.  The rescoring itself adds the term scores
-    in query order from 0.0, as :meth:`score` does, so the winner and its
-    score bits are those of scoring every posting in query order.
+    in query order from 0.0, so the winner and its score bits are those of
+    scoring every posting in query order.
     """
 
     name = "bm25"
@@ -412,13 +471,6 @@ class Bm25Index:
             if tf:
                 total += self._term_score(weight, tf, idx)
         return total
-
-    def score(self, query_tokens: list[str], doc_id: str) -> float:
-        try:
-            idx = self._by_id[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown doc_id {doc_id!r}") from None
-        return self._exact_score(self._query_terms(query_tokens), idx)
 
     def _maxscore(self, terms: list[tuple[float, dict[int, int]]]) -> tuple[str, float]:
         """(doc_id, score) of the best document for a non-empty term list;

@@ -69,7 +69,7 @@ _ALIASES: dict[str, list[str]] = {
 _HELP: dict[str, str] = {
     "seed": "seed feeding order randomization and the run manifest",
     "order": "hybrid context order: random, generated_first, retrieved_first",
-    "workers": "threads used for backend calls",
+    "workers": "most HTTP requests in flight at once",
     "length_candidates": "comma-separated word targets tried per generation",
     "abstention_set": "comma-separated reader replies treated as abstentions",
     "slice_count": "number of quantile slices",

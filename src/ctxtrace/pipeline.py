@@ -15,6 +15,7 @@ import functools
 import hashlib
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from .backends import (
     ReaderScript,
     RetrievedHit,
     context_fingerprint,
+    holding_slot,
 )
 from .errors import EmptyResponseError, ScriptMissError, ValidationError
 from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
@@ -425,10 +427,33 @@ read_eval = HYBRID.read_records
 # depend on scheduling.
 
 def map_examples(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """``[fn(item) for item in items]`` with at most *workers* items running
+    at once.
+
+    The pool has *workers* spare threads beyond its *workers* slots
+    (:func:`backends.holding_slot`), so an HTTP call that hands back its slot
+    while it sleeps a backoff leaves no slot idle.  Once an item raises, no
+    item still waiting for a slot starts.  Every thread finishes before the
+    error of the first failed item, in item order, is raised.
+    """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    slots = threading.BoundedSemaphore(workers)
+    failed = threading.Event()
+
+    def run(item: Any) -> Any:
+        with holding_slot(slots):
+            if failed.is_set():
+                return None  # never read: the failed item's error is raised
+            try:
+                return fn(item)
+            except BaseException:
+                failed.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=2 * workers) as pool:
+        futures = [pool.submit(run, item) for item in items]
+    return [future.result() for future in futures]
 
 
 def run_prepare(examples: Sequence[QaExample], retriever: Any, generator: Generator,

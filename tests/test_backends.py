@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import requests
 from ctxtrace.backends import (
     BACKOFF_BASE_SECONDS,
     BM25_STOPWORDS,
+    RETRY_AFTER_CAP_SECONDS,
     RETRYABLE_STATUSES,
     BackendSpec,
     Bm25Index,
@@ -38,6 +40,7 @@ from ctxtrace.errors import (
 from ctxtrace.pipeline import map_examples
 
 from .conftest import write_jsonl
+from .test_bm25_properties import reference_scores
 
 # ---------------------------------------------------------------------------
 # context fingerprints
@@ -89,9 +92,11 @@ def test_backend_spec_validation():
 
 
 class FakeResponse:
-    def __init__(self, status, body=None):
+    def __init__(self, status, body=None, headers=None):
         self.status_code = status
         self._body = body
+        if headers is not None:  # a response may have no headers attribute at all
+            self.headers = headers
 
     def json(self):
         if self._body is None:
@@ -168,6 +173,34 @@ def test_http_gives_up_after_max_retries_plus_one():
     assert sleeps == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("status, retry_after, slept", [
+    (503, "3", 3.0),
+    (429, " 2 ", 2.0),
+    (503, "0", BACKOFF_BASE_SECONDS),
+    (503, "86400", RETRY_AFTER_CAP_SECONDS),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", BACKOFF_BASE_SECONDS),
+    (503, "-5", BACKOFF_BASE_SECONDS),
+    (503, "1.5", BACKOFF_BASE_SECONDS),
+    (503, "soon", BACKOFF_BASE_SECONDS),
+    (500, "3", BACKOFF_BASE_SECONDS),
+])
+def test_http_retry_after(status, retry_after, slept):
+    # Delta-seconds on a 429 or 503 lengthen the backoff up to a cap; any
+    # other form, or another status, leaves the exponential delay.
+    headers = requests.structures.CaseInsensitiveDict({"retry-after": retry_after})
+    backend, _, sleeps = _backend([FakeResponse(status, headers=headers), _ok("x")])
+    assert backend.complete("q") == "x"
+    assert sleeps == [slept]
+
+
+def test_http_retry_after_sets_only_the_next_backoff():
+    outcomes = [FakeResponse(503, headers={"Retry-After": "3"}), FakeResponse(503, headers={}),
+                requests.ConnectionError("reset"), _ok("x")]
+    backend, _, sleeps = _backend(outcomes)
+    assert backend.complete("q") == "x"
+    assert sleeps == [3.0, BACKOFF_BASE_SECONDS * 2, BACKOFF_BASE_SECONDS * 4]
+
+
 def test_http_other_session_errors_are_not_retried():
     backend, session, sleeps = _backend([RuntimeError("bug in session"), _ok("late")])
     with pytest.raises(RuntimeError, match="bug in session"):
@@ -240,6 +273,119 @@ def test_http_workers_set_the_requests_in_flight():
     prompts = [f"prompt {i}" for i in range(8)]
     assert map_examples(backend.complete, prompts, workers=8) == [p.upper() for p in prompts]
     assert peak == 8
+
+
+class CountingSession:
+    """Answers each prompt upper-cased, failing the first attempt of each
+    prompt in *fail_first* with a 503, and counts the posts in flight.
+    *hold(prompt)* runs inside every post that succeeds."""
+
+    def __init__(self, fail_first=(), hold=lambda prompt: None):
+        self.lock = threading.Lock()
+        self.fail_first = set(fail_first)
+        self.hold = hold
+        self.posted = []
+        self.in_flight = self.peak = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        with self.lock:
+            self.posted.append(prompt)
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            failing = prompt in self.fail_first
+            self.fail_first.discard(prompt)
+        try:
+            if failing:
+                return FakeResponse(503)
+            self.hold(prompt)
+            return _ok(prompt.upper())
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def _http(session, sleep):
+    spec = BackendSpec(kind="http", endpoint="http://api.test/v1/chat", model_name="m")
+    return HttpBackend(spec, session=session, sleep=sleep)
+
+
+def test_http_backoff_hands_its_slot_to_another_post():
+    # workers=2: while p0 sleeps out its 503 backoff, two other posts must be
+    # in flight at once.  A sleep that kept its slot leaves room for one.
+    sleeping, overlapped = threading.Event(), threading.Event()
+    deadline = time.monotonic() + 5
+
+    def hold(prompt):
+        with session.lock:
+            if sleeping.is_set() and session.in_flight == 2:
+                overlapped.set()
+        overlapped.wait(timeout=max(0.0, deadline - time.monotonic()))
+
+    def sleep(seconds):
+        sleeping.set()
+        overlapped.wait(timeout=max(0.0, deadline - time.monotonic()))
+        sleeping.clear()
+
+    session = CountingSession(fail_first={"p0"}, hold=hold)
+    prompts = [f"p{i}" for i in range(6)]
+    assert map_examples(_http(session, sleep).complete, prompts, workers=2) == [
+        p.upper() for p in prompts]
+    assert overlapped.is_set()
+    assert session.peak == 2
+
+
+def test_http_posts_in_flight_reach_and_never_pass_workers():
+    session = CountingSession(fail_first={f"p{i}" for i in range(0, 48, 4)},
+                              hold=lambda prompt: time.sleep(0.002))
+    backend = _http(session, lambda seconds: time.sleep(0.01))
+    prompts = [f"p{i}" for i in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        replies = map_examples(backend.complete, prompts, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [p.upper() for p in prompts]
+    assert len(session.posted) == 48 + 12
+    assert session.peak == 3
+
+
+def test_map_examples_failure_starts_no_waiting_item():
+    # p0 sleeps a backoff without its slot, one w item takes that slot, and
+    # then "boom" raises.  The w items still waiting for a slot never post;
+    # p0's retry, already started, does.
+    sleeping, w_in_flight, boom_raised, retried = (threading.Event() for _ in range(4))
+
+    def hold(prompt):
+        if prompt == "p0":
+            retried.set()
+        else:
+            w_in_flight.set()
+            retried.wait(timeout=5)
+
+    def sleep(seconds):
+        sleeping.set()
+        boom_raised.wait(timeout=5)
+
+    session = CountingSession(fail_first={"p0"}, hold=hold)
+    backend = _http(session, sleep)
+
+    def fn(prompt):
+        if prompt == "boom":
+            sleeping.wait(timeout=5)
+            w_in_flight.wait(timeout=5)
+            boom_raised.set()
+            raise RuntimeError("boom")
+        return backend.complete(prompt)
+
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="boom"):
+        map_examples(fn, ["p0", "boom"] + [f"w{i}" for i in range(6)], workers=2)
+    assert all(event.is_set() for event in (sleeping, w_in_flight, boom_raised, retried))
+    assert session.posted.count("p0") == 2
+    assert len(session.posted) == 3
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_http_requires_http_spec():
@@ -341,12 +487,10 @@ ORACLE_DOCS = [
 def test_bm25_frozen_scores():
     # Hand-computed Okapi values for the three-document corpus above:
     # idf(df=1) = ln(2.5/1.5 + 1), idf(df=2) = ln(1.5/2.5 + 1), avgdl = 3.
-    index = _index(ORACLE_DOCS)
-    assert index.score(["apple", "banana"], "d1") == pytest.approx(
-        1.818643852137, abs=1e-9)
-    assert index.score(["apple", "banana"], "d2") == pytest.approx(
-        0.689338656227, abs=1e-9)
-    assert index.score(["apple", "banana"], "d3") == 0.0
+    scores = reference_scores(_index(ORACLE_DOCS), ["apple", "banana"])
+    assert scores["d1"] == pytest.approx(1.818643852137, abs=1e-9)
+    assert scores["d2"] == pytest.approx(0.689338656227, abs=1e-9)
+    assert scores.get("d3", 0.0) == 0.0
 
 
 def test_bm25_top1_picks_highest():
@@ -360,8 +504,8 @@ def test_bm25_top1_picks_highest():
 
 def test_bm25_repeated_query_terms_accumulate():
     index = _index(ORACLE_DOCS)
-    single = index.score(["banana"], "d2")
-    assert index.score(["banana", "banana"], "d2") == pytest.approx(2 * single)
+    single = reference_scores(index, ["banana"])["d2"]
+    assert reference_scores(index, ["banana", "banana"])["d2"] == pytest.approx(2 * single)
 
 
 def test_bm25_ties_and_no_overlap_pick_lowest_doc_id():
@@ -375,7 +519,7 @@ def test_bm25_ties_and_no_overlap_pick_lowest_doc_id():
 def test_bm25_stopwords_ignored_in_index_and_query():
     index = _index([("d1", "note", "the cat sat"), ("d2", "note", "of a dog")])
     assert index.top1("the cat").doc_id == "d1"
-    assert index.score(["the"], "d1") == 0.0  # never indexed
+    assert reference_scores(index, ["the"]).get("d1", 0.0) == 0.0  # never indexed
     # A document of nothing but stopwords scores zero everywhere.
     index = _index([("d1", "a", "the of and"), ("d2", "b", "llama")])
     assert index.top1("llama").doc_id == "d2"
@@ -386,8 +530,6 @@ def test_bm25_validation():
         _index([])
     with pytest.raises(ValidationError):
         _index([("d1", "t", "x"), ("d1", "t", "y")])
-    with pytest.raises(ValidationError):
-        _index(ORACLE_DOCS).score(["x"], "nope")
     with pytest.raises(ValidationError):
         Bm25Params(k1=0.0)
     with pytest.raises(ValidationError):
