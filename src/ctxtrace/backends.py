@@ -22,12 +22,14 @@ import os
 import sys
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import textnorm
 from .errors import (
@@ -381,6 +383,12 @@ def _analyze(text: str) -> list[str]:
     return textnorm.tokens_uncached(text, BM25_STOPWORDS)
 
 
+# (weight, ascending doc indices, {doc index: tf} where tf > 1).  A query
+# term's weight is its count times its idf; the term memo keeps the idf.
+_QueryTerm = tuple[float, list[int], Mapping[int, int]]
+_NO_REPEATS: Mapping[int, int] = {}
+
+
 class Bm25Index:
     """Okapi BM25 over a passage corpus, tuned for exact top-1 retrieval.
 
@@ -389,7 +397,14 @@ class Bm25Index:
     by :func:`textnorm.tokens_uncached`, which skips the article pass
     where it cannot change a token.
 
-    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1); a term scores
+    Each term keeps one ascending list of the indices of the documents that
+    hold it (its df is the list's length).  Most terms occur once in a
+    document, so a term's counts are kept apart, as ``{index: tf}``, only
+    for the documents where tf > 1, and only for terms that have such a
+    document; every other listed document has tf 1.
+
+    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), computed on a term's first
+    query and kept; a term scores
     idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
     norm k1 * (1 - b + b * dl / avgdl) is computed once per document at
     build.  Ties on the top score go to the lowest doc_id, including the
@@ -404,9 +419,11 @@ class Bm25Index:
     unseen document can then win or tie.  Only the documents whose partial
     score plus that bound reaches (1 - 1e-9) times the best partial score
     are rescored.  The two margins absorb rounding in the partial sums,
-    which run in bound order.  The rescoring itself adds the term scores
-    in query order from 0.0, so the winner and its score bits are those of
-    scoring every posting in query order.
+    which run in bound order.  The rescoring adds each document's term
+    scores in query order from 0.0, so the winner and its score bits are
+    those of scoring every posting in query order.  It finds a document in
+    a term's list by bisection or, when many documents are rescored, by one
+    pass over the list.
     """
 
     name = "bm25"
@@ -421,16 +438,22 @@ class Bm25Index:
         self.titles = [d[1] for d in docs]
         self.bodies = [d[2] for d in docs]
         doc_len: list[int] = []
-        postings: defaultdict[str, dict[int, int]] = defaultdict(dict)
-        for idx, (_, title, body) in enumerate(docs):
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        repeats: defaultdict[str, dict[int, int]] = defaultdict(dict)
+        # Doc indices made in one run sit together in memory, so the
+        # comparisons of a bisection over a posting list touch few pages.
+        for idx, (_, title, body) in zip(list(range(len(docs))), docs):
             doc_tokens = _analyze(title + " " + body)
             doc_len.append(len(doc_tokens))
             for tok, tf in Counter(doc_tokens).items():
-                postings[tok][idx] = tf
-        # Unset, so looking up an unknown term cannot add it; a copy into a
-        # plain dict would hold a second term table at peak memory.
-        postings.default_factory = None
-        self._postings: dict[str, dict[int, int]] = postings
+                postings[tok].append(idx)
+                if tf > 1:
+                    repeats[tok][idx] = tf
+        postings.default_factory = repeats.default_factory = None
+        self._postings: dict[str, list[int]] = postings
+        self._repeats: dict[str, dict[int, int]] = repeats
+        # A queried term's (idf, doc indices, repeated counts), kept on first use.
+        self._term_memo: dict[str, _QueryTerm] = {}
         total = sum(doc_len)
         avgdl = total / len(docs) if total else 1.0
         k1, b = params.k1, params.b
@@ -443,55 +466,80 @@ class Bm25Index:
         rows = CORPUS_DOC.load_rows(_exact_corpus_rows(path), path)
         return cls([(doc.doc_id, doc.title, doc.text) for _, doc in rows], params)
 
-    def _idf(self, term: str) -> float:
-        df = len(self._postings.get(term, ()))
-        n = len(self.doc_ids)
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-
-    def _query_terms(self, query_tokens: list[str]) -> list[tuple[float, dict[int, int]]]:
-        """(count * idf, postings) of each indexed query term.  Unique terms
-        in first-occurrence order keep float accumulation independent of
-        hash randomization."""
+    def _query_terms(self, query_tokens: list[str]) -> list[_QueryTerm]:
+        """(count * idf, doc indices, repeated counts) of each indexed
+        query term.  Unique terms in first-occurrence order keep float
+        accumulation independent of hash randomization."""
+        counts: dict[str, int] = {}
+        for term in query_tokens:
+            counts[term] = counts.get(term, 0) + 1
         terms = []
-        for term, count in Counter(query_tokens).items():
-            postings = self._postings.get(term)
-            if postings is not None:
-                terms.append((count * self._idf(term), postings))
+        for term, count in counts.items():
+            known = self._term_memo.get(term)
+            if known is None:
+                docs = self._postings.get(term)
+                if docs is None:
+                    continue
+                n, df = len(self.doc_ids), len(docs)
+                idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                known = self._term_memo[term] = (idf, docs, self._repeats.get(term, _NO_REPEATS))
+            idf, docs, repeats = known
+            terms.append((count * idf, docs, repeats))
         return terms
 
-    def _term_score(self, weight: float, tf: int, idx: int) -> float:
-        """One term's share of document *idx*'s score, *weight* being its
-        idf times its count in the query."""
-        return weight * tf * self._k1_plus_1 / (tf + self._norm[idx])
+    def _add_scores(self, totals: dict[int, float], term: _QueryTerm, held: Iterable[int]) -> None:
+        """Add *term*'s score to the running total (from 0.0) of each
+        document index in *held*, all of which hold the term."""
+        weight, _, repeats = term
+        k1_plus_1, norm = self._k1_plus_1, self._norm
+        top = weight * k1_plus_1  # weight * tf * k1_plus_1 at tf 1, to the bit
+        for idx in held:
+            tf = repeats.get(idx)
+            if tf is None:
+                score = top / (1 + norm[idx])
+            else:
+                score = weight * tf * k1_plus_1 / (tf + norm[idx])
+            totals[idx] = totals.get(idx, 0.0) + score
 
-    def _exact_score(self, terms: list[tuple[float, dict[int, int]]], idx: int) -> float:
-        total = 0.0
-        for weight, postings in terms:
-            tf = postings.get(idx)
-            if tf:
-                total += self._term_score(weight, tf, idx)
+    def _exact_score(self, terms: list[_QueryTerm], idx: int) -> float:
+        """Document *idx*'s score, its term scores added in query order from
+        0.0; each term's list is searched by bisection."""
+        k1_plus_1, norm, total = self._k1_plus_1, self._norm[idx], 0.0
+        for weight, docs, repeats in terms:
+            at = bisect_right(docs, idx)
+            if at and docs[at - 1] == idx:
+                tf = repeats.get(idx, 1)
+                total += weight * tf * k1_plus_1 / (tf + norm)
         return total
 
-    def _maxscore(self, terms: list[tuple[float, dict[int, int]]]) -> tuple[str, float]:
+    def _maxscore(self, terms: list[_QueryTerm]) -> tuple[str, float]:
         """(doc_id, score) of the best document for a non-empty term list;
         see the class docstring."""
-        by_bound = sorted(terms, key=lambda term: term[0], reverse=True)
+        by_bound = sorted(terms, key=itemgetter(0), reverse=True)
         # unwalked[i]: the most that the terms from by_bound[i] on can add.
-        bounds = reversed([weight * self._k1_plus_1 for weight, _ in by_bound])
+        bounds = reversed([weight * self._k1_plus_1 for weight, _, _ in by_bound])
         unwalked = list(accumulate(bounds, initial=0.0))[::-1]
         partial: dict[int, float] = {}
         best = 0.0
         walked = 0
-        for weight, postings in by_bound:
+        for term in by_bound:
             if best > (1.0 + 1e-9) * unwalked[walked]:
                 break
-            for idx, tf in postings.items():
-                partial[idx] = partial.get(idx, 0.0) + self._term_score(weight, tf, idx)
+            self._add_scores(partial, term, term[1])
             best = max(partial.values())
             walked += 1
         rest, cutoff = unwalked[walked], (1.0 - 1e-9) * best
-        scores = {idx: self._exact_score(terms, idx)
-                  for idx, sc in partial.items() if sc + rest >= cutoff}
+        survivors = [idx for idx, sc in partial.items() if sc + rest >= cutoff]
+        # A bisection costs about eight steps of a set intersection, so each
+        # term's whole list is passed over only where that is cheaper; for
+        # a lone survivor it never is.
+        if (len(survivors) == 1
+                or 8 * len(survivors) * len(terms) <= sum([len(docs) for _, docs, _ in terms])):
+            scores = {idx: self._exact_score(terms, idx) for idx in survivors}
+        else:
+            among, scores = set(survivors), {}
+            for term in terms:
+                self._add_scores(scores, term, among.intersection(term[1]))
         best_score = max(scores.values())
         return min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score), best_score
 

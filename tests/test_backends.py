@@ -487,7 +487,7 @@ ORACLE_DOCS = [
 def test_bm25_frozen_scores():
     # Hand-computed Okapi values for the three-document corpus above:
     # idf(df=1) = ln(2.5/1.5 + 1), idf(df=2) = ln(1.5/2.5 + 1), avgdl = 3.
-    scores = reference_scores(_index(ORACLE_DOCS), ["apple", "banana"])
+    scores = reference_scores(ORACLE_DOCS, Bm25Params(), ["apple", "banana"])
     assert scores["d1"] == pytest.approx(1.818643852137, abs=1e-9)
     assert scores["d2"] == pytest.approx(0.689338656227, abs=1e-9)
     assert scores.get("d3", 0.0) == 0.0
@@ -503,9 +503,11 @@ def test_bm25_top1_picks_highest():
 
 
 def test_bm25_repeated_query_terms_accumulate():
+    single = reference_scores(ORACLE_DOCS, Bm25Params(), ["banana"])["d2"]
+    repeated = reference_scores(ORACLE_DOCS, Bm25Params(), ["banana", "banana"])["d2"]
+    assert repeated == pytest.approx(2 * single)
     index = _index(ORACLE_DOCS)
-    single = reference_scores(index, ["banana"])["d2"]
-    assert reference_scores(index, ["banana", "banana"])["d2"] == pytest.approx(2 * single)
+    assert index.top1("banana banana").score == pytest.approx(2 * index.top1("banana").score)
 
 
 def test_bm25_ties_and_no_overlap_pick_lowest_doc_id():
@@ -517,9 +519,11 @@ def test_bm25_ties_and_no_overlap_pick_lowest_doc_id():
 
 
 def test_bm25_stopwords_ignored_in_index_and_query():
-    index = _index([("d1", "note", "the cat sat"), ("d2", "note", "of a dog")])
+    docs = [("d1", "note", "the cat sat"), ("d2", "note", "of a dog")]
+    index = _index(docs)
     assert index.top1("the cat").doc_id == "d1"
-    assert reference_scores(index, ["the"]).get("d1", 0.0) == 0.0  # never indexed
+    assert reference_scores(docs, Bm25Params(), ["the"]).get("d1", 0.0) == 0.0  # never indexed
+    assert index.top1("the").score == 0.0
     # A document of nothing but stopwords scores zero everywhere.
     index = _index([("d1", "a", "the of and"), ("d2", "b", "llama")])
     assert index.top1("llama").doc_id == "d2"

@@ -2,17 +2,25 @@
 plain references.
 
 The references below are the code's first, plain forms, frozen here as
-oracles: the tokenizer runs the article regex over the whole text and drops
-the stopwords; the index fills its postings with one ``setdefault`` per
-(term, document) pair; and top-1 is the term-at-a-time loop that scores
-every posting of every query term.  The fast paths must give the same
-tokens, the same postings in the same order, and the same document and
-score, bit for bit.
+oracles that read nothing of the index under test: the tokenizer runs the
+article regex over the whole text and drops the stopwords; the index fills
+a ``{term: {doc index: tf}}`` table with one ``setdefault`` per (term,
+document) pair; and top-1 is the term-at-a-time loop that scores every
+posting of every query term with the idf and term formulas written out
+here.  The fast paths must give the same tokens, the same postings in the
+same order, and the same document and score, bit for bit.
 """
 from __future__ import annotations
 
+import gc
+import math
+import random
 import re
+import sys
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,20 +65,26 @@ def reference_index(docs: list[tuple[str, str, str]], params: Bm25Params):
     return postings, norm
 
 
-def reference_scores(index: Bm25Index, query_tokens: list[str]) -> dict[str, float]:
+def reference_scores(docs: list[tuple[str, str, str]], params: Bm25Params,
+                     query_tokens: list[str]) -> dict[str, float]:
     """The score of every document that holds a query term, by doc_id."""
+    postings, norm = reference_index(docs, params)
+    n = len(docs)
     scores: dict[int, float] = {}
     for term, count in Counter(query_tokens).items():
-        weight = count * index._idf(term)
-        for idx, tf in index._postings.get(term, {}).items():
-            scores[idx] = scores.get(idx, 0.0) + index._term_score(weight, tf, idx)
-    return {index.doc_ids[idx]: score for idx, score in scores.items()}
+        df = len(postings.get(term, ()))
+        weight = count * math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+        for idx, tf in postings.get(term, {}).items():
+            term_score = weight * tf * (params.k1 + 1.0) / (tf + norm[idx])
+            scores[idx] = scores.get(idx, 0.0) + term_score
+    return {docs[idx][0]: score for idx, score in scores.items()}
 
 
-def reference_top1(index: Bm25Index, question: str) -> tuple[str, float]:
-    scores = reference_scores(index, reference_analyze(question))
+def reference_top1(docs: list[tuple[str, str, str]], params: Bm25Params,
+                   question: str) -> tuple[str, float]:
+    scores = reference_scores(docs, params, reference_analyze(question))
     if not scores:
-        return min(index.doc_ids), 0.0
+        return min(d[0] for d in docs), 0.0
     best_score = max(scores.values())
     return min(doc_id for doc_id, sc in scores.items() if sc == best_score), best_score
 
@@ -111,10 +125,17 @@ def queries(words: list[str]) -> st.SearchStrategy[str]:
     return st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
 
 
+def expanded_postings(index: Bm25Index) -> dict[str, dict[int, int]]:
+    """The index's postings as the reference's ``{term: {doc index: tf}}``,
+    in the index's own term and document order."""
+    return {term: {idx: index._repeats.get(term, {}).get(idx, 1) for idx in docs}
+            for term, docs in index._postings.items()}
+
+
 def assert_matches_reference(corpus, question: str) -> RetrievedHit:
     index = Bm25Index(*corpus)
     hit = index.top1(question)
-    want_id, want_score = reference_top1(index, question)
+    want_id, want_score = reference_top1(*corpus, question)
     assert (hit.doc_id, hit.score.hex()) == (want_id, want_score.hex())
     return hit
 
@@ -144,25 +165,43 @@ def test_top1_with_no_indexed_term_picks_the_lowest_id(corpus, question):
     assert (hit.doc_id, hit.score) == (min(d[0] for d in corpus[0]), 0.0)
 
 
-def test_a_rare_term_stops_the_walk_early(monkeypatch):
+class CountedPostings:
+    """A posting list that counts every entry read from it.  It offers
+    nothing but its length, iteration and indexing (which bisection uses),
+    so a walk cannot read an entry without its being counted."""
+
+    def __init__(self, docs: list[int], reads: list[int]) -> None:
+        self._docs, self._reads = docs, reads
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def __iter__(self):
+        for idx in self._docs:
+            self._reads.append(idx)
+            yield idx
+
+    def __getitem__(self, at: int) -> int:
+        self._reads.append(self._docs[at])
+        return self._docs[at]
+
+
+def test_a_rare_term_stops_the_walk_early():
     # 1,000 documents share "common"; one also holds "rare".  Once that
     # document's rare-term score is in, no other document can reach it.
     docs = [(f"d{i:04d}", "", "common filler") for i in range(999)]
     docs.append(("d0999", "", "common rare"))
-    index = Bm25Index(docs, Bm25Params())
-    want_id, want_score = reference_top1(index, "rare common")
-    calls = []
-    term_score = index._term_score
-
-    def counted(*args):
-        calls.append(args)
-        return term_score(*args)
-
-    monkeypatch.setattr(index, "_term_score", counted)
+    params = Bm25Params()
+    index = Bm25Index(docs, params)
+    want_id, want_score = reference_top1(docs, params, "rare common")
+    reads: list[int] = []
+    index._postings = {term: CountedPostings(idxs, reads) for term, idxs in index._postings.items()}
     hit = index.top1("rare common")
     assert (hit.doc_id, hit.score.hex()) == ("d0999", want_score.hex())
     assert want_id == "d0999"
-    assert len(calls) < 50
+    # The rare term's one posting, then a few reads to rescore d0999; a
+    # walk of "common" would read 1,000.
+    assert 0 < len(reads) < 50
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +222,68 @@ def test_index_matches_the_reference_build(pairs, params, question):
     docs = [(f"d{i}", title, body) for i, (title, body) in enumerate(pairs)]
     index = Bm25Index(docs, params)
     postings, norm = reference_index(docs, params)
-    # Equal tables with equal iteration orders, down to each posting list.
-    assert ([(term, list(p.items())) for term, p in index._postings.items()]
+    # Equal tables with equal iteration orders, down to each posting list;
+    # counts are stored only where they are above 1.
+    assert ([(term, list(p.items())) for term, p in expanded_postings(index).items()]
             == [(term, list(p.items())) for term, p in postings.items()])
+    assert all(tf > 1 for repeats in index._repeats.values() for tf in repeats.values())
     assert [x.hex() for x in index._norm] == [x.hex() for x in norm]
     assert_matches_reference((docs, params), question)
+
+
+def retained_bytes(build) -> int:
+    """Bytes that tracemalloc counts as still held once *build*'s result is
+    built and its garbage collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return retained
+
+
+def zipf_corpus(seed: int, n_docs: int, vocab_size: int) -> list[tuple[str, str, str]]:
+    """Documents of 60 Zipfian word draws, as in running text: most (term,
+    document) pairs have tf 1, and most terms occur in a handful of
+    documents."""
+    rng = random.Random(seed)
+    vocab = [f"w{rank}" for rank in range(vocab_size)]
+    cum_weights = list(accumulate(1.0 / rank for rank in range(1, vocab_size + 1)))
+    return [(f"d{i:04d}", "", " ".join(rng.choices(vocab, cum_weights=cum_weights, k=60)))
+            for i in range(n_docs)]
+
+
+def test_index_holds_at_most_six_tenths_of_a_dict_per_term():
+    docs = zipf_corpus(18, 1500, 4000)
+    params = Bm25Params()
+    index_bytes = retained_bytes(lambda: Bm25Index(docs, params))
+    reference_bytes = retained_bytes(lambda: reference_index(docs, params)[0])
+    assert index_bytes <= 0.6 * reference_bytes, (index_bytes, reference_bytes)
+
+
+def test_threads_sharing_an_index_get_the_one_thread_answers():
+    # The threads share one index, and with it the memo of queried terms
+    # that their queries fill; each must still get the one-thread answer.
+    docs = zipf_corpus(7, 300, 2000)
+    rng = random.Random(7)
+    questions = [" ".join(rng.choice(docs)[2].split()[:6]) for _ in range(400)]
+    index = Bm25Index(docs, Bm25Params())
+    want = [(h.doc_id, h.score.hex()) for h in map(Bm25Index(docs, Bm25Params()).top1, questions)]
+
+    def top1(question: str) -> tuple[str, str]:
+        hit = index.top1(question)
+        return hit.doc_id, hit.score.hex()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(top1, questions, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
