@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from . import textnorm
 from .errors import (
@@ -384,7 +384,7 @@ def _analyze(text: str) -> list[str]:
 
 
 # (weight, ascending doc indices, {doc index: tf} where tf > 1).  A query
-# term's weight is its count times its idf; the term memo keeps the idf.
+# term's weight is its count times its idf.
 _QueryTerm = tuple[float, list[int], Mapping[int, int]]
 _NO_REPEATS: Mapping[int, int] = {}
 
@@ -403,8 +403,8 @@ class Bm25Index:
     for the documents where tf > 1, and only for terms that have such a
     document; every other listed document has tf 1.
 
-    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), computed on a term's first
-    query and kept; a term scores
+    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), computed the first time a
+    query term has a given df and kept by df; a term scores
     idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
     norm k1 * (1 - b + b * dl / avgdl) is computed once per document at
     build.  Ties on the top score go to the lowest doc_id, including the
@@ -422,8 +422,7 @@ class Bm25Index:
     which run in bound order.  The rescoring adds each document's term
     scores in query order from 0.0, so the winner and its score bits are
     those of scoring every posting in query order.  It finds a document in
-    a term's list by bisection or, when many documents are rescored, by one
-    pass over the list.
+    a term's list by bisection.
     """
 
     name = "bm25"
@@ -452,8 +451,9 @@ class Bm25Index:
         postings.default_factory = repeats.default_factory = None
         self._postings: dict[str, list[int]] = postings
         self._repeats: dict[str, dict[int, int]] = repeats
-        # A queried term's (idf, doc indices, repeated counts), kept on first use.
-        self._term_memo: dict[str, _QueryTerm] = {}
+        # idf by df, filled as queries need it: at most one entry per
+        # distinct df, however many terms are queried.
+        self._idf_by_df: dict[int, float] = {}
         total = sum(doc_len)
         avgdl = total / len(docs) if total else 1.0
         k1, b = params.k1, params.b
@@ -474,32 +474,26 @@ class Bm25Index:
         for term in query_tokens:
             counts[term] = counts.get(term, 0) + 1
         terms = []
+        n, idf_by_df = len(self.doc_ids), self._idf_by_df
         for term, count in counts.items():
-            known = self._term_memo.get(term)
-            if known is None:
-                docs = self._postings.get(term)
-                if docs is None:
-                    continue
-                n, df = len(self.doc_ids), len(docs)
-                idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-                known = self._term_memo[term] = (idf, docs, self._repeats.get(term, _NO_REPEATS))
-            idf, docs, repeats = known
-            terms.append((count * idf, docs, repeats))
+            docs = self._postings.get(term)
+            if docs is None:
+                continue
+            df = len(docs)
+            idf = idf_by_df.get(df)
+            if idf is None:
+                idf = idf_by_df[df] = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            terms.append((count * idf, docs, self._repeats.get(term, _NO_REPEATS)))
         return terms
 
-    def _add_scores(self, totals: dict[int, float], term: _QueryTerm, held: Iterable[int]) -> None:
+    def _add_scores(self, totals: dict[int, float], term: _QueryTerm) -> None:
         """Add *term*'s score to the running total (from 0.0) of each
-        document index in *held*, all of which hold the term."""
-        weight, _, repeats = term
+        document index that holds it."""
+        weight, docs, repeats = term
         k1_plus_1, norm = self._k1_plus_1, self._norm
-        top = weight * k1_plus_1  # weight * tf * k1_plus_1 at tf 1, to the bit
-        for idx in held:
-            tf = repeats.get(idx)
-            if tf is None:
-                score = top / (1 + norm[idx])
-            else:
-                score = weight * tf * k1_plus_1 / (tf + norm[idx])
-            totals[idx] = totals.get(idx, 0.0) + score
+        for idx in docs:
+            tf = repeats.get(idx, 1)
+            totals[idx] = totals.get(idx, 0.0) + weight * tf * k1_plus_1 / (tf + norm[idx])
 
     def _exact_score(self, terms: list[_QueryTerm], idx: int) -> float:
         """Document *idx*'s score, its term scores added in query order from
@@ -525,21 +519,12 @@ class Bm25Index:
         for term in by_bound:
             if best > (1.0 + 1e-9) * unwalked[walked]:
                 break
-            self._add_scores(partial, term, term[1])
+            self._add_scores(partial, term)
             best = max(partial.values())
             walked += 1
         rest, cutoff = unwalked[walked], (1.0 - 1e-9) * best
-        survivors = [idx for idx, sc in partial.items() if sc + rest >= cutoff]
-        # A bisection costs about eight steps of a set intersection, so each
-        # term's whole list is passed over only where that is cheaper; for
-        # a lone survivor it never is.
-        if (len(survivors) == 1
-                or 8 * len(survivors) * len(terms) <= sum([len(docs) for _, docs, _ in terms])):
-            scores = {idx: self._exact_score(terms, idx) for idx in survivors}
-        else:
-            among, scores = set(survivors), {}
-            for term in terms:
-                self._add_scores(scores, term, among.intersection(term[1]))
+        scores = {idx: self._exact_score(terms, idx)
+                  for idx, sc in partial.items() if sc + rest >= cutoff}
         best_score = max(scores.values())
         return min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score), best_score
 
