@@ -247,21 +247,6 @@ def s_trunc(text: str, target_words: int) -> str:
     return text[:end]
 
 
-@dataclass(frozen=True)
-class CompletenessVariants:
-    """The three generated-context variants for one sample, plus the
-    per-variant similarity scores used for the matched filter."""
-
-    example_id: str
-    nature: pipeline.Context
-    trunc: pipeline.Context
-    strunc: pipeline.Context
-    sim_scores: dict[str, float]
-
-    def context(self, variant: str) -> pipeline.Context:
-        return {"nature": self.nature, "trunc": self.trunc, "strunc": self.strunc}[variant]
-
-
 def similarity_matched(sim_scores: Mapping[str, float],
                        threshold: float = DEFAULT_MATCH_THRESHOLD) -> bool:
     """True when all pairwise score gaps across variants stay under the
@@ -274,11 +259,11 @@ def similarity_matched(sim_scores: Mapping[str, float],
 def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_text: str,
                                 metric: str = "jaccard", aggregation: str = "max",
                                 external_scores: Mapping[tuple[str, str], float] | None = None,
-                                ) -> CompletenessVariants:
-    """Derive trunc/strunc contexts from one unconstrained generation.
+                                ) -> tuple[dict[str, pipeline.Context], dict[str, float]]:
+    """{variant: Context} for one sample, and each variant's similarity score.
 
-    Both truncations target the word count of the sample's retrieved
-    context; nature is the length-prompted generation already on the sample.
+    trunc and strunc cut one unconstrained generation to the word count of the
+    sample's retrieved context; nature is the generation already on the sample.
     """
     if not unconstrained_text.strip():
         raise ValidationError(f"empty unconstrained generation for {sample.example.id!r}")
@@ -300,8 +285,7 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
                                     aggregation, external_scores, (qid, variant))
         for variant, context in contexts.items()
     }
-    return CompletenessVariants(qid, contexts["nature"], contexts["trunc"],
-                                contexts["strunc"], sim_scores)
+    return contexts, sim_scores
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +355,31 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
 
     Each sample gets one unconstrained generation; variants whose similarity
     scores diverge beyond the threshold are filtered out so only completeness
-    varies.  Every surviving variant is re-traced (fresh candidate answer,
-    abstention and containment checks) and then read in hybrid with the
-    retrieved context.
+    varies.  Each truncated variant is read alone for a fresh candidate (nature
+    keeps the stored one) and re-traced by :func:`pipeline.trace_decision`; it
+    is read in hybrid with the retrieved context only if it keeps the subset.
     """
     chosen = select_subset(samples, subset)
-
-    def build(sample: pipeline.TracedSample) -> CompletenessVariants:
-        unconstrained = generator.generate(sample.example, None)
-        return build_completeness_variants(sample, unconstrained, metric, aggregation,
-                                           external_scores)
-
-    variants = pipeline.map_examples(build, chosen, workers)
-    matched = [(s, v) for s, v in zip(chosen, variants)
-               if similarity_matched(v.sim_scores, threshold)]
+    variants = pipeline.map_examples(
+        lambda s: build_completeness_variants(s, generator.generate(s.example, None), metric,
+                                              aggregation, external_scores), chosen, workers)
+    matched = [(s, contexts) for s, (contexts, sim_scores) in zip(chosen, variants)
+               if similarity_matched(sim_scores, threshold)]
     if not matched:
         raise ValidationError("similarity-matched filter removed every sample")
 
     groups = []
     for variant in COMPLETENESS_VARIANTS:
 
-        def eval_one(pair: tuple[pipeline.TracedSample, CompletenessVariants],
+        def eval_one(pair: tuple[pipeline.TracedSample, dict[str, pipeline.Context]],
                      ) -> pipeline.HybridRecord | None:
-            sample, built = pair
-            context = built.context(variant)
-            if variant == "nature":
-                candidate = sample.answer_from_generated
-            else:
-                candidate = reader.answer(sample.example, [context.text])
-                if pipeline.is_abstention(candidate, abstentions) or not textnorm.contains_answer(
-                        context.text, candidate):
-                    return None
+            sample, contexts = pair
+            context = contexts[variant]
+            candidate = (sample.answer_from_generated if variant == "nature"
+                         else reader.answer(sample.example, [context.text]))
             stand_in = replace(sample, generated=context, answer_from_generated=candidate)
+            if pipeline.trace_decision(stand_in, abstentions) != (sample.subset, None):
+                return None
             return pipeline.hybrid_answer(reader, stand_in, order, seed)
 
         records = [r for r in pipeline.map_examples(eval_one, matched, workers)

@@ -17,7 +17,7 @@ import random
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -355,6 +355,21 @@ def parametric_keep(closed_book_answer: str, answer_from_generated: str,
     )
 
 
+def trace_decision(sample: TracedSample, abstentions: Sequence[str]) -> tuple[str, str | None]:
+    """(subset, dropped) for the candidates and closed-book answer stored on
+    *sample*: traceability, then exclusivity, then the parametric check when
+    a closed-book answer is stored and the subset is not none."""
+    gen, ret = sample.answer_from_generated, sample.answer_from_retrieved
+    dropped = traceability_drop_reason(gen, ret, sample.generated, sample.retrieved, abstentions)
+    if dropped is not None:
+        return "none", dropped
+    subset = exclusivity_label(gen, ret, sample.example.answers)
+    if sample.closed_book is not None and subset != "none" and not parametric_keep(
+            sample.closed_book, gen, ret):
+        return subset, "parametric"
+    return subset, None
+
+
 def resolve_order(order: str, seed: int, example_id: str) -> str:
     """Concrete presentation order for one sample.
 
@@ -479,8 +494,9 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
               reader: Reader, abstentions: Sequence[str], parametric: bool,
               out_path: str | Path, manifest_hash: str, seed: int,
               workers: int = 1) -> list[TracedSample]:
-    """Candidate reads, traceability and exclusivity filters, optional
-    parametric-knowledge filter; writes traced.jsonl."""
+    """Both single-context candidate reads, decided by :func:`trace_decision`;
+    with *parametric*, a closed-book read for each survivor, decided again.
+    Writes traced.jsonl."""
 
     def trace_one(example: QaExample) -> TracedSample:
         slot = contexts_by_id.get(example.id)
@@ -488,20 +504,14 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
             raise ValidationError(
                 f"question {example.id!r} needs one retrieved and one generated context")
         retrieved, generated = slot["retrieved"], slot["generated"]
-        answer_ret = reader.answer(example, [retrieved.text])
-        answer_gen = reader.answer(example, [generated.text])
-        dropped = traceability_drop_reason(answer_gen, answer_ret, generated, retrieved,
-                                           abstentions)
-        subset = "none"
-        closed = None
-        if dropped is None:
-            subset = exclusivity_label(answer_gen, answer_ret, example.answers)
-            if parametric and subset != "none":
-                closed = reader.answer(example)
-                if not parametric_keep(closed, answer_gen, answer_ret):
-                    dropped = "parametric"
-        return TracedSample(example, retrieved, generated, answer_ret, answer_gen,
-                            closed, subset, dropped)
+        sample = TracedSample(example, retrieved, generated,
+                              reader.answer(example, [retrieved.text]),
+                              reader.answer(example, [generated.text]), None, "none", None)
+        subset, dropped = trace_decision(sample, abstentions)
+        if parametric and dropped is None and subset != "none":
+            sample = replace(sample, closed_book=reader.answer(example))
+            subset, dropped = trace_decision(sample, abstentions)
+        return replace(sample, subset=subset, dropped=dropped)
 
     samples = map_examples(trace_one, list(examples), workers)
     samples.sort(key=lambda s: s.example.id)

@@ -1,10 +1,12 @@
 """Re-verification of pipeline outputs from the files alone.
 
 The validator re-derives every checkable claim a file makes: stored word
-counts, traceability containment, exclusivity labels, hybrid classifications,
-report rows and quantile slices.  It never trusts pipeline state; everything
-is recomputed from the stored strings, so a file edited by hand or produced
-by a broken run fails here with its line number.
+counts, traced contexts against their contexts rows, each traced row's subset
+and drop reason by trace's own :func:`pipeline.trace_decision` (except the
+abstention reasons, whose set is config), hybrid classifications, report rows
+and quantile slices.  It never trusts pipeline state; everything is recomputed
+from the stored strings, so a file edited by hand or produced by a broken run
+fails here with its line number.
 """
 from __future__ import annotations
 
@@ -58,17 +60,17 @@ def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int
     if sample.retrieved.source != "retrieved" or sample.generated.source != "generated":
         out.add(path, line, "traced contexts are attached under the wrong sources")
         return
-    if sample.dropped is not None:
+    if sample.dropped in ("abstained_gen", "abstained_ret"):
+        # The abstention set is config, so only the row's shape is checked.
+        if sample.subset != "none" or sample.closed_book is not None:
+            out.add(path, line, f"{sample.dropped} row must have subset 'none' and no closed_book")
         return
-    if not textnorm.contains_answer(sample.generated.text, sample.answer_from_generated):
-        out.add(path, line, "generated candidate is not contained in the generated context")
-    if not textnorm.contains_answer(sample.retrieved.text, sample.answer_from_retrieved):
-        out.add(path, line, "retrieved candidate is not contained in the retrieved context")
-    label = pipeline.exclusivity_label(sample.answer_from_generated,
-                                       sample.answer_from_retrieved,
-                                       sample.example.answers)
-    if sample.subset != label:
-        out.add(path, line, f"stored subset {sample.subset!r} != recomputed {label!r}")
+    # An empty reply abstains under any abstention set, so with none given
+    # this is trace's own verdict on a row it did not drop as an abstention.
+    subset, dropped = pipeline.trace_decision(sample, ())
+    if (sample.subset, sample.dropped) != (subset, dropped):
+        out.add(path, line, f"stored subset {sample.subset!r}, dropped {sample.dropped!r} "
+                            f"!= recomputed {subset!r}, {dropped!r}")
 
 
 def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.TracedSample],
@@ -208,8 +210,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     out = _Collector()
     manifests: dict[str, str] = {}
     traced_samples: dict[str, pipeline.TracedSample] = {}
-    # Files the cross-file checks below need, by kind: path, header seed, (line, record) pairs.
-    files: dict[RowSchema, list[tuple[str | Path, int, list]]] = defaultdict(list)
+    # Each file by kind, for the cross-file checks: path, header seed, (line, record) pairs.
+    files: dict[RowSchema | None, list[tuple[str | Path, int, list]]] = defaultdict(list)
 
     for path in paths:
         if not Path(path).is_file():
@@ -224,8 +226,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
         finally:
             for exc in sorted(problems, key=attrgetter("line_no")):
                 out.add(path, exc.line_no, exc.message)
-        if schema in (analysis.SIM, analysis.SLICES, pipeline.HYBRID, metrics.REPORT):
-            files[schema].append((path, seed, loaded))
+        files[schema].append((path, seed, loaded))
         if schema is pipeline.TRACED:
             for line_no, sample in loaded:
                 # A repeat inside one file failed to load; this is one across files.
@@ -242,6 +243,16 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
         out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
+
+    contexts = {(c.id, c.source): c for _, _, loaded in files[pipeline.CONTEXT]
+                for _, c in loaded}
+    if contexts:
+        for path, _, loaded in files[pipeline.TRACED]:
+            for line_no, sample in loaded:
+                for context in (sample.retrieved, sample.generated):
+                    if contexts.get((context.id, context.source)) != context:
+                        out.add(path, line_no, f"{context.source} context differs from the "
+                                               f"contexts row of {context.id!r}")
 
     sims, evals = files[analysis.SIM], files[pipeline.HYBRID]
     for path, _, loaded in sims:

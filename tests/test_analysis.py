@@ -57,6 +57,7 @@ from ctxtrace.pipeline import (
     read_questions,
     run_prepare,
     run_trace,
+    trace_decision,
 )
 from ctxtrace.textnorm import split_sentences, word_count
 
@@ -316,17 +317,18 @@ def test_build_completeness_variants():
     sample = _sample()  # retrieved word count is 5
     assert sample.retrieved.word_count == 5
     unconstrained = "Alpha beta gamma delta. Epsilon zeta eta theta iota kappa."
-    built = build_completeness_variants(sample, unconstrained)
-    assert built.nature == sample.generated
-    assert built.trunc.text == "Alpha beta gamma delta. Epsilon"
-    assert built.strunc.text == "Alpha beta gamma delta."
+    contexts, sim_scores = build_completeness_variants(sample, unconstrained)
+    assert set(contexts) == set(COMPLETENESS_VARIANTS)
+    assert contexts["nature"] == sample.generated
+    assert contexts["trunc"].text == "Alpha beta gamma delta. Epsilon"
+    assert contexts["strunc"].text == "Alpha beta gamma delta."
     for variant in ("trunc", "strunc"):
-        context = built.context(variant)
+        context = contexts[variant]
         assert context.variant == variant
         assert context.gen_target_words is None
         assert context.word_count == word_count(context.text)
         assert context.id == sample.example.id
-    assert set(built.sim_scores) == set(COMPLETENESS_VARIANTS)
+    assert set(sim_scores) == set(COMPLETENESS_VARIANTS)
     with pytest.raises(ValidationError):
         build_completeness_variants(sample, "   ")
 
@@ -510,3 +512,76 @@ def test_run_completeness_filters_and_reports(tmp_path):
                          seed=0, metric="external", aggregation="max",
                          external_scores=divergent, threshold=0.05,
                          abstentions=ABST, out_path=out, manifest_hash="aa")
+
+
+PROBE_UNCONSTRAINED = "Alpha beta gamma delta. Epsilon zeta eta theta iota kappa."
+PROBE_TRUNCATIONS = ("Alpha beta gamma delta. Epsilon", "Alpha beta gamma delta.")
+
+
+def _completeness_probe(tmp_path, cases):
+    """run_completeness over ALL for (sample, truncated read, hybrid reply)
+    cases.  Each sample's unconstrained generation is PROBE_UNCONSTRAINED, cut
+    to PROBE_TRUNCATIONS, and every variant scores alike, so none is filtered."""
+    gen_rows, reader_rows, scores = [], [], {}
+    for sample, truncated, hybrid in cases:
+        qid = sample.example.id
+        assert sample.retrieved.word_count == 5
+        gen_rows.append({"question_id": qid, "target_words": None, "text": PROBE_UNCONSTRAINED})
+        for text in PROBE_TRUNCATIONS:
+            reader_rows.append({"question_id": qid, "mode": "single_context",
+                                "context_fingerprint": context_fingerprint(text),
+                                "answer": truncated})
+        reader_rows.append({"question_id": qid, "mode": "hybrid",
+                            "context_fingerprint": None, "answer": hybrid})
+        scores.update({(qid, variant): 0.8 for variant in COMPLETENESS_VARIANTS})
+    reader = Reader(BackendSpec(kind="scripted",
+                                script_path=write_jsonl(tmp_path / "r.jsonl", reader_rows)),
+                    PromptSet())
+    generator = Generator(BackendSpec(kind="scripted",
+                                      script_path=write_jsonl(tmp_path / "g.jsonl", gen_rows)),
+                          PromptSet())
+    return run_completeness([sample for sample, _, _ in cases], reader, generator, "ALL",
+                            "generated_first", seed=0, metric="external", aggregation="max",
+                            external_scores=scores, threshold=0.05, abstentions=ABST,
+                            out_path=tmp_path / "completeness.csv", manifest_hash="aa")
+
+
+def _truncated_stand_in(sample, candidate):
+    contexts, _ = build_completeness_variants(sample, PROBE_UNCONSTRAINED)
+    return replace(sample, generated=contexts["trunc"], answer_from_generated=candidate)
+
+
+# A clean AIG sample whose truncated variants read the gold answer again.
+CLEAN = (_sample("q0"), "beta", "beta")
+
+
+def test_completeness_drops_a_truncated_read_of_the_retrieved_candidate(tmp_path):
+    # AIG with gold beta; the truncated variants read the retrieved candidate
+    # delta, and so does the hybrid read.  Neither candidate of the truncated
+    # sample is gold, so trace would drop it as none.
+    faulty = _sample("q1")
+    reports = _completeness_probe(tmp_path, [CLEAN, (faulty, "delta", "delta")])
+    assert trace_decision(_truncated_stand_in(faulty, "delta"), ABST) == ("none", None)
+    nature = reports["nature"]
+    assert (nature.n, nature.rho_gen, nature.rho_ret, nature.diff_gr) == (2, 0.5, 0.5, 0.0)
+    for variant in ("trunc", "strunc"):
+        report = reports[variant]
+        assert (report.n, report.rho_gen, report.diff_gr) == (1, 1.0, 1.0)
+
+
+def test_completeness_drops_an_air_sample_whose_truncated_read_is_gold(tmp_path):
+    air = _sample("q1", subset="AIR", golds=("delta",))
+    reports = _completeness_probe(tmp_path, [CLEAN, (air, "delta", "delta")])
+    assert trace_decision(_truncated_stand_in(air, "delta"), ABST) == ("none", None)
+    assert reports["nature"].n == 2
+    assert reports["trunc"].n == reports["strunc"].n == 1
+
+
+def test_completeness_drops_a_truncated_read_of_the_closed_book_answer(tmp_path):
+    # alpha is a gold alias, so the truncated sample stays AIG, but it is the
+    # stored closed-book answer.
+    sample = replace(_sample("q1", golds=("beta", "alpha")), closed_book="alpha")
+    reports = _completeness_probe(tmp_path, [CLEAN, (sample, "alpha", "alpha")])
+    assert trace_decision(_truncated_stand_in(sample, "alpha"), ABST) == ("AIG", "parametric")
+    assert reports["nature"].n == 2
+    assert reports["trunc"].n == reports["strunc"].n == 1

@@ -56,6 +56,7 @@ from ctxtrace.pipeline import (
     run_evaluate,
     run_prepare,
     run_trace,
+    trace_decision,
     traceability_drop_reason,
 )
 from ctxtrace.textnorm import word_count
@@ -224,6 +225,21 @@ def test_parametric_keep_requires_pairwise_distinct():
     assert not parametric_keep("paris.", "Paris", "Lyon")
     assert not parametric_keep("Lille", "Paris", "lille")
     assert not parametric_keep("Lille", "Paris", "PARIS")
+
+
+def test_trace_decision_runs_the_filters_in_trace_order():
+    assert trace_decision(_sample(), ABST) == ("AIG", None)
+    assert trace_decision(_sample(golds=("zeta",)), ABST) == ("none", None)
+    assert trace_decision(_sample(golds=("beta", "delta")), ABST) == ("none", None)
+    # A traceability drop leaves no subset, whatever the candidates match.
+    assert trace_decision(_sample(gen_ans="unknown"), ABST) == ("none", "abstained_gen")
+    assert trace_decision(_sample(ret_ans="zeta"), ABST) == ("none", "not_in_ret")
+    # The parametric check needs a stored closed-book answer and a subset.
+    assert trace_decision(_sample(closed="Beta."), ABST) == ("AIG", "parametric")
+    assert trace_decision(_sample(closed="gamma"), ABST) == ("AIG", None)
+    assert trace_decision(_sample(closed="beta", golds=("zeta",)), ABST) == ("none", None)
+    # An empty reply abstains under any set, the empty one included.
+    assert trace_decision(_sample(ret_ans=""), ()) == ("none", "abstained_ret")
 
 
 # ---------------------------------------------------------------------------

@@ -138,13 +138,68 @@ def test_containment_recomputed(run):
         obj["answer_from_generated"] = "absent-token"
     _edit_jsonl(path, 2, detach)
     problems = validate_files([path])
-    assert any("not contained in the generated context" in p.message for p in problems)
+    assert any(p.line == 2 and "recomputed 'none', 'not_in_gen'" in p.message
+               for p in problems)
 
 
 def test_dropped_rows_skip_containment_checks(run):
     # q04 abstained; its stored answers are not checked for containment.
     problems = validate_files([run["traced.jsonl"]])
     assert problems == []
+
+
+def test_every_stored_verdict_is_recomputed(tmp_path):
+    world = WorldBuilder(tmp_path)
+    for qid, outcome in (("q01", "AIG"), ("q02", "AIR"), ("q03", "AIG"),
+                         ("q04", "not_in_ret")):
+        world.add_case(qid, outcome=outcome, hybrid_pick="gen")
+    world.write()
+    path = _finish_run(tmp_path, world)["traced.jsonl"]
+    assert validate_files([path]) == []
+
+    def claim_not_in_gen(obj):  # the generated candidate is contained
+        obj.update(subset="none", dropped="not_in_gen")
+
+    def read_the_generated_candidate_closed_book(obj):
+        obj["closed_book"] = obj["answer_from_generated"]
+
+    def claim_parametric(obj):  # three distinct answers
+        obj.update(closed_book="cq03", dropped="parametric")
+
+    def label_air(obj):
+        assert obj["dropped"] == "not_in_ret"
+        obj["subset"] = "AIR"
+
+    for line, edit in enumerate((claim_not_in_gen, read_the_generated_candidate_closed_book,
+                                 claim_parametric, label_air), start=2):
+        _edit_jsonl(path, line, edit)
+    assert [(p.line, p.message.split(" != ")[1]) for p in validate_files([path])] == [
+        (2, "recomputed 'AIG', None"),
+        (3, "recomputed 'AIR', 'parametric'"),
+        (4, "recomputed 'AIG', None"),
+        (5, "recomputed 'none', 'not_in_ret'"),
+    ]
+
+
+@pytest.mark.parametrize("edit", [{"subset": "AIG"}, {"closed_book": "cq04"}])
+def test_abstained_rows_have_no_subset_and_no_closed_book(run, edit):
+    path = run["traced.jsonl"]
+    _edit_jsonl(path, 5, lambda obj: obj.update(edit))
+    problems = validate_files([path])
+    assert [(p.line, p.message) for p in problems] == [
+        (5, "abstained_gen row must have subset 'none' and no closed_book")]
+
+
+def test_traced_contexts_are_their_contexts_rows(run):
+    path = run["traced.jsonl"]
+
+    def reword(obj):  # same word count, same containment
+        obj["generated"]["text"] = obj["generated"]["text"].replace("second", "third")
+    _edit_jsonl(path, 2, reword)
+    assert validate_files([path]) == []
+    problems = validate_files([run["contexts.jsonl"], path])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(path), 2, "generated context differs from the contexts row of 'q01'")]
 
 
 def test_duplicate_traced_id(run):
