@@ -23,8 +23,8 @@ COMPLETENESS_VARIANTS = ("nature", "strunc", "trunc")
 DEFAULT_MATCH_THRESHOLD = 0.05
 DEFAULT_SLICES = 5
 
-ORDER = metrics.report_schema("order")
-COMPLETENESS = metrics.report_schema("variant")
+ORDER = metrics.report_schema("order", pipeline.ORDERS)
+COMPLETENESS = metrics.report_schema("variant", COMPLETENESS_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -291,21 +291,10 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
 # ---------------------------------------------------------------------------
 # Analyze runners backing the CLI.
 
-def select_subset(samples: Sequence[pipeline.TracedSample], subset: str,
-                  ) -> list[pipeline.TracedSample]:
-    """Live samples of one subset (AIG, AIR or ALL); empty is an error."""
-    if subset not in pipeline.REPORT_SUBSETS:
-        raise ValidationError(f"unknown subset {subset!r}")
-    chosen = [s for s in samples if s.live and subset in ("ALL", s.subset)]
-    if not chosen:
-        raise ValidationError(f"no live samples in subset {subset!r}")
-    return chosen
-
-
 def run_sim(samples: Sequence[pipeline.TracedSample], subset: str, metric: str,
             aggregation: str, external_scores: Mapping[tuple[str, str], float] | None,
             out_path: str | Path, manifest_hash: str, seed: int) -> list[SimilarityRecord]:
-    chosen = select_subset(samples, subset)
+    chosen = pipeline.select_subset(samples, subset)
     records = build_similarity_records(chosen, metric, aggregation, external_scores)
     SIM.write_table(out_path, records, manifest_hash, seed)
     # The records as sim.csv stores them, so run_slices gives what validate re-derives.
@@ -329,17 +318,12 @@ def run_order(samples: Sequence[pipeline.TracedSample], reader: pipeline.Reader,
     Only the two fixed orders are read: each sample's random-order record is
     its record under the order :func:`pipeline.resolve_order` draws for it.
     """
-    chosen = select_subset(samples, subset)
-    groups = []
-    for order in ("generated_first", "retrieved_first"):
-        groups.append((order, pipeline.map_examples(
-            lambda s, order=order: pipeline.hybrid_answer(reader, s, order, seed),
-            chosen, workers)))
-    fixed = dict(groups)
-    groups.append(("random", [
-        replace(fixed[pipeline.resolve_order("random", seed, s.example.id)][i], order="random")
-        for i, s in enumerate(chosen)]))
-    reports = {r.subset: r for r in pipeline.build_reports(chosen, groups)}
+    chosen = pipeline.select_subset(samples, subset)
+    fixed = {order: pipeline.read_hybrid(reader, chosen, order, seed, workers)
+             for order in ("generated_first", "retrieved_first")}
+    drawn = [replace(fixed[pipeline.resolve_order("random", seed, s.example.id)][i],
+                     order="random") for i, s in enumerate(chosen)]
+    reports = pipeline.build_reports(chosen, [*fixed.items(), ("random", drawn)])
     ORDER.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports
 
@@ -353,40 +337,40 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
                      workers: int = 1) -> dict[str, metrics.MetricsReport]:
     """Compare nature/strunc/trunc generated variants against retrieval.
 
-    Each sample gets one unconstrained generation; variants whose similarity
-    scores diverge beyond the threshold are filtered out so only completeness
-    varies.  Each truncated variant is read alone for a fresh candidate (nature
-    keeps the stored one) and re-traced by :func:`pipeline.trace_decision`; it
-    is read in hybrid with the retrieved context only if it keeps the subset.
+    One pass does each sample's work: one unconstrained generation, and a
+    sample whose variants' similarity scores diverge beyond the threshold is
+    filtered out so only completeness varies.  Each truncated variant is read
+    alone for a fresh candidate (nature keeps the stored one) and re-traced by
+    :func:`pipeline.trace_decision`; it is read in hybrid with the retrieved
+    context only if it keeps the subset.
     """
-    chosen = select_subset(samples, subset)
-    variants = pipeline.map_examples(
-        lambda s: build_completeness_variants(s, generator.generate(s.example, None), metric,
-                                              aggregation, external_scores), chosen, workers)
-    matched = [(s, contexts) for s, (contexts, sim_scores) in zip(chosen, variants)
-               if similarity_matched(sim_scores, threshold)]
-    if not matched:
-        raise ValidationError("similarity-matched filter removed every sample")
-
-    groups = []
-    for variant in COMPLETENESS_VARIANTS:
-
-        def eval_one(pair: tuple[pipeline.TracedSample, dict[str, pipeline.Context]],
-                     ) -> pipeline.HybridRecord | None:
-            sample, contexts = pair
+    def sweep(sample: pipeline.TracedSample) -> dict[str, pipeline.HybridRecord] | None:
+        """{variant: hybrid record} of the variants kept; None if filtered out."""
+        contexts, sim_scores = build_completeness_variants(
+            sample, generator.generate(sample.example, None), metric, aggregation, external_scores)
+        if not similarity_matched(sim_scores, threshold):
+            return None
+        records = {}
+        for variant in COMPLETENESS_VARIANTS:
             context = contexts[variant]
             candidate = (sample.answer_from_generated if variant == "nature"
                          else reader.answer(sample.example, [context.text]))
             stand_in = replace(sample, generated=context, answer_from_generated=candidate)
-            if pipeline.trace_decision(stand_in, abstentions) != (sample.subset, None):
-                return None
-            return pipeline.hybrid_answer(reader, stand_in, order, seed)
+            if pipeline.trace_decision(stand_in, abstentions) == (sample.subset, None):
+                records[variant] = pipeline.hybrid_answer(reader, stand_in, order, seed)
+        return records
 
-        records = [r for r in pipeline.map_examples(eval_one, matched, workers)
-                   if r is not None]
+    chosen = pipeline.select_subset(samples, subset)
+    swept = pipeline.map_examples(sweep, chosen, workers)
+    matched = [s for s, records in zip(chosen, swept) if records is not None]
+    if not matched:
+        raise ValidationError("similarity-matched filter removed every sample")
+    groups = [(variant, [records[variant] for records in swept
+                         if records is not None and variant in records])
+              for variant in COMPLETENESS_VARIANTS]
+    for variant, records in groups:
         if not records:
             raise ValidationError(f"no evaluable samples for variant {variant!r}")
-        groups.append((variant, records))
-    reports = {r.subset: r for r in pipeline.build_reports([s for s, _ in matched], groups)}
+    reports = pipeline.build_reports(matched, groups)
     COMPLETENESS.write_table(out_path, reports.values(), manifest_hash, seed)
     return reports

@@ -195,7 +195,7 @@ def _evaluate(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
     reports = run_evaluate(samples, reader, cfg.order, cfg.seed, ns.out, report_path,
                            run_id, cfg.workers)
     print(f"evaluated -> {ns.out} and {report_path} (manifest {run_id})")
-    for rep in reports:
+    for rep in reports.values():
         llm = "-" if rep.rho_llm is None else f"{rep.rho_llm:.4f}"
         print(f"{rep.subset}: n={rep.n} rho_gen={rep.rho_gen:.4f} "
               f"rho_ret={rep.rho_ret:.4f} rho_llm={llm} others={rep.others:.4f} "

@@ -44,13 +44,16 @@ class MetricsReport:
     em_percent: float
 
 
-def report_schema(first_column: str) -> RowSchema:
-    """The report row format, its label column named *first_column*."""
+def report_schema(first_column: str, labels: tuple[str, ...] | None) -> RowSchema:
+    """The report row format, its label column named *first_column* and
+    holding one of *labels* (any label when None)."""
     return RowSchema(MetricsReport, "report", (first_column,), keys={"subset": first_column},
-                     fmt={"em_percent": ".4f"})
+                     choices={"subset": labels}, fmt={"em_percent": ".4f"})
 
 
-REPORT = report_schema("subset")
+# Any label: besides evaluate's subsets, a report.csv may hold one row per
+# retriever, assembled from several runs for the retriever comparison table.
+REPORT = report_schema("subset", None)
 read_report_csv = REPORT.read_table
 write_report_csv = REPORT.write_table
 

@@ -522,35 +522,48 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
 
 def run_evaluate(samples: Sequence[TracedSample], reader: Reader, order: str, seed: int,
                  eval_path: str | Path, report_path: str | Path, manifest_hash: str,
-                 workers: int = 1) -> list[metrics.MetricsReport]:
+                 workers: int = 1) -> dict[str, metrics.MetricsReport]:
     """Hybrid reads over live samples; writes eval.jsonl and report.csv."""
-    live = [s for s in samples if s.live]
-    if not live:
-        raise ValidationError("no live context-conflicting samples to evaluate")
-    records = map_examples(lambda s: hybrid_answer(reader, s, order, seed), live, workers)
+    live = select_subset(samples, "ALL")
+    records = read_hybrid(reader, live, order, seed, workers)
     records.sort(key=lambda r: r.example_id)
     write_jsonl(eval_path, (HYBRID.dump(r) for r in records), header_obj(manifest_hash, seed))
 
-    reports = subset_reports(live, records)
-    metrics.write_report_csv(report_path, reports, manifest_hash, seed)
+    reports = build_reports(live, subset_groups(live, records))
+    metrics.write_report_csv(report_path, reports.values(), manifest_hash, seed)
     return reports
+
+
+def select_subset(samples: Sequence[TracedSample], subset: str) -> list[TracedSample]:
+    """Live samples of one subset (AIG, AIR or ALL); empty is an error."""
+    if subset not in REPORT_SUBSETS:
+        raise ValidationError(f"unknown subset {subset!r}")
+    chosen = [s for s in samples if s.live and subset in ("ALL", s.subset)]
+    if not chosen:
+        raise ValidationError(f"no live samples in subset {subset!r}")
+    return chosen
+
+
+def read_hybrid(reader: Reader, samples: Sequence[TracedSample], order: str, seed: int,
+                workers: int) -> list[HybridRecord]:
+    """One :func:`hybrid_answer` per sample, in sample order."""
+    return map_examples(lambda s: hybrid_answer(reader, s, order, seed), samples, workers)
+
+
+def subset_groups(live: Sequence[TracedSample], records: Sequence[HybridRecord],
+                  ) -> list[tuple[str, list[HybridRecord]]]:
+    """The records of each report subset: AIG, AIR, then ALL."""
+    subset_of = {s.example.id: s.subset for s in live}
+    return [(subset, [r for r in records if subset in ("ALL", subset_of[r.example_id])])
+            for subset in REPORT_SUBSETS]
 
 
 def build_reports(samples: Sequence[TracedSample],
                   groups: Iterable[tuple[str, Sequence[HybridRecord]]],
-                  ) -> list[metrics.MetricsReport]:
-    """One metric row per (label, records) group over the gold answers of
-    *samples*; rho_llm is tracked when any of them was read closed-book."""
+                  ) -> dict[str, metrics.MetricsReport]:
+    """{label: metric row} per non-empty (label, records) group over the gold
+    answers of *samples*; rho_llm is tracked when any was read closed-book."""
     examples = {s.example.id: s.example for s in samples}
     llm_tracked = any(s.closed_book is not None for s in samples)
-    return [metrics.build_report(label, records, examples, llm_tracked)
-            for label, records in groups]
-
-
-def subset_reports(live: Sequence[TracedSample],
-                   records: Sequence[HybridRecord]) -> list[metrics.MetricsReport]:
-    """Per-subset metric rows (AIG, AIR, then ALL), skipping empty subsets."""
-    subset_of = {s.example.id: s.subset for s in live}
-    groups = [(subset, [r for r in records if subset in ("ALL", subset_of[r.example_id])])
-              for subset in REPORT_SUBSETS]
-    return build_reports(live, [group for group in groups if group[1]])
+    return {label: metrics.build_report(label, records, examples, llm_tracked)
+            for label, records in groups if records}

@@ -117,6 +117,24 @@ def _check_report_rows(path: str | Path, reports: Sequence[tuple[int, metrics.Me
             out.add(path, line, f"diff_gr out of range [-1, 1]: {report.diff_gr}")
 
 
+def _check_row_counts(path: str | Path, schema: RowSchema,
+                      reports: Sequence[tuple[int, metrics.MetricsReport]],
+                      out: _Collector) -> None:
+    """The row counts that need no record file: every order reads the same
+    samples, and each live sample is in exactly one of AIG and AIR."""
+    if schema is analysis.ORDER and reports:
+        first = reports[0][1]
+        for line, report in reports[1:]:
+            if report.n != first.n:
+                out.add(path, line, f"order {report.subset} n {report.n} != "
+                                    f"order {first.subset} n {first.n}")
+    elif schema is metrics.REPORT:
+        parts = sum(report.n for _, report in reports if report.subset != "ALL")
+        for line, report in reports:
+            if report.subset == "ALL" and report.n != parts:
+                out.add(path, line, f"ALL n {report.n} != {parts}, the sum of the subset rows")
+
+
 def _check_sim_rows(path: str | Path, records: Sequence[tuple[int, analysis.SimilarityRecord]],
                     samples: dict[str, pipeline.TracedSample], out: _Collector) -> None:
     for line, record in records:
@@ -139,7 +157,7 @@ def _check_report_against_eval(path: str | Path,
                                records: Sequence[pipeline.HybridRecord],
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
-    recounted = {r.subset: r for r in pipeline.subset_reports(live, list(records))}
+    recounted = pipeline.build_reports(live, pipeline.subset_groups(live, records))
     for line, report in reports:
         expected = recounted.get(report.subset)
         if expected is None:
@@ -239,6 +257,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
                 _check_context_row(context, path, line_no, out)
         elif schema is not None and schema.cls is metrics.MetricsReport:
             _check_report_rows(path, loaded, out)
+            if not problems:  # a row that failed to load has no n to count
+                _check_row_counts(path, schema, loaded, out)
 
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))

@@ -117,7 +117,7 @@ def test_criterion_03_injected_bias_recovery(tmp_path):
                         tmp_path / "traced.jsonl", "aaaaaaaaaaaaaaaa", seed=SEED)
     reports = run_evaluate(samples, reader, "random", SEED, tmp_path / "eval.jsonl",
                            tmp_path / "report.csv", "aaaaaaaaaaaaaaaa")
-    measured = {r.subset: r for r in reports}["ALL"].diff_gr
+    measured = reports["ALL"].diff_gr
 
     # Recount oracle: classify counts straight from the written eval file.
     counts = {"gen": 0, "ret": 0, "llm": 0, "other": 0}

@@ -28,7 +28,6 @@ from ctxtrace.analysis import (
     run_sim,
     run_slices,
     s_trunc,
-    select_subset,
     sentence_jaccard,
     similarity_matched,
     slice_report,
@@ -57,6 +56,7 @@ from ctxtrace.pipeline import (
     read_questions,
     run_prepare,
     run_trace,
+    select_subset,
     trace_decision,
 )
 from ctxtrace.textnorm import split_sentences, word_count
@@ -437,7 +437,7 @@ def test_run_order_builds_the_random_group_from_the_fixed_reads(tmp_path, monkey
     groups = [(order, [hybrid_answer(reader, s, order, 5) for s in samples])
               for order in ("generated_first", "retrieved_first", "random")]
     expected = build_reports(samples, groups)
-    ORDER.write_table(tmp_path / "expected.csv", expected, "aa", 5)
+    ORDER.write_table(tmp_path / "expected.csv", expected.values(), "aa", 5)
 
     reads = []
     answer = Reader.answer
@@ -447,7 +447,7 @@ def test_run_order_builds_the_random_group_from_the_fixed_reads(tmp_path, monkey
     reports = run_order(samples, reader, "AIG", seed=5, out_path=out, manifest_hash="aa",
                         workers=2)
     assert len(reads) == 2 * len(samples)
-    assert reports["random"] == expected[2]
+    assert reports["random"] == expected["random"]
     assert 0 < reports["random"].rho_gen < 1
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
@@ -512,6 +512,31 @@ def test_run_completeness_filters_and_reports(tmp_path):
                          seed=0, metric="external", aggregation="max",
                          external_scores=divergent, threshold=0.05,
                          abstentions=ABST, out_path=out, manifest_hash="aa")
+
+
+def test_sweeps_make_one_backend_call_per_planned_read(tmp_path, monkeypatch):
+    world, reader, generator, samples = _completeness_world(tmp_path)
+    scores = {(f"q{i}", key): 0.8 for i in (1, 2, 3) for key in COMPLETENESS_VARIANTS}
+    scores.update({("q4", "nature"): 0.9, ("q4", "trunc"): 0.5, ("q4", "strunc"): 0.9})
+    generations, reads = [], []
+    generate, answer = Generator.generate, Reader.answer
+    monkeypatch.setattr(Generator, "generate",
+                        lambda self, *args: generations.append(args) or generate(self, *args))
+    monkeypatch.setattr(Reader, "answer",
+                        lambda self, *args: reads.append(len(args[1])) or answer(self, *args))
+    reports = run_completeness(samples, reader, generator, "AIG", "generated_first",
+                               seed=0, metric="external", aggregation="max",
+                               external_scores=scores, threshold=0.05,
+                               abstentions=ABST, out_path=tmp_path / "completeness.csv",
+                               manifest_hash="aa", workers=2)
+    # One unconstrained generation per chosen sample (q4 is then filtered out),
+    # one single read per truncated variant of each matched sample, and one
+    # hybrid read per kept variant.
+    assert sorted((example.id, target) for example, target in generations) == [
+        ("q1", None), ("q2", None), ("q3", None), ("q4", None)]
+    assert reads.count(1) == 2 * 3
+    assert reads.count(2) == sum(r.n for r in reports.values()) == 9
+    assert len(reads) == 6 + 9
 
 
 PROBE_UNCONSTRAINED = "Alpha beta gamma delta. Epsilon zeta eta theta iota kappa."

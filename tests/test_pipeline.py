@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ctxtrace.analysis import COMPLETENESS_VARIANTS, run_completeness, run_order
 from ctxtrace.backends import (
     BackendSpec,
     GenerationScript,
@@ -582,10 +583,17 @@ OUTCOME_PLAN = [
 ]
 
 
-def _build_world(tmp_path):
+def _build_world(tmp_path, sweepable=False):
+    """The OUTCOME_PLAN world; with *sweepable*, each case also has an
+    unconstrained generation, naming its gold and its wrong generated answer,
+    for the completeness sweep."""
     world = WorldBuilder(tmp_path)
     for qid, outcome, pick in OUTCOME_PLAN:
-        world.add_case(qid, outcome=outcome, hybrid_pick=pick)
+        unconstrained = (
+            f"Every chronicle agrees that g{qid} or w{qid} settled the matter of {qid}. "
+            f"The point was revisited often. Scholars kept arguing about the framing "
+            f"for many further decades without reaching anything new.") if sweepable else None
+        world.add_case(qid, outcome=outcome, hybrid_pick=pick, unconstrained=unconstrained)
     world.write()
     reader = Reader(BackendSpec(kind="scripted", script_path=world.reader_path),
                     PromptSet())
@@ -686,8 +694,7 @@ def test_run_evaluate_classifies_and_reports(tmp_path):
                         tmp_path / "traced.jsonl", "aa", seed=0)
     reports = run_evaluate(samples, reader, "generated_first", 0,
                            tmp_path / "eval.jsonl", tmp_path / "report.csv", "aa")
-    by_subset = {r.subset: r for r in reports}
-    aig = by_subset["AIG"]  # q01 gen, q09 gen, q10 other (closed untracked), q11 other
+    aig = reports["AIG"]  # q01 gen, q09 gen, q10 other (closed untracked), q11 other
     assert aig.n == 4
     assert aig.rho_gen == pytest.approx(0.5)
     assert aig.rho_ret == 0.0
@@ -695,10 +702,10 @@ def test_run_evaluate_classifies_and_reports(tmp_path):
     assert aig.others == pytest.approx(0.5)
     assert aig.diff_gr == pytest.approx(1.0)
     assert aig.em_percent == pytest.approx(50.0)
-    air = by_subset["AIR"]
+    air = reports["AIR"]
     assert (air.n, air.rho_ret, air.diff_gr) == (1, 1.0, -1.0)
     assert air.em_percent == pytest.approx(100.0)
-    overall = by_subset["ALL"]
+    overall = reports["ALL"]
     assert overall.n == 5
     assert overall.rho_gen == pytest.approx(0.4)
     assert overall.rho_ret == pytest.approx(0.2)
@@ -710,7 +717,7 @@ def test_run_evaluate_classifies_and_reports(tmp_path):
                           tmp_path / "traced_p.jsonl", "aa", seed=0)
     reports_p = run_evaluate(samples_p, reader, "generated_first", 0,
                              tmp_path / "eval_p.jsonl", tmp_path / "report_p.csv", "aa")
-    aig_p = {r.subset: r for r in reports_p}["AIG"]  # q01 gen, q10 llm, q11 other
+    aig_p = reports_p["AIG"]  # q01 gen, q10 llm, q11 other
     assert aig_p.n == 3
     assert aig_p.rho_gen == pytest.approx(1 / 3)
     assert aig_p.rho_llm == pytest.approx(1 / 3)
@@ -727,19 +734,27 @@ def test_run_evaluate_needs_live_samples(tmp_path):
 
 
 def test_stage_outputs_are_deterministic(tmp_path):
-    world, reader, generator, retriever = _build_world(tmp_path)
+    world, reader, generator, retriever = _build_world(tmp_path, sweepable=True)
     examples = read_questions(world.questions_path)
+    names = ("ctx.jsonl", "traced.jsonl", "eval.jsonl", "report.csv", "order.csv",
+             "completeness.csv")
     blobs = []
-    for tag in ("one", "two"):
-        ctx_path = tmp_path / f"ctx_{tag}.jsonl"
-        traced_path = tmp_path / f"traced_{tag}.jsonl"
+    for tag, workers in (("one", 3), ("two", 3), ("serial", 1)):
+        ctx_path, traced_path, eval_path, report_path, order_path, completeness_path = (
+            tmp_path / f"{tag}_{name}" for name in names)
         run_prepare(examples, retriever, generator, (80, 100, 120), ctx_path,
-                    "aa", seed=9, workers=3)
+                    "aa", seed=9, workers=workers)
         _, by_id = read_contexts(ctx_path)
-        run_trace(examples, by_id, reader, ABST, True, traced_path, "aa",
-                  seed=9, workers=3)
-        blobs.append(ctx_path.read_bytes() + traced_path.read_bytes())
-    assert blobs[0] == blobs[1]
+        samples = run_trace(examples, by_id, reader, ABST, True, traced_path, "aa",
+                            seed=9, workers=workers)
+        run_evaluate(samples, reader, "random", 9, eval_path, report_path, "aa", workers)
+        run_order(samples, reader, "ALL", 9, order_path, "aa", workers)
+        scores = {(s.example.id, variant): 0.8 for s in samples
+                  for variant in COMPLETENESS_VARIANTS}
+        run_completeness(samples, reader, generator, "ALL", "random", 9, "external", "max",
+                         scores, 0.05, ABST, completeness_path, "aa", workers)
+        blobs.append([(tmp_path / f"{tag}_{name}").read_bytes() for name in names])
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_map_examples_preserves_order():

@@ -31,8 +31,14 @@ traced = st.builds(TracedSample, questions, contexts, contexts, texts, texts,
 hybrids = st.builds(HybridRecord, texts, st.sampled_from(pipeline.ORDERS),
                     st.integers(-2**63, 2**63), texts, st.sampled_from(pipeline.CLASSIFICATIONS))
 finite = st.floats(allow_nan=False, allow_infinity=False)
-reports = st.builds(MetricsReport, texts, st.integers(), finite, finite, st.none() | finite,
-                    finite, finite, finite)
+
+
+def reports(labels):
+    """Report rows whose label column draws from *labels*."""
+    return st.builds(MetricsReport, labels, st.integers(), finite, finite, st.none() | finite,
+                     finite, finite, finite)
+
+
 sims = st.builds(analysis.SimilarityRecord, texts, finite, finite,
                  st.sampled_from(analysis.SIM_METRICS), st.sampled_from(analysis.AGGREGATIONS),
                  finite)
@@ -63,9 +69,12 @@ JSONL_CASES = [("questions", pipeline.QUESTION, questions), ("contexts", pipelin
                ("traced", pipeline.TRACED, traced), ("eval", pipeline.HYBRID, hybrids)]
 # Questions are both an input and the example part of traced rows.
 JSONL_ROUND_TRIPS = JSONL_CASES + INPUT_CASES[1:]
-CSV_CASES = [("report", metrics.REPORT, reports), ("sim", analysis.SIM, sims),
-             ("slices", analysis.SLICES, slice_rows), ("order", analysis.ORDER, reports),
-             ("completeness", analysis.COMPLETENESS, reports)]
+# Each report table draws its labels from its own set; report.csv takes any.
+CSV_CASES = [("report", metrics.REPORT, reports(texts)), ("sim", analysis.SIM, sims),
+             ("slices", analysis.SLICES, slice_rows),
+             ("order", analysis.ORDER, reports(st.sampled_from(pipeline.ORDERS))),
+             ("completeness", analysis.COMPLETENESS,
+              reports(st.sampled_from(analysis.COMPLETENESS_VARIANTS)))]
 
 
 @pytest.mark.parametrize("schema,records", [case[1:] for case in JSONL_ROUND_TRIPS],

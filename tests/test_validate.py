@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from ctxtrace.analysis import read_sim_csv, run_sim, run_slices
+from ctxtrace.analysis import COMPLETENESS, ORDER, read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
 from ctxtrace.jsonl import read_csv
+from ctxtrace.metrics import MetricsReport, write_report_csv
 from ctxtrace.pipeline import (
     Generator,
     PromptSet,
@@ -297,6 +298,38 @@ def test_non_finite_report_cell_is_a_problem(run, cell):
     problems = validate_files(list(run.values()))
     assert [(p.line, p.message) for p in problems] == [
         (3, f"column 'others': {cell!r} is not finite")]
+
+
+def _report_row(label, n):
+    """A report row whose arithmetic holds: half gen, half ret, half gold."""
+    return MetricsReport(label, n, 0.5, 0.5, None, 0.0, 0.0, 50.0)
+
+
+def test_sweep_tables_accept_only_their_own_labels(tmp_path):
+    order, completeness = tmp_path / "order.csv", tmp_path / "completeness.csv"
+    ORDER.write_table(order, [_report_row(label, 8) for label in
+                              ("generated_first", "bogus", "random")], "feedbead12345678", 4)
+    COMPLETENESS.write_table(completeness, [_report_row(label, 8) for label in
+                                            ("nature", "AIG", "trunc")], "feedbead12345678", 4)
+    problems = validate_files([order, completeness])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(order), 4, "field 'order' has unknown value 'bogus'"),
+        (str(completeness), 4, "field 'variant' has unknown value 'AIG'"),
+    ]
+
+
+def test_row_counts_that_need_no_record_file(tmp_path):
+    order, report = tmp_path / "order.csv", tmp_path / "report.csv"
+    ORDER.write_table(order, [_report_row(label, n) for label, n in
+                              (("generated_first", 8), ("retrieved_first", 7), ("random", 8))],
+                      "feedbead12345678", 4)
+    write_report_csv(report, [_report_row("AIG", 4), _report_row("AIR", 4),
+                              _report_row("ALL", 9)], "feedbead12345678", 4)
+    problems = validate_files([order, report])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(order), 4, "order retrieved_first n 7 != order generated_first n 8"),
+        (str(report), 5, "ALL n 9 != 8, the sum of the subset rows"),
+    ]
 
 
 def test_mixed_manifests_reported(run):
