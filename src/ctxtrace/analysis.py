@@ -229,22 +229,14 @@ def s_trunc(text: str, target_words: int) -> str:
     """
     if target_words <= 0:
         raise ValidationError(f"target_words must be positive: {target_words}")
-    sentences = textnorm.split_sentences(text)
-    if not sentences:
-        return text
-    total = 0
-    end: int | None = None
-    for span in sentences:
-        count = textnorm.word_count(span.text)
-        if total + count > target_words:
-            break
-        total += count
+    total = end = 0
+    for span in textnorm.split_sentences(text):
+        total += textnorm.word_count(span.text)
+        if total > target_words:
+            # No span is empty, so end is 0 only before the first sentence.
+            return text[:end or span.end]
         end = span.end
-    else:
-        return text
-    if end is None:
-        return text[:sentences[0].end]
-    return text[:end]
+    return text
 
 
 def similarity_matched(sim_scores: Mapping[str, float],

@@ -22,6 +22,7 @@ from . import __version__
 from .analysis import AGGREGATIONS, DEFAULT_MATCH_THRESHOLD, DEFAULT_SLICES, SIM_METRICS
 from .backends import BackendSpec, Bm25Params
 from .errors import ValidationError
+from .jsonl import not_utf8
 from .pipeline import (
     DEFAULT_ABSTENTIONS,
     DEFAULT_LENGTH_CANDIDATES,
@@ -164,8 +165,12 @@ def load_config(path: str | Path | None = None,
             raise ValidationError(f"missing config file: {file_path}")
         try:
             doc = json.loads(file_path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise not_utf8(file_path) from None
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{file_path}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise ValidationError(f"{file_path}: invalid JSON: nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"{file_path}: config must be a JSON object")
         _check_keys(RunConfig, doc)

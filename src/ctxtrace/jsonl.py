@@ -60,14 +60,33 @@ def write_jsonl(path: str | Path, rows: Iterable[dict[str, Any]],
             fh.write(dumps_row(row) + "\n")
 
 
+def not_utf8(path: str | Path) -> SchemaError:
+    """The error naming the first line of *path* that is not UTF-8.
+
+    Text mode decodes in blocks, so its error does not say which line failed;
+    the bytes are read again, and :meth:`bytes.splitlines` breaks them at the
+    same universal newlines as text mode, so the line numbers agree.
+    """
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return SchemaError(path, line_no,
+                               f"not UTF-8: {exc.reason} at byte {exc.start + 1} of the line")
+    return SchemaError(path, 0, "not UTF-8")  # the file changed since the failed read
+
+
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line_no, line) for each non-blank line; line numbers are 1-based."""
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, line
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, line
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def _finite(text: str) -> float:
@@ -89,6 +108,8 @@ def _parse_line(line: str, path: str | Path, line_no: int) -> dict[str, Any]:
     except json.JSONDecodeError as exc:
         msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[:1] == "\ufeff" else exc.msg
         raise SchemaError(path, line_no, f"invalid JSON: {msg}") from exc
+    except RecursionError:
+        raise SchemaError(path, line_no, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SchemaError(path, line_no, "expected a JSON object")
     return obj
@@ -164,20 +185,26 @@ class CsvRow(list):
 def read_csv(path: str | Path) -> tuple[str, int, CsvRow, list[CsvRow]]:
     """Read a pipeline CSV, returning (manifest_hash, seed, columns, rows).
 
-    Blank rows are skipped; each row keeps the line it starts on.
+    Blank rows are skipped; each row keeps the line it starts on, which
+    names the row if :mod:`csv` cannot parse it.
     """
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        manifest_hash, seed = parse_csv_header_comment(first, path)
-        reader = csv.reader(io.StringIO(fh.read()))
-        table = []
-        line_no = 2  # the header comment was line 1
-        for cells in reader:
-            if cells:
-                table.append(CsvRow(cells, line_no))
-            line_no = reader.line_num + 2
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            manifest_hash, seed = parse_csv_header_comment(first, path)
+            reader = csv.reader(io.StringIO(fh.read()))
+            table = []
+            line_no = 2  # the header comment was line 1
+            for cells in reader:
+                if cells:
+                    table.append(CsvRow(cells, line_no))
+                line_no = reader.line_num + 2
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    except csv.Error as exc:
+        raise SchemaError(path, line_no, f"invalid CSV: {exc}") from None
     if not table:
         raise SchemaError(path, 2, "missing column header row")
     return manifest_hash, seed, table[0], table[1:]

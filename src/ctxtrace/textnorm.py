@@ -11,8 +11,7 @@ what counts as "the same answer".
 The same answers, contexts and sentences are compared many times over a run,
 so :func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs
 in a bounded memo.  Text that is seen once, such as a BM25 corpus document,
-goes through :func:`tokens_uncached` or :func:`normalize_uncached` and never
-enters it.
+goes through :func:`tokens_uncached` and never enters it.
 """
 from __future__ import annotations
 
@@ -23,7 +22,10 @@ from dataclasses import dataclass
 
 _ARTICLES = frozenset({"a", "an", "the"})
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
-_TERMINATOR_RUN_RE = re.compile(r"[.!?]+")
+# A terminator run followed by whitespace or the end of the input, capturing
+# the next non-space character, if any.  A run glued to the next character
+# ("3.5", the inner dot of "e.g.") never breaks.
+_CANDIDATE_BREAK_RE = re.compile(r"[.!?]+(?=\s+(\S)|\s*\Z)")
 _NON_SPACE_RE = re.compile(r"\S")
 
 # Distinct inputs kept by each memo in this package.  A memo only skips
@@ -87,11 +89,6 @@ def tokens_uncached(raw: str, stopwords: frozenset[str] = _ARTICLES) -> list[str
     return [word for word in words if word not in stopwords]
 
 
-def normalize_uncached(raw: str) -> str:
-    """:func:`normalize_answer` without the memo, for text seen only once."""
-    return " ".join(tokens_uncached(raw))
-
-
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def normalize_answer(raw: str) -> str:
     """Canonical form of an answer string.
@@ -99,7 +96,7 @@ def normalize_answer(raw: str) -> str:
     Lowercase, remove punctuation characters, remove standalone articles,
     collapse all whitespace runs to single spaces. Idempotent.
     """
-    return normalize_uncached(raw)
+    return " ".join(tokens_uncached(raw))
 
 
 def tokens(raw: str) -> list[str]:
@@ -155,30 +152,18 @@ class SentenceSpan:
     text: str
 
 
-def _preceding_word(text: str, term_index: int, sent_start: int) -> str:
-    if term_index == sent_start or text[term_index - 1].isspace():
-        return ""
-    return text[sent_start:term_index].rsplit(None, 1)[-1]
-
-
-def _is_break(text: str, sent_start: int, term_index: int, run_end: int) -> bool:
-    after = _NON_SPACE_RE.search(text, run_end)
+def _is_break(text: str, sent_start: int, run: re.Match[str]) -> bool:
+    after = run.group(1)
     if after is None:
         # Terminator run at end of input (trailing whitespace allowed).
         return True
-    j = after.start()
-    if j == run_end:
-        # No whitespace after the terminator: decimal point, "e.g.", "U.S.".
+    if not after.isupper():
         return False
-    if not text[j].isupper():
-        return False
-    if text[run_end - 1] == "." and run_end - term_index == 1:
-        word = _preceding_word(text, term_index, sent_start)
-        word = word.lstrip("\"'([{" + "‘“")
-        lowered = word.lower()
-        if lowered in _ABBREVIATIONS:
-            return False
-        if len(word) == 1 and word.isalpha():
+    if run.group() == ".":
+        # The word glued to a lone period ("" when there is none) may be an
+        # abbreviation or an initial.
+        word = text[sent_start:run.end()].rsplit(None, 1)[-1][:-1].lstrip("\"'([{" + "‘“")
+        if word.lower() in _ABBREVIATIONS or (len(word) == 1 and word.isalpha()):
             return False
     return True
 
@@ -194,19 +179,16 @@ def split_sentences(text: str) -> list[SentenceSpan]:
     be reconstructed from the spans plus the whitespace between them.
     """
     spans: list[SentenceSpan] = []
-    resume = 0  # the current sentence starts at the first non-space from here
-    start: int | None = None
-    for run in _TERMINATOR_RUN_RE.finditer(text):
-        term_index, run_end = run.span()
-        if start is None:
-            # A terminator is not whitespace, so the search stops at or before it.
-            start = _NON_SPACE_RE.search(text, resume).start()
-        if _is_break(text, start, term_index, run_end):
-            spans.append(SentenceSpan(start, run_end, text[start:run_end]))
-            start = None
-            resume = run_end
-    tail = _NON_SPACE_RE.search(text, resume)
-    if tail is not None:
-        start, end = tail.start(), len(text.rstrip())
+    first = _NON_SPACE_RE.search(text)
+    # The current sentence's first character; a terminator is not whitespace,
+    # so no candidate comes before it.
+    start = None if first is None else first.start()
+    for run in _CANDIDATE_BREAK_RE.finditer(text):
+        if _is_break(text, start, run):
+            end = run.end()
+            spans.append(SentenceSpan(start, end, text[start:end]))
+            start = None if run.group(1) is None else run.start(1)
+    if start is not None:
+        end = len(text.rstrip())
         spans.append(SentenceSpan(start, end, text[start:end]))
     return spans

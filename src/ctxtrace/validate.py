@@ -157,7 +157,11 @@ def _check_report_against_eval(path: str | Path,
                                records: Sequence[pipeline.HybridRecord],
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
-    recounted = pipeline.build_reports(live, pipeline.subset_groups(live, records))
+    try:
+        recounted = pipeline.build_reports(live, pipeline.subset_groups(live, records))
+    except CtxTraceError as exc:
+        out.add(path, 0, f"cannot recount the report: {exc}")
+        return
     for line, report in reports:
         expected = recounted.get(report.subset)
         if expected is None:
@@ -197,7 +201,7 @@ def _check_recount(schema: RowSchema, row: Any, recount: Any, label: str,
 
 
 # The file kinds validate recognises: a JSONL file by the exact key set of
-# its first row, a CSV file by its column row.
+# its first row, which every later row must share, a CSV file by its column row.
 _JSONL_KINDS = {frozenset(s.keys): s for s in (pipeline.CONTEXT, pipeline.TRACED, pipeline.HYBRID)}
 _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.SLICES,
                                          analysis.ORDER, analysis.COMPLETENESS)}
@@ -220,6 +224,14 @@ def _load_file(path: str | Path, problems: list[SchemaError],
         schema = _JSONL_KINDS.get(frozenset(rows[0][1])) if rows else None
         if rows and schema is None:
             problems.append(SchemaError(path, rows[0][0], "unrecognized row shape"))
+        elif schema is not None:
+            lines, rows, keys = rows, [], rows[0][1].keys()
+            for line_no, obj in lines:
+                if obj.keys() == keys:
+                    rows.append((line_no, obj))
+                else:
+                    problems.append(SchemaError(path, line_no, f"keys differ from a {schema.name} "
+                                                               f"row's by {sorted(obj.keys() ^ keys)}"))
     return manifest_hash, seed, schema, schema.load_rows(rows, path, problems) if schema else []
 
 

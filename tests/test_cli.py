@@ -70,6 +70,22 @@ def test_missing_input_exits_3(run_cli, tmp_path):
     assert "ctxtrace: error:" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"seed": 1}\n{"\xff": 1}\n', ":2: not UTF-8"),
+    (b"[" * 100_000, "invalid JSON: nested too deeply"),
+], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("flag", ["--questions", "--config"])
+def test_an_input_json_cannot_read_exits_3(run_cli, world, tmp_path, flag, data, message):
+    _standard_world(world)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    inputs = {"--questions": world.questions_path, flag: str(bad)}
+    code, _, err = run_cli("prepare", *[arg for pair in inputs.items() for arg in pair],
+                           "--out", world.path("c.jsonl"), *world.config_args())
+    assert code == 3
+    assert err.startswith(f"ctxtrace: error: {bad}") and message in err
+
+
 def test_bad_order_value_exits_3(run_cli, world, tmp_path):
     _standard_world(world)
     code, _, err = run_cli("prepare", "--questions", world.questions_path,

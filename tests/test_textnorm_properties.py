@@ -17,13 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxtrace import textnorm
-from ctxtrace.analysis import trunc
+from ctxtrace.analysis import s_trunc, trunc
 from ctxtrace.backends import context_fingerprint
 from ctxtrace.textnorm import (
     SentenceSpan,
     contains_answer,
     normalize_answer,
-    normalize_uncached,
     split_sentences,
     strip_punct,
     tokens,
@@ -119,6 +118,25 @@ def reference_trunc(text: str, target_words: int) -> str:
     return " ".join(kept)
 
 
+def reference_s_trunc(text: str, target_words: int) -> str:
+    sentences = split_sentences(text)
+    if not sentences:
+        return text
+    total = 0
+    end: int | None = None
+    for span in sentences:
+        count = word_count(span.text)
+        if total + count > target_words:
+            break
+        total += count
+        end = span.end
+    else:
+        return text
+    if end is None:
+        return text[:sentences[0].end]
+    return text[:end]
+
+
 def reference_contains(context_text: str, answer: str) -> bool:
     needle, hay = tokens(answer), tokens(context_text)
     return bool(needle) and any(hay[i:i + len(needle)] == needle
@@ -179,7 +197,7 @@ def test_word_characters_are_the_alphanumeric_ones_and_underscore():
 @given(pieces_text | any_text)
 def test_normalize_matches_the_whole_text_article_pass(text):
     assert tokens_uncached(text) == reference_normalize(text).split()
-    assert normalize_uncached(text) == reference_normalize(text)
+    assert normalize_answer.__wrapped__(text) == reference_normalize(text)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -247,3 +265,9 @@ def test_contains_answer_is_token_sequence_occurrence(context_text, other, data)
 @given(any_text, st.integers(1, 12))
 def test_trunc_matches_the_token_loop(text, target_words):
     assert trunc(text, target_words) == reference_trunc(text, target_words)
+
+
+@exhaustively
+@given(sentences_text, st.integers(1, 40))
+def test_s_trunc_matches_the_sentence_loop(text, target_words):
+    assert s_trunc(text, target_words) == reference_s_trunc(text, target_words)

@@ -4,9 +4,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxtrace.analysis import COMPLETENESS, ORDER, read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
+from ctxtrace.cli import main
+from ctxtrace.errors import CtxTraceError
 from ctxtrace.jsonl import read_csv
 from ctxtrace.metrics import MetricsReport, write_report_csv
 from ctxtrace.pipeline import (
@@ -290,6 +294,22 @@ def test_report_recount_against_eval(run):
     assert any("stored em_percent" in p.message for p in problems)
 
 
+def test_a_recount_that_cannot_be_computed_is_a_problem(run):
+    # q02 is the only AIR sample; answered with neither context, no live
+    # sample matches gen or ret, so diff_gr is undefined for the recount.
+    path = run["eval.jsonl"]
+    line = next(n for n, text in enumerate(path.read_text().splitlines(), 1)
+                if '"id":"q02"' in text)
+
+    def unrelated(obj):
+        obj["hybrid_answer"], obj["classification"] = "zzz unrelated", "other"
+    _edit_jsonl(path, line, unrelated)
+    problems = validate_files([run["traced.jsonl"], path, run["report.csv"]])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(run["report.csv"]), 0,
+         "cannot recount the report: diff_gr undefined: no gen or ret matches at all")]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_report_cell_is_a_problem(run, cell):
     # A NaN share once passed both the proportions sum and the recount.
@@ -394,6 +414,19 @@ def test_csv_and_jsonl_kinds_need_exact_columns_and_keys(run, tmp_path):
     problems = validate_files([unknown, path])
     assert any(p.path == str(unknown) and "unrecognized columns" in p.message for p in problems)
     assert any(p.path == str(path) and "unrecognized row shape" in p.message for p in problems)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda obj: obj.update(surprise=True), "surprise"),
+    (lambda obj: obj.pop("variant"), "variant"),
+], ids=["extra", "missing"])
+def test_every_jsonl_row_needs_its_kinds_exact_keys(run, edit, key):
+    # Line 2 sets the file's kind; a later row that differs is a problem of its own.
+    path = run["contexts.jsonl"]
+    _edit_jsonl(path, 3, edit)
+    problems = validate_files([path])
+    assert [(p.line, p.message) for p in problems] == [
+        (3, f"keys differ from a context row's by [{key!r}]")]
 
 
 def test_every_live_sample_needs_an_eval_record(run):
@@ -666,3 +699,44 @@ def test_a_recount_on_the_half_unit_matches_its_stored_cell(tmp_path):
     _, _, _, rows = read_csv(paths["slices.csv"])
     assert rows[0][2] == "0.452792"
     assert validate_files(list(paths.values())) == []
+
+
+SIM_BYTES = SIM_HEADER.encode()
+JSONL_HEADER = b'{"_manifest":"feedbead12345678","seed":4}\n'
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("eval.jsonl", JSONL_HEADER + b'{"id":"q\xff1"}\n', 2),                # not UTF-8
+    ("eval.jsonl", JSONL_HEADER + b"[" * 100_000 + b"\n", 2),              # nested too deeply
+    ("sim.csv", SIM_BYTES + b"q01,0.5,0.5,jaccard,max,0.0\nq\xff2\n", 4),  # not UTF-8
+    ("sim.csv", SIM_BYTES + b"q" * 140_000 + b",0.5,0.5,jaccard,max,0.0\n", 3),  # a huge cell
+    ("sim.csv", SIM_BYTES + b"q\r1,0.5,0.5,jaccard,max,0.0\n", 3),        # a bare \r
+], ids=["jsonl-not-utf8", "jsonl-too-deep", "csv-not-utf8", "csv-huge-cell", "csv-bare-cr"])
+def test_a_file_python_cannot_parse_is_a_problem_at_its_line(tmp_path, capsys, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    problems = validate_files([path])
+    assert [p.line for p in problems] == [line]
+    assert main(["validate", str(path)]) == 3
+    assert f"{path}:{line}: " in capsys.readouterr().out
+
+
+BYTE_PIECES = [JSONL_HEADER, SIM_BYTES, b'{"id":"q1","question":"Who?","answers":["x"]}',
+               b"q01,0.5,0.5,jaccard,max,0.0", b"{", b"}", b"[" * 600, b'"', b",", b":",
+               b"1e400", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3", b"\xef\xbb\xbf",
+               b"q" * 70_000]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(BYTE_PIECES), max_size=12).map(b"".join))
+def test_malformed_bytes_never_escape_as_a_traceback(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    jsonl, csv = root / "bytes.jsonl", root / "bytes.csv"
+    jsonl.write_bytes(data)
+    csv.write_bytes(data)
+    validate_files([jsonl, csv])
+    try:
+        read_questions(jsonl)
+    except CtxTraceError:
+        pass
+
