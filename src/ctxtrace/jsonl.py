@@ -16,7 +16,7 @@ import io
 import json
 import math
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from contextlib import contextmanager
 from dataclasses import fields
 from operator import attrgetter, itemgetter
@@ -64,10 +64,13 @@ def not_utf8(path: str | Path) -> SchemaError:
     """The error naming the first line of *path* that is not UTF-8.
 
     Text mode decodes in blocks, so its error does not say which line failed;
-    the bytes are read again, and :meth:`bytes.splitlines` breaks them at the
-    same universal newlines as text mode, so the line numbers agree.
+    the bytes are read again and broken where the file's reader numbers its
+    lines: a CSV file at each ``\n``, as :func:`read_csv` does, and any other
+    file by :meth:`bytes.splitlines`, at the universal newlines of text mode.
     """
-    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n") if str(path).endswith(".csv") else data.splitlines()
+    for line_no, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -118,32 +121,52 @@ def _parse_line(line: str, path: str | Path, line_no: int) -> dict[str, Any]:
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Yield (line_no, object) pairs; the first line that is not a JSON
     object raises :class:`SchemaError`."""
-    for line_no, line in _lines(path):
-        yield line_no, _parse_line(line, path, line_no)
+    return _objects(path, None)
 
 
-def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = None,
-                      ) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
-    """Read a pipeline-written JSONL file, returning (header, rows).
+def iter_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = None,
+                      ) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Yield (line_no, object) of each row of a pipeline-written JSONL file,
+    its manifest header first.
 
     A line that is not a JSON object raises, unless a *bad_lines* list is
     given: then its error is appended there, the line is skipped, and the
-    lines after it are still read.
+    lines after it are still read.  A missing or malformed header raises
+    before any row is yielded, once the rest of the file's lines are read.
     """
-    rows = []
+    rows = _objects(path, bad_lines)
+    first = next(rows, None)
+    if first is None or MANIFEST_KEY not in first[1]:
+        problem = SchemaError(path, 1, "missing manifest header line")
+    elif not isinstance(first[1][MANIFEST_KEY], str) or not isinstance(first[1].get("seed"), int):
+        problem = SchemaError(path, 1, "malformed manifest header line")
+    else:
+        yield first
+        yield from rows
+        return
+    deque(rows, maxlen=0)  # a bad line further on is reported too
+    raise problem
+
+
+def _objects(path: str | Path, bad_lines: list[SchemaError] | None,
+             ) -> Iterator[tuple[int, dict[str, Any]]]:
+    """(line_no, object) pairs; see :func:`iter_output_jsonl` for *bad_lines*."""
     for line_no, line in _lines(path):
         try:
-            rows.append((line_no, _parse_line(line, path, line_no)))
+            obj = _parse_line(line, path, line_no)
         except SchemaError as exc:
             if bad_lines is None:
                 raise
             bad_lines.append(exc)
-    if not rows or MANIFEST_KEY not in rows[0][1]:
-        raise SchemaError(path, 1, "missing manifest header line")
-    header = rows[0][1]
-    if not isinstance(header.get(MANIFEST_KEY), str) or not isinstance(header.get("seed"), int):
-        raise SchemaError(path, 1, "malformed manifest header line")
-    return header, rows[1:]
+            continue
+        yield line_no, obj
+
+
+def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = None,
+                      ) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
+    """(header, rows) of a pipeline-written JSONL file; see :func:`iter_output_jsonl`."""
+    rows = list(iter_output_jsonl(path, bad_lines))
+    return rows[0][1], rows[1:]
 
 
 def csv_header_comment(manifest_hash: str, seed: int) -> str:
@@ -204,7 +227,9 @@ def read_csv(path: str | Path) -> tuple[str, int, CsvRow, list[CsvRow]]:
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     except csv.Error as exc:
-        raise SchemaError(path, line_no, f"invalid CSV: {exc}") from None
+        # csv's own text for a bare \r is advice about Python's open().
+        reason = "bare carriage return in an unquoted cell" if "new-line" in str(exc) else exc
+        raise SchemaError(path, line_no, f"invalid CSV: {reason}") from None
     if not table:
         raise SchemaError(path, 2, "missing column header row")
     return manifest_hash, seed, table[0], table[1:]
@@ -322,33 +347,41 @@ class RowSchema:
                 raise SchemaError(path, line_no, f"column {col.key!r}: {cell!r} is not finite")
         return obj
 
-    def load_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,
-                   problems: list[SchemaError] | None = None) -> dict[Any, tuple[int, Any]]:
-        """{key: (line, record)} of each (line, JSON object or CSV cells) pair;
-        a one-column key is its value, an empty one the line.  A row that does
-        not load or repeats an earlier row's key raises, unless a *problems*
-        list is given: then its error goes there and reading goes on."""
+    def iter_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,
+                   problems: list[SchemaError] | None = None) -> Iterator[tuple[Any, int, Any]]:
+        """Yield (key, line, record) of each (line, JSON object or CSV cells)
+        pair as it loads; a one-column key is its value, an empty one the line.
+        A row that does not load or repeats an earlier row's key raises, unless
+        a *problems* list is given: then its error goes there and reading goes
+        on.  Only the keys seen are kept, never the records."""
         key_of = itemgetter(*self.key) if self.key else None
-        loaded: dict[Any, tuple[int, Any]] = {}
+        seen: set[Any] = set()
         for line_no, row in rows:
             try:
                 obj = row if isinstance(row, dict) else self._cell_values(row, path, line_no)
                 record = self.load(obj, path, line_no)
                 key = key_of(obj) if key_of else line_no
-                if key in loaded:
+                if key in seen:
                     raise SchemaError(path, line_no, f"duplicate {self.name} " + ", ".join(
                         f"{name} {obj[name]!r}" for name in self.key))
-                loaded[key] = (line_no, record)
             except SchemaError as exc:
                 if problems is None:
                     raise
                 problems.append(exc)
-        return loaded
+                continue
+            seen.add(key)
+            yield key, line_no, record
+
+    def load_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,
+                   problems: list[SchemaError] | None = None) -> dict[Any, tuple[int, Any]]:
+        """{key: (line, record)} of each row; see :meth:`iter_keyed`."""
+        return {key: (line_no, record)
+                for key, line_no, record in self.iter_keyed(rows, path, problems)}
 
     def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path,
                   problems: list[SchemaError] | None = None) -> list[tuple[int, Any]]:
-        """(line, record) of each row, in order; see :meth:`load_keyed`."""
-        return list(self.load_keyed(rows, path, problems).values())
+        """(line, record) of each row, in order; see :meth:`iter_keyed`."""
+        return [(line_no, record) for _, line_no, record in self.iter_keyed(rows, path, problems)]
 
     def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
         """(header, records) of a pipeline-written JSONL file."""

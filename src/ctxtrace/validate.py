@@ -7,18 +7,26 @@ abstention reasons, whose set is config), hybrid classifications, report rows
 and quantile slices.  It never trusts pipeline state; everything is recomputed
 from the stored strings, so a file edited by hand or produced by a broken run
 fails here with its line number.
+
+Memory is bounded by one row at a time plus a little state per key: each
+file is read, loaded and checked row by row, and across files only what the
+later checks read is kept.  A traced row keeps its example, candidates and
+verdict and a digest of each context, a contexts row only its digest; the
+eval, sim and table rows, which are small, are kept whole.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+import hashlib
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from . import analysis, metrics, pipeline, textnorm
 from .errors import CtxTraceError, SchemaError
-from .jsonl import MANIFEST_KEY, RowSchema, read_csv, read_output_jsonl
+from .jsonl import MANIFEST_KEY, RowSchema, iter_output_jsonl, read_csv
 
 PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
@@ -39,11 +47,11 @@ class _Collector(list):
         self.append(Problem(str(path), line, message))
 
 
-def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
+def _check_context_row(context: pipeline.Context, recount: int, path: str | Path, line: int,
                        out: _Collector, expect_id: str | None = None) -> None:
+    """*recount* is ``textnorm.word_count(context.text)``."""
     if expect_id is not None and context.id != expect_id:
         out.add(path, line, f"context id {context.id!r} does not match sample id {expect_id!r}")
-    recount = textnorm.word_count(context.text)
     if context.word_count != recount:
         out.add(path, line,
                 f"stored word_count {context.word_count} != recomputed {recount}")
@@ -53,10 +61,11 @@ def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
         out.add(path, line, "generated contexts cannot carry the retrieved variant")
 
 
-def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int,
-                      out: _Collector) -> None:
-    _check_context_row(sample.retrieved, path, line, out, sample.example.id)
-    _check_context_row(sample.generated, path, line, out, sample.example.id)
+def _check_traced_row(sample: pipeline.TracedSample, recounts: Sequence[int], path: str | Path,
+                      line: int, out: _Collector) -> None:
+    """*recounts* are the word counts of the retrieved and the generated text."""
+    for context, recount in zip((sample.retrieved, sample.generated), recounts):
+        _check_context_row(context, recount, path, line, out, sample.example.id)
     if sample.retrieved.source != "retrieved" or sample.generated.source != "generated":
         out.add(path, line, "traced contexts are attached under the wrong sources")
         return
@@ -73,7 +82,7 @@ def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int
                             f"!= recomputed {subset!r}, {dropped!r}")
 
 
-def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, pipeline.TracedSample],
+def _check_eval_row(record: pipeline.HybridRecord, samples: dict[str, _Kept],
                     header_seed: int, path: str | Path, line: int, out: _Collector) -> bool:
     sample = samples.get(record.example_id)
     if sample is None:
@@ -136,7 +145,7 @@ def _check_row_counts(path: str | Path, schema: RowSchema,
 
 
 def _check_sim_rows(path: str | Path, records: Sequence[tuple[int, analysis.SimilarityRecord]],
-                    samples: dict[str, pipeline.TracedSample], out: _Collector) -> None:
+                    samples: dict[str, _Kept], out: _Collector) -> None:
     for line, record in records:
         if samples and not getattr(samples.get(record.example_id), "live", False):
             out.add(path, line, f"similarity row for non-live example {record.example_id!r}")
@@ -153,7 +162,7 @@ def _check_sim_rows(path: str | Path, records: Sequence[tuple[int, analysis.Simi
 
 def _check_report_against_eval(path: str | Path,
                                reports: Sequence[tuple[int, metrics.MetricsReport]],
-                               samples: dict[str, pipeline.TracedSample],
+                               samples: dict[str, _Kept],
                                records: Sequence[pipeline.HybridRecord],
                                out: _Collector) -> None:
     live = [s for s in samples.values() if s.live]
@@ -207,88 +216,193 @@ _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.
                                          analysis.ORDER, analysis.COMPLETENESS)}
 
 
-def _load_file(path: str | Path, problems: list[SchemaError],
-               ) -> tuple[str, int, RowSchema | None, list[tuple[int, Any]]]:
-    """(manifest hash, seed, schema, (line, record) pairs) of one output file;
-    the schema is None for no rows or rows of no known kind.  Each problem
-    below the header goes to *problems*; a malformed header raises."""
+class _Kept(NamedTuple):
+    """What the eval, report and sim checks read of a traced row: all of it
+    but its two contexts."""
+
+    example: pipeline.QaExample
+    answer_from_retrieved: str
+    answer_from_generated: str
+    closed_book: str | None
+    subset: str
+    dropped: str | None
+
+    live = pipeline.TracedSample.live  # trace's own rule, over these same fields
+
+
+_kept_fields = attrgetter(*_Kept._fields)
+
+
+# Every field of a context but its text, in field order.
+_context_head = attrgetter(*(col.attr for col in pipeline.CONTEXT.cols if col.attr != "text"))
+
+
+def _digest(context: pipeline.Context) -> bytes:
+    """16 bytes that two contexts share exactly when they are equal: the
+    repr of every other field, which reads back as the same values and ends
+    where the tuple closes, then the text."""
+    digest = hashlib.sha256(repr(_context_head(context)).encode())
+    digest.update(context.text.encode("utf-8", "surrogatepass"))
+    return digest.digest()[:16]
+
+
+def _rows_of_kind(rows: Iterator[tuple[int, dict[str, Any]]], schema: RowSchema,
+                  path: str | Path, problems: list[SchemaError],
+                  ) -> Iterator[tuple[int, dict[str, Any]]]:
+    """The rows whose key set is *schema*'s; each other row is a problem."""
+    keys = frozenset(schema.keys)
+    for line_no, obj in rows:
+        if obj.keys() == keys:
+            yield line_no, obj
+        else:
+            problems.append(SchemaError(path, line_no, f"keys differ from a {schema.name} "
+                                                       f"row's by {sorted(obj.keys() ^ keys)}"))
+
+
+def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[SchemaError],
+               ) -> tuple[str, int, RowSchema | None, Iterator[tuple[Any, int, Any]]]:
+    """(manifest hash, seed, schema, records) of one output file, where
+    *records* yields (key, line, record) as each row loads; the schema is None
+    for no rows or rows of no known kind.  A line that is not a JSON object
+    goes to *bad_lines* and each other problem below the header to
+    *problems*; a malformed header, or a byte that is not UTF-8, raises."""
     if str(path).endswith(".csv"):
         manifest_hash, seed, columns, table = read_csv(path)
         schema = _CSV_KINDS.get(tuple(columns))
         if schema is None:
             problems.append(SchemaError(path, columns.line_no, f"unrecognized columns {columns}"))
-        rows = [(row.line_no, row) for row in table]
+        rows: Iterator[tuple[int, Any]] = ((row.line_no, row) for row in table)
     else:
-        header, rows = read_output_jsonl(path, problems)
+        rows = iter_output_jsonl(path, bad_lines)
+        header = next(rows)[1]
         manifest_hash, seed = header[MANIFEST_KEY], header["seed"]
-        schema = _JSONL_KINDS.get(frozenset(rows[0][1])) if rows else None
-        if rows and schema is None:
-            problems.append(SchemaError(path, rows[0][0], "unrecognized row shape"))
+        first = next(rows, None)
+        schema = _JSONL_KINDS.get(frozenset(first[1])) if first else None
+        if first and schema is None:
+            problems.append(SchemaError(path, first[0], "unrecognized row shape"))
         elif schema is not None:
-            lines, rows, keys = rows, [], rows[0][1].keys()
-            for line_no, obj in lines:
-                if obj.keys() == keys:
-                    rows.append((line_no, obj))
-                else:
-                    problems.append(SchemaError(path, line_no, f"keys differ from a {schema.name} "
-                                                               f"row's by {sorted(obj.keys() ^ keys)}"))
-    return manifest_hash, seed, schema, schema.load_rows(rows, path, problems) if schema else []
+            rows = _rows_of_kind(chain([first], rows), schema, path, problems)
+    if schema is None:
+        deque(rows, maxlen=0)  # the lines after may still be bad
+        return manifest_hash, seed, None, iter(())
+    return manifest_hash, seed, schema, schema.iter_keyed(rows, path, problems)
+
+
+def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
+               counted: dict[bytes, int]) -> tuple[str, int, RowSchema | None, Any, list[Problem]]:
+    """(manifest hash, seed, schema, what the cross-file checks keep, problems)
+    of one output file, read one row at a time; a file that cannot be read
+    keeps None.  Its problems come below the header in line order, then those
+    of the traced and contexts rows' own checks, which run as each row loads.
+
+    A traced file keeps a :class:`_Kept` per id that no earlier file, in
+    *traced*, had, and any other kind but contexts its (line, record) pairs.
+    With *compare*, a traced file also keeps (path, line, id, source, digest)
+    per context and a contexts file a digest per (id, source); each contexts
+    row's word count then goes to *counted* under its digest, so that an equal
+    traced context is not counted again.
+    """
+    bad_lines: list[SchemaError] = []
+    problems: list[SchemaError] = []
+    checks = _Collector()
+    try:
+        manifest_hash, seed, schema, records = _load_file(path, bad_lines, problems)
+        if schema is pipeline.TRACED:
+            kept, contexts = {}, []
+            for qid, line_no, sample in records:
+                pair = sample.retrieved, sample.generated
+                digests = [_digest(c) if compare else None for c in pair]
+                if compare:
+                    contexts += [(path, line_no, c.id, c.source, d) for c, d in zip(pair, digests)]
+                # A repeat inside one file failed to load; this is one across files.
+                if qid in traced:
+                    checks.add(path, line_no, f"duplicate traced id {qid!r}")
+                    continue
+                recounts = [counted.get(d) or textnorm.word_count(c.text)
+                            for c, d in zip(pair, digests)]
+                _check_traced_row(sample, recounts, path, line_no, checks)
+                kept[qid] = _Kept(*_kept_fields(sample))
+            loaded: Any = kept, contexts
+        elif schema is pipeline.CONTEXT:
+            loaded = {}
+            for key, line_no, context in records:
+                recount = textnorm.word_count(context.text)
+                _check_context_row(context, recount, path, line_no, checks)
+                if compare:
+                    loaded[key] = digest = _digest(context)
+                    counted[digest] = recount  # true even if the file fails further on
+        else:
+            loaded = [(line_no, record) for _, line_no, record in records]
+    except SchemaError as exc:
+        # As if the file were read whole before any row loads: only its
+        # unparsable lines and this error count.
+        manifest_hash, seed, schema, loaded = "", 0, None, None
+        problems, checks = [exc], _Collector()
+    found = _Collector()
+    for exc in sorted(bad_lines + problems, key=attrgetter("line_no")):
+        found.add(path, exc.line_no, exc.message)
+    return manifest_hash, seed, schema, loaded, found + checks
+
+
+def _jsonl_kinds(paths: Sequence[str | Path]) -> set[RowSchema | None]:
+    """The kind of each JSONL file among *paths* whose header reads, from
+    its first row; no file is read past that row."""
+    kinds = set()
+    for path in paths:
+        if not str(path).endswith(".csv") and Path(path).is_file():
+            try:
+                kinds.add(_load_file(path, [], [])[2])
+            except SchemaError:
+                pass
+    return kinds
 
 
 def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     """Validate any mix of pipeline outputs; returns all problems found."""
     out = _Collector()
     manifests: dict[str, str] = {}
-    traced_samples: dict[str, pipeline.TracedSample] = {}
-    # Each file by kind, for the cross-file checks: path, header seed, (line, record) pairs.
+    traced: dict[str, _Kept] = {}
+    traced_contexts: list[tuple[str | Path, int, str, str, bytes]] = []
+    contexts: dict[tuple[str, str], bytes] = {}
+    # Traced contexts are compared, and digested, only beside contexts rows.
+    compare = {pipeline.TRACED, pipeline.CONTEXT} <= _jsonl_kinds(paths)
+    counted: dict[bytes, int] = {}
+    # Each other file by kind: path, header seed, (line, record) pairs.
     files: dict[RowSchema | None, list[tuple[str | Path, int, list]]] = defaultdict(list)
 
     for path in paths:
         if not Path(path).is_file():
             out.add(path, 0, "missing file")
             continue
-        problems: list[SchemaError] = []
-        try:
-            manifests[str(path)], seed, schema, loaded = _load_file(path, problems)
-        except SchemaError as exc:
-            problems.append(exc)
+        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, compare, counted)
+        out += found
+        if loaded is None:
             continue
-        finally:
-            for exc in sorted(problems, key=attrgetter("line_no")):
-                out.add(path, exc.line_no, exc.message)
-        files[schema].append((path, seed, loaded))
+        manifests[str(path)] = manifest_hash
         if schema is pipeline.TRACED:
-            for line_no, sample in loaded:
-                # A repeat inside one file failed to load; this is one across files.
-                if traced_samples.setdefault(sample.example.id, sample) is not sample:
-                    out.add(path, line_no, f"duplicate traced id {sample.example.id!r}")
-                else:
-                    _check_traced_row(sample, path, line_no, out)
+            traced.update(loaded[0])
+            traced_contexts += loaded[1]
         elif schema is pipeline.CONTEXT:
-            for line_no, context in loaded:
-                _check_context_row(context, path, line_no, out)
-        elif schema is not None and schema.cls is metrics.MetricsReport:
-            _check_report_rows(path, loaded, out)
-            if not problems:  # a row that failed to load has no n to count
-                _check_row_counts(path, schema, loaded, out)
+            contexts.update(loaded)
+        else:
+            files[schema].append((path, seed, loaded))
+            if schema is not None and schema.cls is metrics.MetricsReport:
+                _check_report_rows(path, loaded, out)
+                if not found:  # a row that failed to load has no n to count
+                    _check_row_counts(path, schema, loaded, out)
 
     if len(set(manifests.values())) > 1:
         listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
         out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
 
-    contexts = {(c.id, c.source): c for _, _, loaded in files[pipeline.CONTEXT]
-                for _, c in loaded}
     if contexts:
-        for path, _, loaded in files[pipeline.TRACED]:
-            for line_no, sample in loaded:
-                for context in (sample.retrieved, sample.generated):
-                    if contexts.get((context.id, context.source)) != context:
-                        out.add(path, line_no, f"{context.source} context differs from the "
-                                               f"contexts row of {context.id!r}")
+        for path, line_no, qid, source, digest in traced_contexts:
+            if contexts.get((qid, source)) != digest:
+                out.add(path, line_no, f"{source} context differs from the contexts row of {qid!r}")
 
     sims, evals = files[analysis.SIM], files[pipeline.HYBRID]
     for path, _, loaded in sims:
-        _check_sim_rows(path, loaded, traced_samples, out)
+        _check_sim_rows(path, loaded, traced, out)
 
     if len(sims) == len(evals) == 1:
         # Slices re-derive from the one sim file and every record of the one eval file.
@@ -296,17 +410,17 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
             _check_slices(path, loaded, sims[0][2], evals[0][2], out)
 
     for path, header_seed, loaded in evals:
-        if traced_samples:
+        if traced:
             # Only the records of live samples are recounted into reports.
             records = []
             for line_no, record in loaded:
-                if _check_eval_row(record, traced_samples, header_seed, path, line_no, out):
+                if _check_eval_row(record, traced, header_seed, path, line_no, out):
                     records.append(record)
             evaluated = {record.example_id for record in records}
-            for qid, sample in traced_samples.items():
+            for qid, sample in traced.items():
                 if sample.live and qid not in evaluated:
                     out.add(path, 0, f"no eval record for live example {qid!r}")
             for report_name, _, reports in files[metrics.REPORT]:
-                _check_report_against_eval(report_name, reports, traced_samples, records, out)
+                _check_report_against_eval(report_name, reports, traced, records, out)
 
     return list(out)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -705,20 +707,35 @@ SIM_BYTES = SIM_HEADER.encode()
 JSONL_HEADER = b'{"_manifest":"feedbead12345678","seed":4}\n'
 
 
-@pytest.mark.parametrize("name, data, line", [
-    ("eval.jsonl", JSONL_HEADER + b'{"id":"q\xff1"}\n', 2),                # not UTF-8
-    ("eval.jsonl", JSONL_HEADER + b"[" * 100_000 + b"\n", 2),              # nested too deeply
-    ("sim.csv", SIM_BYTES + b"q01,0.5,0.5,jaccard,max,0.0\nq\xff2\n", 4),  # not UTF-8
-    ("sim.csv", SIM_BYTES + b"q" * 140_000 + b",0.5,0.5,jaccard,max,0.0\n", 3),  # a huge cell
-    ("sim.csv", SIM_BYTES + b"q\r1,0.5,0.5,jaccard,max,0.0\n", 3),        # a bare \r
+@pytest.mark.parametrize("name, data, line, message", [
+    ("eval.jsonl", JSONL_HEADER + b'{"id":"q\xff1"}\n', 2, "not UTF-8: "),
+    ("eval.jsonl", JSONL_HEADER + b"[" * 100_000 + b"\n", 2, "invalid JSON: nested too deeply"),
+    ("sim.csv", SIM_BYTES + b"q01,0.5,0.5,jaccard,max,0.0\nq\xff2\n", 4, "not UTF-8: "),
+    ("sim.csv", SIM_BYTES + b"q" * 140_000 + b",0.5,0.5,jaccard,max,0.0\n", 3,
+     "invalid CSV: field larger than field limit"),
+    ("sim.csv", SIM_BYTES + b"q\r1,0.5,0.5,jaccard,max,0.0\n", 3,
+     "invalid CSV: bare carriage return in an unquoted cell"),
 ], ids=["jsonl-not-utf8", "jsonl-too-deep", "csv-not-utf8", "csv-huge-cell", "csv-bare-cr"])
-def test_a_file_python_cannot_parse_is_a_problem_at_its_line(tmp_path, capsys, name, data, line):
+def test_a_file_python_cannot_parse_is_a_problem_at_its_line(tmp_path, capsys, name, data, line,
+                                                             message):
     path = tmp_path / name
     path.write_bytes(data)
     problems = validate_files([path])
     assert [p.line for p in problems] == [line]
+    assert problems[0].message.startswith(message)
     assert main(["validate", str(path)]) == 3
     assert f"{path}:{line}: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("next_row", [b"q02,high,0.5,jaccard,max,0.0",
+                                      b"q\xff2,0.5,0.5,jaccard,max,0.0"],
+                         ids=["bad-cell", "not-utf8"])
+def test_a_csv_line_is_counted_at_each_newline_byte(tmp_path, next_row):
+    # A quoted cell may hold a bare \r; csv keeps it inside the row, so the
+    # row after it is line 4 whether its cell or its bytes are bad.
+    sim = tmp_path / "sim.csv"
+    sim.write_bytes(SIM_BYTES + b'"q\r1",0.5,0.5,jaccard,max,0.0\n' + next_row + b"\n")
+    assert [p.line for p in validate_files([sim])] == [4]
 
 
 BYTE_PIECES = [JSONL_HEADER, SIM_BYTES, b'{"id":"q1","question":"Who?","answers":["x"]}',
@@ -740,3 +757,151 @@ def test_malformed_bytes_never_escape_as_a_traceback(tmp_path_factory, data):
     except CtxTraceError:
         pass
 
+
+def _named(problems):
+    return [(Path(p.path).name, p.line, p.message) for p in problems]
+
+
+def _append_lines(path, *lines):
+    with open(path, "ab") as fh:
+        fh.write(b"".join(line + b"\n" for line in lines))
+
+
+def _damage_traced(run):
+    """traced.jsonl with an unknown subset on line 2, a line that is not JSON
+    on line 3 and an unknown key on line 4."""
+    path = run["traced.jsonl"]
+    _edit_jsonl(path, 2, lambda obj: obj.update(subset="XYZ"))
+    _edit_jsonl(path, 4, lambda obj: obj.update(surprise=True))
+    lines = path.read_text().splitlines()
+    lines[2] = "not json"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_damaged_rows_are_problems_before_the_cross_file_checks(run):
+    _damage_traced(run)
+    problems = validate_files([run["contexts.jsonl"], run["traced.jsonl"],
+                               run["eval.jsonl"], run["report.csv"]])
+    assert _named(problems) == [
+        ("traced.jsonl", 2, "field 'subset' has unknown value 'XYZ'"),
+        ("traced.jsonl", 3, "invalid JSON: Expecting value"),
+        ("traced.jsonl", 4, "keys differ from a traced row's by ['surprise']"),
+        ("eval.jsonl", 2, "eval record for unknown example 'q01'"),
+        ("eval.jsonl", 3, "eval record for unknown example 'q02'"),
+        ("eval.jsonl", 4, "eval record for unknown example 'q03'"),
+        ("report.csv", 3, "report row for empty subset 'AIG'"),
+        ("report.csv", 4, "report row for empty subset 'AIR'"),
+        ("report.csv", 5, "report row for empty subset 'ALL'"),
+    ]
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_block_loads_nothing(run):
+    # The rows before the bad byte decode and load first; as in a file read
+    # whole, only its unparsable lines and the bad byte are problems, and
+    # none of its rows reaches the cross-file checks.
+    path = _damage_traced(run)
+    _append_lines(path, b" " * 9000, b'{"id":"q\xff5"}')
+    problems = validate_files([run["contexts.jsonl"], path, run["eval.jsonl"]])
+    assert _named(problems) == [
+        ("traced.jsonl", 3, "invalid JSON: Expecting value"),
+        ("traced.jsonl", 7, "not UTF-8: invalid start byte at byte 9 of the line"),
+    ]
+
+
+def test_repeated_keys_within_and_across_files(run, tmp_path):
+    path = run["traced.jsonl"]
+    repeat = _repeat_line(path, 3)
+    copy = tmp_path / "more.jsonl"  # the header and q01's row
+    copy.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+    problems = validate_files([copy, run["contexts.jsonl"], path, run["eval.jsonl"]])
+    assert _named(problems) == [
+        ("traced.jsonl", repeat, "duplicate traced id 'q02'"),
+        ("traced.jsonl", 2, "duplicate traced id 'q01'"),
+    ]
+
+
+@pytest.mark.parametrize("contexts_first", [True, False])
+def test_traced_contexts_are_compared_whichever_file_comes_first(run, contexts_first):
+    traced, contexts = run["traced.jsonl"], run["contexts.jsonl"]
+    _edit_jsonl(traced, 2, lambda obj: obj["generated"].update(
+        text=obj["generated"]["text"].replace("second", "third")))
+    _edit_jsonl(traced, 3, lambda obj: obj["retrieved"].update(title="Another"))
+    _edit_jsonl(contexts, 2, lambda obj: obj.update(word_count=1))
+    problems = validate_files([contexts, traced] if contexts_first else [traced, contexts])
+    contexts_row = ("contexts.jsonl", 2, "stored word_count 1 != recomputed 22")
+    differ = [("traced.jsonl", 2, "retrieved context differs from the contexts row of 'q01'"),
+              ("traced.jsonl", 2, "generated context differs from the contexts row of 'q01'"),
+              ("traced.jsonl", 3, "retrieved context differs from the contexts row of 'q02'")]
+    assert _named(problems) == [contexts_row] + differ
+
+
+def _lengthen_texts(path, times):
+    """Make every context text in *path* *times* as long, with its word count."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    for row in rows:
+        for context in (row, row.get("retrieved"), row.get("generated")):
+            if isinstance(context, dict) and "text" in context:
+                context["text"] = " ".join([context["text"]] * times)
+                context["word_count"] *= times
+    path.write_text("\n".join([header] + [json.dumps(row, ensure_ascii=False, separators=(",", ":"))
+                                          for row in rows]) + "\n", encoding="utf-8")
+
+
+def test_validate_memory_tracks_keys_not_text(tmp_path):
+    # Rows are read one at a time and only per-key state outlives a row, so
+    # texts eight times as long must barely move the peak.  A first pass
+    # fills the normalize memo, which is bounded by MEMO_SIZE and not
+    # validate's own; the second pass is measured.
+    world = WorldBuilder(tmp_path)
+    for n in range(40):
+        world.add_case(f"q{n:02d}", outcome=("AIG", "AIR", "not_in_ret")[n % 3],
+                       hybrid_pick=("gen", "ret", "other")[n % 3])
+    world.write()
+    paths = _finish_run(tmp_path, world)
+
+    def peak_and_bytes():
+        files = list(paths.values())
+        assert validate_files(files) == []
+        tracemalloc.start()
+        try:
+            validate_files(files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(path.stat().st_size for path in files)
+
+    short_peak, short_bytes = peak_and_bytes()
+    _lengthen_texts(paths["contexts.jsonl"], 8)
+    _lengthen_texts(paths["traced.jsonl"], 8)
+    long_peak, long_bytes = peak_and_bytes()
+    assert long_peak - short_peak < 0.25 * (long_bytes - short_bytes)
+
+
+def test_a_miscount_is_reported_in_both_files_that_share_it(run):
+    # The traced context equals its contexts row, wrong count and all.
+    traced, contexts = run["traced.jsonl"], run["contexts.jsonl"]
+    _edit_jsonl(contexts, 2, lambda obj: obj.update(word_count=1))
+    _edit_jsonl(traced, 2, lambda obj: obj["retrieved"].update(word_count=1))
+    assert _named(validate_files([contexts, traced])) == [
+        ("contexts.jsonl", 2, "stored word_count 1 != recomputed 22"),
+        ("traced.jsonl", 2, "stored word_count 1 != recomputed 22"),
+    ]
+
+
+def test_a_context_text_may_hold_a_lone_surrogate(run):
+    # JSON may escape a lone surrogate; it is text like any other.
+    def replace(path, old, new, pick=lambda obj: obj):
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        pick(obj)["text"] = pick(obj)["text"].replace(old, new)
+        lines[1] = json.dumps(obj)  # ASCII, the surrogate escaped
+        path.write_text("\n".join(lines) + "\n")
+    contexts, traced = run["contexts.jsonl"], run["traced.jsonl"]
+    replace(contexts, "ledger", "led\ud800ger")
+    replace(traced, "ledger", "led\ud800ger", lambda obj: obj["retrieved"])
+    assert validate_files([contexts, traced]) == []
+    replace(traced, "\ud800", "\udc00", lambda obj: obj["retrieved"])
+    assert _named(validate_files([contexts, traced])) == [
+        ("traced.jsonl", 2, "retrieved context differs from the contexts row of 'q01'")]
