@@ -72,18 +72,29 @@ def jaccard(a: set[str], b: set[str]) -> float:
         return 1.0
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def sentence_jaccard(question: str, context_text: str, aggregation: str = "max") -> float:
-    """Question-context similarity: Jaccard per sentence, then max or mean."""
+    """Question-context similarity: Jaccard per sentence, then max or mean.
+
+    Each sentence is tokenized by :func:`textnorm.tokens_uncached`, as
+    :func:`textnorm.tokens` would, but outside the memo: a sentence is
+    rarely scored twice, while the question is, and stays memoized.
+    """
+    return _spans_jaccard(question, textnorm.split_sentences(context_text), aggregation)
+
+
+def _spans_jaccard(question: str, spans: Sequence[textnorm.SentenceSpan],
+                   aggregation: str) -> float:
+    """:func:`sentence_jaccard` over a text already split into *spans*."""
     if aggregation not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {aggregation!r}")
-    spans = textnorm.split_sentences(context_text)
     if not spans:
         return 0.0
     question_tokens = set(textnorm.tokens(question))
-    scores = [jaccard(question_tokens, set(textnorm.tokens(s.text))) for s in spans]
+    scores = [jaccard(question_tokens, set(textnorm.tokens_uncached(s.text))) for s in spans]
     return max(scores) if aggregation == "max" else sum(scores) / len(scores)
 
 
@@ -227,16 +238,23 @@ def s_trunc(text: str, target_words: int) -> str:
     A first sentence already over the target is returned whole, so the
     result never breaks mid-sentence. Idempotent at a fixed target.
     """
+    return _sentence_prefix(text, target_words)[0]
+
+
+def _sentence_prefix(text: str, target_words: int) -> tuple[str, list[textnorm.SentenceSpan]]:
+    """:func:`s_trunc`'s result and its sentences, which are the first
+    sentences of *text*: the prefix ends where one of them ends, at a
+    terminator run, so splitting it breaks where *text* broke."""
     if target_words <= 0:
         raise ValidationError(f"target_words must be positive: {target_words}")
-    total = end = 0
-    for span in textnorm.split_sentences(text):
+    spans = textnorm.split_sentences(text)
+    total = 0
+    for k, span in enumerate(spans):
         total += textnorm.word_count(span.text)
         if total > target_words:
-            # No span is empty, so end is 0 only before the first sentence.
-            return text[:end or span.end]
-        end = span.end
-    return text
+            kept = spans[:k or 1]  # a first sentence over the target is kept whole
+            return text[:kept[-1].end], kept
+    return text, spans
 
 
 def similarity_matched(sim_scores: Mapping[str, float],
@@ -256,14 +274,17 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
 
     trunc and strunc cut one unconstrained generation to the word count of the
     sample's retrieved context; nature is the generation already on the sample.
+    The generation is split into sentences once: under the jaccard metric,
+    strunc is scored on the sentences :func:`s_trunc` kept, not split again.
     """
     if not unconstrained_text.strip():
         raise ValidationError(f"empty unconstrained generation for {sample.example.id!r}")
     target = sample.retrieved.word_count
     nature = sample.generated
+    strunc_text, strunc_spans = _sentence_prefix(unconstrained_text, target)
     contexts = {"nature": nature}
     for variant, text in (("trunc", trunc(unconstrained_text, target)),
-                          ("strunc", s_trunc(unconstrained_text, target))):
+                          ("strunc", strunc_text)):
         contexts[variant] = replace(
             nature,
             text=text,
@@ -272,9 +293,12 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
             variant=variant,
         )
     qid = sample.example.id
+    question = sample.example.question
     sim_scores = {
-        variant: context_similarity(sample.example.question, context.text, metric,
-                                    aggregation, external_scores, (qid, variant))
+        variant: (_spans_jaccard(question, strunc_spans, aggregation)
+                  if variant == "strunc" and metric == "jaccard" else
+                  context_similarity(question, context.text, metric,
+                                     aggregation, external_scores, (qid, variant)))
         for variant, context in contexts.items()
     }
     return contexts, sim_scores

@@ -8,10 +8,11 @@ whitespace-separated in the Unicode sense.  The same rules back exact match,
 containment, and word counting, so filters and metrics can never disagree on
 what counts as "the same answer".
 
-The same answers, contexts and sentences are compared many times over a run,
-so :func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs
-in a bounded memo.  Text that is seen once, such as a BM25 corpus document,
-goes through :func:`tokens_uncached` and never enters it.
+The same answers and contexts are compared many times over a run, so
+:func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs in
+a bounded memo.  Text that is seen once, such as a BM25 corpus document or a
+sentence scored for similarity, goes through :func:`tokens_uncached` and
+never enters it.
 """
 from __future__ import annotations
 

@@ -289,7 +289,8 @@ def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[Sc
 
 
 def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
-               counted: dict[bytes, int]) -> tuple[str, int, RowSchema | None, Any, list[Problem]]:
+               counted: dict[bytes, int], canon: dict[str, str],
+               ) -> tuple[str, int, RowSchema | None, Any, list[Problem]]:
     """(manifest hash, seed, schema, what the cross-file checks keep, problems)
     of one output file, read one row at a time; a file that cannot be read
     keeps None.  Its problems come below the header in line order, then those
@@ -300,7 +301,8 @@ def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
     With *compare*, a traced file also keeps (path, line, id, source, digest)
     per context and a contexts file a digest per (id, source); each contexts
     row's word count then goes to *counted* under its digest, so that an equal
-    traced context is not counted again.
+    traced context is not counted again.  The ids and sources kept are the
+    strings in *canon*, one object per distinct value.
     """
     bad_lines: list[SchemaError] = []
     problems: list[SchemaError] = []
@@ -313,7 +315,9 @@ def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
                 pair = sample.retrieved, sample.generated
                 digests = [_digest(c) if compare else None for c in pair]
                 if compare:
-                    contexts += [(path, line_no, c.id, c.source, d) for c, d in zip(pair, digests)]
+                    contexts += [(path, line_no, canon.setdefault(c.id, c.id),
+                                  canon.setdefault(c.source, c.source), d)
+                                 for c, d in zip(pair, digests)]
                 # A repeat inside one file failed to load; this is one across files.
                 if qid in traced:
                     checks.add(path, line_no, f"duplicate traced id {qid!r}")
@@ -329,7 +333,9 @@ def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
                 recount = textnorm.word_count(context.text)
                 _check_context_row(context, recount, path, line_no, checks)
                 if compare:
-                    loaded[key] = digest = _digest(context)
+                    qid, source = key
+                    digest = _digest(context)
+                    loaded[canon.setdefault(qid, qid), canon.setdefault(source, source)] = digest
                     counted[digest] = recount  # true even if the file fails further on
         else:
             loaded = [(line_no, record) for _, line_no, record in records]
@@ -367,6 +373,9 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     # Traced contexts are compared, and digested, only beside contexts rows.
     compare = {pipeline.TRACED, pipeline.CONTEXT} <= _jsonl_kinds(paths)
     counted: dict[bytes, int] = {}
+    # One object per distinct id or source kept for the context comparison,
+    # where json decodes a new one per occurrence.
+    canon: dict[str, str] = {}
     # Each other file by kind: path, header seed, (line, record) pairs.
     files: dict[RowSchema | None, list[tuple[str | Path, int, list]]] = defaultdict(list)
 
@@ -374,7 +383,8 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
         if not Path(path).is_file():
             out.add(path, 0, "missing file")
             continue
-        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, compare, counted)
+        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, compare, counted,
+                                                                canon)
         out += found
         if loaded is None:
             continue

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` and ``perfbench/worker.py`` patch library functions
 and methods by name, so renaming one breaks the benchmark rather than the
 program.  This installs both, in a fresh process, and drives the BM25 index
-through the wrapped constructor and query, and each input loader that
-perfbench times through its wrapped name.
+through the wrapped constructor and query, each input loader that
+perfbench times through its wrapped name, and the completeness variants'
+scoring through the wrapped sentence split and similarity.
 """
 from __future__ import annotations
 
@@ -76,3 +77,40 @@ def test_perfbench_wraps_each_input_loader(tmp_path):
     assert done.stdout.strip() == (
         "Lisbon Porto Faro d1 [('backends.bm25.build', 1), ('backends.bm25.query', 1), "
         "('backends.script.load', 2), ('backends.script.lookup', 2), ('jsonl.iter_jsonl', 4)]")
+
+
+COMPLETENESS_PROBE = """
+from collections import Counter
+
+import tracer
+from ctxtrace import analysis, pipeline
+
+t = tracer.Tracer()
+t.install()
+
+
+def context(source, text):
+    return pipeline.Context("q1", source, "scripted", None, text, len(text.split()), None, source)
+
+
+sample = pipeline.TracedSample(
+    pipeline.QaExample("q1", "Where is the red tower?", ("Bologna",)),
+    retrieved=context("retrieved", "The red tower stands in Bologna."),
+    generated=context("generated", "The red tower is in Bologna."),
+    answer_from_retrieved="Bologna", answer_from_generated="Bologna",
+    closed_book=None, subset="AIG", dropped=None)
+analysis.build_completeness_variants(
+    sample, "The red tower is in Bologna. It leans. Pilgrims climb it each spring.")
+spans = Counter(span[1] for span in t.spans)
+print(spans["textnorm.split_sentences"], spans["analysis.context_similarity"])
+"""
+
+
+def test_perfbench_traces_the_completeness_scoring():
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    done = subprocess.run([sys.executable, "-c", COMPLETENESS_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    # One split per text (nature, trunc, and the unconstrained generation that
+    # strunc is cut from), and one similarity call each for nature and trunc.
+    assert done.stdout.strip() == "3 2"

@@ -2,9 +2,10 @@
 
 The reference functions below are the plain per-character loops that
 punctuation stripping, sentence splitting and fingerprinting were first
-written as, and normalization with its article regex run over the whole
-text.  They stay frozen here as oracles: the library's versions must agree
-with them on every generated input.
+written as, normalization with its article regex run over the whole text,
+and sentence similarity scored through the memoized tokens.  They stay
+frozen here as oracles: the library's versions must agree with them on
+every generated input.
 """
 from __future__ import annotations
 
@@ -17,8 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxtrace import textnorm
-from ctxtrace.analysis import s_trunc, trunc
+from ctxtrace.analysis import (
+    AGGREGATIONS,
+    build_completeness_variants,
+    s_trunc,
+    sentence_jaccard,
+    trunc,
+)
 from ctxtrace.backends import context_fingerprint
+from ctxtrace.pipeline import Context, QaExample, TracedSample
 from ctxtrace.textnorm import (
     SentenceSpan,
     contains_answer,
@@ -102,6 +110,23 @@ def reference_is_break(text: str, sent_start: int, term_index: int, run_end: int
         if len(word) == 1 and word.isalpha():
             return False
     return True
+
+
+def reference_jaccard(a: set[str], b: set[str]) -> float:
+    if not a and not b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    return len(a & b) / len(a | b)
+
+
+def reference_sentence_jaccard(question: str, context_text: str, aggregation: str) -> float:
+    spans = split_sentences(context_text)
+    if not spans:
+        return 0.0
+    question_tokens = set(tokens(question))
+    scores = [reference_jaccard(question_tokens, set(tokens(s.text))) for s in spans]
+    return max(scores) if aggregation == "max" else sum(scores) / len(scores)
 
 
 def reference_trunc(text: str, target_words: int) -> str:
@@ -271,3 +296,42 @@ def test_trunc_matches_the_token_loop(text, target_words):
 @given(sentences_text, st.integers(1, 40))
 def test_s_trunc_matches_the_sentence_loop(text, target_words):
     assert s_trunc(text, target_words) == reference_s_trunc(text, target_words)
+
+
+# Sentences for similarity: the words above, Greek and Turkish ones, and
+# tab, newline and mixed whitespace runs between them.
+similarity_words = words | st.sampled_from(["İstanbul", "Σίσυφος", "istanbul", "...", "red"])
+similarity_text = st.lists(
+    st.tuples(similarity_words, terminators,
+              spaces | st.sampled_from(["\t\t", "\n\n", " \t\n "])),
+    max_size=25).map(lambda parts: "".join(w + t + s for w, t, s in parts))
+questions = st.lists(similarity_words, max_size=8).map(" ".join)
+
+
+def _scored_sample(question: str, target_words: int) -> TracedSample:
+    def context(source: str, text: str) -> Context:
+        return Context("q1", source, "scripted", None, text, word_count(text), None, source)
+
+    return TracedSample(QaExample("q1", question, ("red",)),
+                        retrieved=context("retrieved", "w " * target_words),
+                        generated=context("generated", "red"),
+                        answer_from_retrieved="w", answer_from_generated="red",
+                        closed_book=None, subset="AIG", dropped=None)
+
+
+@pytest.mark.parametrize("aggregation", AGGREGATIONS)
+@exhaustively
+@given(questions, similarity_text, st.integers(1, 40))
+@example("who is dr j smith", "Dr. J. Smith met e.g. Jo at 3.5 p.m. Then\t\tshe left — ... Done.",
+         2)  # a first sentence longer than the target
+@example("red İstanbul", "Red İstanbul.\n\nΣίσυφος. Red.", 40)  # a text under the target
+@example("red", "Alpha beta. Red.", 2)  # the cut drops the best sentence
+def test_sentence_scores_match_the_memoized_scoring(aggregation, question, text, target_words):
+    expected = reference_sentence_jaccard(question, text, aggregation)
+    assert sentence_jaccard(question, text, aggregation) == expected
+    if not text.strip():
+        return
+    _, scores = build_completeness_variants(_scored_sample(question, target_words), text,
+                                            "jaccard", aggregation)
+    assert scores["strunc"] == reference_sentence_jaccard(
+        question, reference_s_trunc(text, target_words), aggregation)
