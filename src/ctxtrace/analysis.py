@@ -144,8 +144,7 @@ EXTERNAL_SCORE = RowSchema(ExternalScore, "score", ("example_id", "key"),
 
 def ingest_similarity(path: str | Path) -> dict[tuple[str, str], float]:
     """The score of each :data:`EXTERNAL_SCORE` row, keyed by (example_id, key)."""
-    loaded = EXTERNAL_SCORE.load_keyed(iter_jsonl(path), path)
-    return {pair: row.score for pair, (_, row) in loaded.items()}
+    return {pair: row.score for pair, _, row in EXTERNAL_SCORE.iter_keyed(iter_jsonl(path), path)}
 
 
 def build_similarity_records(samples: Sequence[pipeline.TracedSample], metric: str = "jaccard",

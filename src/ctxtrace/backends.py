@@ -318,8 +318,8 @@ class ReaderScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReaderScript":
-        loaded = SCRIPT_ENTRY.load_keyed(iter_jsonl(path), path)
-        return cls({key: entry.answer for key, (_, entry) in loaded.items()}, str(path))
+        loaded = SCRIPT_ENTRY.iter_keyed(iter_jsonl(path), path)
+        return cls({key: entry.answer for key, _, entry in loaded}, str(path))
 
     def answer(self, question_id: str, mode: str, fingerprint: str | None) -> str:
         key = (question_id, mode, fingerprint)
@@ -351,8 +351,8 @@ class GenerationScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "GenerationScript":
-        loaded = GENERATION_ENTRY.load_keyed(iter_jsonl(path), path)
-        return cls({key: entry.text for key, (_, entry) in loaded.items()}, str(path))
+        loaded = GENERATION_ENTRY.iter_keyed(iter_jsonl(path), path)
+        return cls({key: entry.text for key, _, entry in loaded}, str(path))
 
     def text_for(self, question_id: str, target_words: int | None) -> str:
         key = (question_id, target_words)

@@ -372,16 +372,9 @@ class RowSchema:
             seen.add(key)
             yield key, line_no, record
 
-    def load_keyed(self, rows: Iterable[tuple[int, Any]], path: str | Path,
-                   problems: list[SchemaError] | None = None) -> dict[Any, tuple[int, Any]]:
-        """{key: (line, record)} of each row; see :meth:`iter_keyed`."""
-        return {key: (line_no, record)
-                for key, line_no, record in self.iter_keyed(rows, path, problems)}
-
-    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path,
-                  problems: list[SchemaError] | None = None) -> list[tuple[int, Any]]:
+    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path) -> list[tuple[int, Any]]:
         """(line, record) of each row, in order; see :meth:`iter_keyed`."""
-        return [(line_no, record) for _, line_no, record in self.iter_keyed(rows, path, problems)]
+        return [(line_no, record) for _, line_no, record in self.iter_keyed(rows, path)]
 
     def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
         """(header, records) of a pipeline-written JSONL file."""

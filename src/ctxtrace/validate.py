@@ -9,10 +9,10 @@ from the stored strings, so a file edited by hand or produced by a broken run
 fails here with its line number.
 
 Memory is bounded by one row at a time plus a little state per key: each
-file is read, loaded and checked row by row, and across files only what the
-later checks read is kept.  A traced row keeps its example, candidates and
-verdict and a digest of each context, a contexts row only its digest; the
-eval, sim and table rows, which are small, are kept whole.
+file is read once, top to bottom, loaded and checked row by row, and across
+files only what the later checks read is kept.  A traced row keeps its
+example, candidates and verdict and a digest of each context, a contexts row
+only its digest; the eval, sim and table rows, which are small, are kept whole.
 """
 from __future__ import annotations
 
@@ -47,25 +47,23 @@ class _Collector(list):
         self.append(Problem(str(path), line, message))
 
 
-def _check_context_row(context: pipeline.Context, recount: int, path: str | Path, line: int,
+def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
                        out: _Collector, expect_id: str | None = None) -> None:
-    """*recount* is ``textnorm.word_count(context.text)``."""
+    recount = textnorm.word_count(context.text)
     if expect_id is not None and context.id != expect_id:
         out.add(path, line, f"context id {context.id!r} does not match sample id {expect_id!r}")
     if context.word_count != recount:
-        out.add(path, line,
-                f"stored word_count {context.word_count} != recomputed {recount}")
+        out.add(path, line, f"stored word_count {context.word_count} != recomputed {recount}")
     if context.source == "retrieved" and context.variant != "retrieved":
         out.add(path, line, "retrieved contexts must carry the retrieved variant")
     if context.source == "generated" and context.variant == "retrieved":
         out.add(path, line, "generated contexts cannot carry the retrieved variant")
 
 
-def _check_traced_row(sample: pipeline.TracedSample, recounts: Sequence[int], path: str | Path,
-                      line: int, out: _Collector) -> None:
-    """*recounts* are the word counts of the retrieved and the generated text."""
-    for context, recount in zip((sample.retrieved, sample.generated), recounts):
-        _check_context_row(context, recount, path, line, out, sample.example.id)
+def _check_traced_row(sample: pipeline.TracedSample, path: str | Path, line: int,
+                      out: _Collector) -> None:
+    for context in (sample.retrieved, sample.generated):
+        _check_context_row(context, path, line, out, sample.example.id)
     if sample.retrieved.source != "retrieved" or sample.generated.source != "generated":
         out.add(path, line, "traced contexts are attached under the wrong sources")
         return
@@ -288,21 +286,18 @@ def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[Sc
     return manifest_hash, seed, schema, schema.iter_keyed(rows, path, problems)
 
 
-def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
-               counted: dict[bytes, int], canon: dict[str, str],
+def _read_file(path: str | Path, traced: dict[str, _Kept], canon: dict[str, str],
                ) -> tuple[str, int, RowSchema | None, Any, list[Problem]]:
     """(manifest hash, seed, schema, what the cross-file checks keep, problems)
-    of one output file, read one row at a time; a file that cannot be read
+    of one output file, read once, top to bottom; a file that cannot be read
     keeps None.  Its problems come below the header in line order, then those
     of the traced and contexts rows' own checks, which run as each row loads.
 
     A traced file keeps a :class:`_Kept` per id that no earlier file, in
-    *traced*, had, and any other kind but contexts its (line, record) pairs.
-    With *compare*, a traced file also keeps (path, line, id, source, digest)
-    per context and a contexts file a digest per (id, source); each contexts
-    row's word count then goes to *counted* under its digest, so that an equal
-    traced context is not counted again.  The ids and sources kept are the
-    strings in *canon*, one object per distinct value.
+    *traced*, had, and (path, line, id, source, digest) per context; a
+    contexts file keeps a digest per (id, source), and any other kind its
+    (line, record) pairs.  The ids and sources kept are the strings in
+    *canon*, one object per distinct value.
     """
     bad_lines: list[SchemaError] = []
     problems: list[SchemaError] = []
@@ -312,31 +307,22 @@ def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
         if schema is pipeline.TRACED:
             kept, contexts = {}, []
             for qid, line_no, sample in records:
-                pair = sample.retrieved, sample.generated
-                digests = [_digest(c) if compare else None for c in pair]
-                if compare:
-                    contexts += [(path, line_no, canon.setdefault(c.id, c.id),
-                                  canon.setdefault(c.source, c.source), d)
-                                 for c, d in zip(pair, digests)]
+                contexts += [(path, line_no, canon.setdefault(c.id, c.id),
+                              canon.setdefault(c.source, c.source), _digest(c))
+                             for c in (sample.retrieved, sample.generated)]
                 # A repeat inside one file failed to load; this is one across files.
                 if qid in traced:
                     checks.add(path, line_no, f"duplicate traced id {qid!r}")
                     continue
-                recounts = [counted.get(d) or textnorm.word_count(c.text)
-                            for c, d in zip(pair, digests)]
-                _check_traced_row(sample, recounts, path, line_no, checks)
+                _check_traced_row(sample, path, line_no, checks)
                 kept[qid] = _Kept(*_kept_fields(sample))
             loaded: Any = kept, contexts
         elif schema is pipeline.CONTEXT:
             loaded = {}
-            for key, line_no, context in records:
-                recount = textnorm.word_count(context.text)
-                _check_context_row(context, recount, path, line_no, checks)
-                if compare:
-                    qid, source = key
-                    digest = _digest(context)
-                    loaded[canon.setdefault(qid, qid), canon.setdefault(source, source)] = digest
-                    counted[digest] = recount  # true even if the file fails further on
+            for (qid, source), line_no, context in records:
+                _check_context_row(context, path, line_no, checks)
+                key = canon.setdefault(qid, qid), canon.setdefault(source, source)
+                loaded[key] = _digest(context)
         else:
             loaded = [(line_no, record) for _, line_no, record in records]
     except SchemaError as exc:
@@ -350,19 +336,6 @@ def _read_file(path: str | Path, traced: dict[str, _Kept], compare: bool,
     return manifest_hash, seed, schema, loaded, found + checks
 
 
-def _jsonl_kinds(paths: Sequence[str | Path]) -> set[RowSchema | None]:
-    """The kind of each JSONL file among *paths* whose header reads, from
-    its first row; no file is read past that row."""
-    kinds = set()
-    for path in paths:
-        if not str(path).endswith(".csv") and Path(path).is_file():
-            try:
-                kinds.add(_load_file(path, [], [])[2])
-            except SchemaError:
-                pass
-    return kinds
-
-
 def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     """Validate any mix of pipeline outputs; returns all problems found."""
     out = _Collector()
@@ -370,9 +343,6 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
     traced: dict[str, _Kept] = {}
     traced_contexts: list[tuple[str | Path, int, str, str, bytes]] = []
     contexts: dict[tuple[str, str], bytes] = {}
-    # Traced contexts are compared, and digested, only beside contexts rows.
-    compare = {pipeline.TRACED, pipeline.CONTEXT} <= _jsonl_kinds(paths)
-    counted: dict[bytes, int] = {}
     # One object per distinct id or source kept for the context comparison,
     # where json decodes a new one per occurrence.
     canon: dict[str, str] = {}
@@ -383,8 +353,7 @@ def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
         if not Path(path).is_file():
             out.add(path, 0, "missing file")
             continue
-        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, compare, counted,
-                                                                canon)
+        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, canon)
         out += found
         if loaded is None:
             continue

@@ -160,7 +160,7 @@ def test_a_repeated_key_is_rejected_at_its_line(schema, records, to_row, data):
     assert err.value.line_no == 5
     assert err.value.message.startswith(f"duplicate {schema.name} {schema.key[0]} ")
     problems = []
-    assert [line for line, _ in schema.load_rows(rows, "p", problems)] == [2]
+    assert [line for _, line, _ in schema.iter_keyed(rows, "p", problems)] == [2]
     assert [exc.line_no for exc in problems] == [3, 5, 8]
     assert [exc.message for exc in problems[1:]] == [err.value.message] * 2
 
@@ -197,8 +197,8 @@ def test_stage_reader_and_validate_reject_a_repeated_row_alike(tmp_path, name, s
 def test_golden_annotations_may_repeat(record):
     row = backends.GOLD_HIT.dump(record)
     problems = []
-    loaded = backends.GOLD_HIT.load_rows([(2, row), (3, {}), (5, row)], "p", problems)
-    assert loaded == [(2, record), (5, record)]
+    loaded = backends.GOLD_HIT.iter_keyed([(2, row), (3, {}), (5, row)], "p", problems)
+    assert [(line, hit) for _, line, hit in loaded] == [(2, record), (5, record)]
     assert [(exc.line_no, exc.message) for exc in problems] == [(3, "missing field 'question_id'")]
 
 

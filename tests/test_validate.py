@@ -3,18 +3,19 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxtrace.analysis import COMPLETENESS, ORDER, read_sim_csv, run_sim, run_slices
+from ctxtrace.analysis import COMPLETENESS, ORDER, SLICES, read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
 from ctxtrace.cli import main
 from ctxtrace.errors import CtxTraceError
 from ctxtrace.jsonl import read_csv
-from ctxtrace.metrics import MetricsReport, write_report_csv
+from ctxtrace.metrics import REPORT, MetricsReport, write_report_csv
 from ctxtrace.pipeline import (
     Generator,
     PromptSet,
@@ -87,6 +88,19 @@ def test_clean_run_validates(run):
     # Each file also stands alone.
     for path in run.values():
         assert validate_files([path]) == []
+
+
+def test_each_input_is_opened_once(run, monkeypatch):
+    opened = Counter()
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert validate_files(list(run.values())) == []
+    assert opened == Counter(str(path) for path in run.values())
 
 
 def test_clean_run_with_rounded_thirds(tmp_path):
@@ -738,7 +752,22 @@ def test_a_csv_line_is_counted_at_each_newline_byte(tmp_path, next_row):
     assert [p.line for p in validate_files([sim])] == [4]
 
 
+RETRIEVED = (b'{"id":"q1","source":"retrieved","backend":"golden","title":"T","text":"x is here",'
+             b'"word_count":3,"gen_target_words":null,"variant":"retrieved"}')
+GENERATED = (b'{"id":"q1","source":"generated","backend":"scripted","title":null,"text":"y is here",'
+             b'"word_count":3,"gen_target_words":80,"variant":"nature"}')
+TRACED_ROW = (b'{"id":"q1","question":"Who?","answers":["x"],"retrieved":' + RETRIEVED
+              + b',"generated":' + GENERATED + b',"answer_from_retrieved":"x",'
+              b'"answer_from_generated":"y","closed_book":null,"subset":"AIR","dropped":null}')
+EVAL_ROW = (b'{"id":"q1","order":"generated_first","seed":4,"hybrid_answer":"x",'
+            b'"classification":"ret"}')
+# The column row of each other CSV kind, under its manifest comment.
+CSV_HEADERS = [b"# manifest=feedbead12345678 seed=4\n" + ",".join(schema.keys).encode() + b"\n"
+               for schema in (REPORT, ORDER, COMPLETENESS, SLICES)]
+TABLE_ROWS = [label + b",1,0.000000,1.000000,,0.000000,-1.000000,100.0000"
+              for label in (b"AIR", b"random", b"trunc")] + [b"0,1,0.500000,-1.000000"]
 BYTE_PIECES = [JSONL_HEADER, SIM_BYTES, b'{"id":"q1","question":"Who?","answers":["x"]}',
+               RETRIEVED, GENERATED, TRACED_ROW, EVAL_ROW, *CSV_HEADERS, *TABLE_ROWS,
                b"q01,0.5,0.5,jaccard,max,0.0", b"{", b"}", b"[" * 600, b'"', b",", b":",
                b"1e400", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3", b"\xef\xbb\xbf",
                b"q" * 70_000]
@@ -751,7 +780,12 @@ def test_malformed_bytes_never_escape_as_a_traceback(tmp_path_factory, data):
     jsonl, csv = root / "bytes.jsonl", root / "bytes.csv"
     jsonl.write_bytes(data)
     csv.write_bytes(data)
-    validate_files([jsonl, csv])
+    # A traced and a contexts file whose first rows fix their kinds, so that
+    # the traced contexts are digested and compared with garbage after them.
+    traced, contexts = root / "traced.jsonl", root / "contexts.jsonl"
+    traced.write_bytes(JSONL_HEADER + TRACED_ROW + b"\n" + data)
+    contexts.write_bytes(JSONL_HEADER + RETRIEVED + b"\n" + GENERATED + b"\n" + data)
+    validate_files([jsonl, csv, contexts, traced])
     try:
         read_questions(jsonl)
     except CtxTraceError:
