@@ -7,15 +7,13 @@ retriever such as a dense one).  The HTTP bearer token is read from the
 CTX_API_KEY environment variable only; it is never accepted on the command
 line.
 
-Fingerprints are memoized per distinct text, like the normalized forms they
-hash (see :mod:`ctxtrace.textnorm`).  BM25 tokenizes its corpus and queries
-through :func:`textnorm.tokens_uncached`, so corpus documents, each seen
-once, never fill that memo.  ``requests`` is imported only when an
-:class:`HttpBackend` has to build its own session.
+BM25 tokenizes its corpus and queries through
+:func:`textnorm.tokens_uncached`, so corpus documents, each seen once, never
+fill the :func:`textnorm.normalize_answer` memo.  ``requests`` is imported
+only when an :class:`HttpBackend` has to build its own session.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -63,9 +61,9 @@ BM25_STOPWORDS = frozenset(
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _FNV_MASK = 0xFFFFFFFFFFFFFFFF
+_HEX = "0123456789abcdef"
 
 
-@functools.lru_cache(maxsize=textnorm.MEMO_SIZE)
 def context_fingerprint(text: str) -> str:
     """64-bit FNV-1a hash of the normalized context text, as lowercase hex."""
     data = textnorm.normalize_answer(text).encode("utf-8")
@@ -295,6 +293,9 @@ class ScriptEntry:
             raise ValueError("single_context entries need a fingerprint")
         if self.mode == "closed_book" and self.context_fingerprint is not None:
             raise ValueError("closed_book entries must have a null fingerprint")
+        fingerprint = self.context_fingerprint
+        if fingerprint is not None and (len(fingerprint) != 16 or fingerprint.strip(_HEX)):
+            raise ValueError("context_fingerprint must be 16 lowercase hex characters")
 
 
 SCRIPT_ENTRY = RowSchema(ScriptEntry, "script entry",
@@ -305,16 +306,16 @@ SCRIPT_ENTRY = RowSchema(ScriptEntry, "script entry",
 class ReaderScript:
     """Deterministic reader oracle: the answer of each :class:`ScriptEntry`.
 
-    ``fingerprinted`` holds the questions that have a hybrid row keyed by a
-    fingerprint; a hybrid lookup for any other question can only reach its
-    null row, so its caller may skip the hash.
+    ``unkeyed`` holds the questions whose only hybrid row is the null one: a
+    hybrid lookup for such a question reaches that row whatever the
+    fingerprint, so its caller may skip the hash.
     """
 
     def __init__(self, entries: Mapping[tuple[str, str, str | None], str], source: str) -> None:
         self._entries = dict(entries)
         self.source = source
-        self.fingerprinted = frozenset(question for question, mode, fingerprint in self._entries
-                                       if mode == "hybrid" and fingerprint is not None)
+        hybrid = {(q, fp is None) for q, mode, fp in self._entries if mode == "hybrid"}
+        self.unkeyed = frozenset(q for q, null in hybrid if null and (q, False) not in hybrid)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReaderScript":
@@ -337,6 +338,10 @@ class GenerationEntry:
     question_id: str
     target_words: int | None
     text: str
+
+    def __post_init__(self) -> None:
+        if self.target_words is not None and self.target_words < 1:
+            raise ValueError("target_words must be at least 1")
 
 
 GENERATION_ENTRY = RowSchema(GenerationEntry, "generation entry", ("question_id", "target_words"))

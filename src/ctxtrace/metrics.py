@@ -107,7 +107,7 @@ def em_score(records: Sequence["HybridRecord"],
         example = examples.get(record.example_id)
         if example is None:
             raise ValidationError(f"no gold answers for example {record.example_id!r}")
-        if textnorm.matches_any(record.answer, list(example.answers)):
+        if textnorm.matches_any(record.answer, example.answers):
             hits += 1
     return 100.0 * hits / len(records)
 

@@ -11,7 +11,6 @@ the reply is classified by which candidate it reproduces.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 import re
@@ -32,7 +31,7 @@ from .backends import (
     context_fingerprint,
     holding_slot,
 )
-from .errors import EmptyResponseError, ScriptMissError, ValidationError
+from .errors import EmptyResponseError, ValidationError
 from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
 
 SOURCES = ("retrieved", "generated")
@@ -229,12 +228,8 @@ class Reader(_Backend):
         block = CONTEXT_JOIN.join(context_texts) if count else None
 
         def lookup(script: ReaderScript) -> str:
-            if mode == "hybrid" and example.id not in script.fingerprinted:
-                try:
-                    return script.answer(example.id, mode, None)
-                except ScriptMissError:
-                    pass  # looked up again below, so the miss names the block's fingerprint
-            return script.answer(example.id, mode, context_fingerprint(block) if count else None)
+            keyed = count and not (mode == "hybrid" and example.id in script.unkeyed)
+            return script.answer(example.id, mode, context_fingerprint(block) if keyed else None)
 
         return self._call(lookup, self.prompts.reading if count else self.prompts.closed_book,
                           question=example.question, contexts=block)
@@ -303,15 +298,9 @@ def generate_length_matched(generator: Generator, example: QaExample, target: in
     )
 
 
-@functools.lru_cache(maxsize=textnorm.MEMO_SIZE)
-def _normalized_set(texts: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(map(textnorm.normalize_answer, texts))
-
-
 def is_abstention(answer: str, abstentions: Sequence[str]) -> bool:
     """Abstention check on normalized forms; empty replies abstain too."""
-    norm = textnorm.normalize_answer(answer)
-    return not norm or norm in _normalized_set(tuple(abstentions))
+    return not textnorm.normalize_answer(answer) or textnorm.matches_any(answer, abstentions)
 
 
 def traceability_drop_reason(answer_from_generated: str, answer_from_retrieved: str,
@@ -336,8 +325,8 @@ def traceability_drop_reason(answer_from_generated: str, answer_from_retrieved: 
 def exclusivity_label(answer_from_generated: str, answer_from_retrieved: str,
                       golds: Sequence[str]) -> str:
     """AIG, AIR, or none, depending on which candidate alone is correct."""
-    gen_ok = textnorm.matches_any(answer_from_generated, list(golds))
-    ret_ok = textnorm.matches_any(answer_from_retrieved, list(golds))
+    gen_ok = textnorm.matches_any(answer_from_generated, golds)
+    ret_ok = textnorm.matches_any(answer_from_retrieved, golds)
     if gen_ok and not ret_ok:
         return "AIG"
     if ret_ok and not gen_ok:

@@ -10,15 +10,16 @@ what counts as "the same answer".
 
 The same answers and contexts are compared many times over a run, so
 :func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs in
-a bounded memo.  Text that is seen once, such as a BM25 corpus document or a
-sentence scored for similarity, goes through :func:`tokens_uncached` and
-never enters it.
+a bounded memo, the one module-level memo in the package.  Text that is seen
+once, such as a BM25 corpus document or a sentence scored for similarity,
+goes through :func:`tokens_uncached` and never enters it.
 """
 from __future__ import annotations
 
 import functools
 import re
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 _ARTICLES = frozenset({"a", "an", "the"})
@@ -29,8 +30,8 @@ _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
 _CANDIDATE_BREAK_RE = re.compile(r"[.!?]+(?=\s+(\S)|\s*\Z)")
 _NON_SPACE_RE = re.compile(r"\S")
 
-# Distinct inputs kept by each memo in this package.  A memo only skips
-# work, so its size is not a setting and changes no output.
+# Distinct inputs kept by normalize_answer's memo, the package's only one.
+# A memo only skips work, so its size is not a setting and changes no output.
 MEMO_SIZE = 4096
 
 # Words that end in a period without ending a sentence. Lowercased, no
@@ -110,7 +111,7 @@ def exact_match(a: str, b: str) -> bool:
     return normalize_answer(a) == normalize_answer(b)
 
 
-def matches_any(candidate: str, golds: list[str]) -> bool:
+def matches_any(candidate: str, golds: Sequence[str]) -> bool:
     """True when *candidate* exactly matches at least one gold answer.
 
     An empty gold list matches nothing.

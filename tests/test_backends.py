@@ -443,6 +443,14 @@ def test_reader_script_schema_errors(tmp_path):
     with pytest.raises(SchemaError) as err:
         _reader_script(tmp_path, [row, row])
     assert ":2:" in str(err.value)
+    # A fingerprint no lookup can produce is refused at its own line.
+    for mode, fingerprint in (("hybrid", "ABCDEF0123456789"), ("hybrid", "nothex"),
+                              ("single_context", "0" * 15), ("single_context", "0" * 17),
+                              ("hybrid", "0x" + "0" * 14), ("hybrid", "")):
+        bad = dict(row, mode=mode, context_fingerprint=fingerprint)
+        with pytest.raises(SchemaError, match="16 lowercase hex characters") as err:
+            _reader_script(tmp_path, [row, bad])
+        assert ":2:" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

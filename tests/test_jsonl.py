@@ -69,6 +69,9 @@ def test_row_fields_have_exact_types():
             (dict(row, target_words="3"), "field 'target_words' has the wrong type"),
             # Booleans are ints to Python; they must not pass as counts.
             (dict(row, target_words=True), "field 'target_words' has the wrong type"),
+            # Length candidates are positive, so no lookup asks for these.
+            (dict(row, target_words=0), "target_words must be at least 1"),
+            (dict(row, target_words=-80), "target_words must be at least 1"),
     ):
         with pytest.raises(SchemaError) as err:
             GENERATION_ENTRY.load(bad, "p", 4)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ctxtrace import pipeline
 from ctxtrace.analysis import COMPLETENESS_VARIANTS, run_completeness, run_order
 from ctxtrace.backends import (
     BackendSpec,
@@ -365,13 +366,25 @@ def test_http_generator_posts_the_length_or_free_prompt():
     ]
 
 
-def test_http_reads_compute_no_fingerprint():
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for this test; the returned list gets each call's arguments."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_http_reads_compute_no_fingerprint(monkeypatch):
     reader, _ = _http(Reader, ["r0", "r1", "r2"])
-    before = context_fingerprint.cache_info()
+    hashed = _count_calls(monkeypatch, pipeline, "context_fingerprint")
     reader.answer(QUESTION_Q1)
     reader.answer(QUESTION_Q1, ["Never hashed once."])
     reader.answer(QUESTION_Q1, ["Never hashed once.", "Nor this one."])
-    assert context_fingerprint.cache_info() == before
+    assert hashed == []
 
 
 def test_a_read_shows_at_most_two_contexts():
@@ -481,18 +494,21 @@ def test_concurrent_reads_of_each_prompt_agree():
     assert len(posts) <= 4 * 8
 
 
-def test_a_hybrid_read_without_a_fingerprinted_row_hashes_nothing():
+def test_a_hybrid_read_without_a_fingerprinted_row_hashes_nothing(monkeypatch):
     script = ReaderScript({("q1", "hybrid", None): "fallback"}, "inline")
     reader = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
                     script=script)
-    before = context_fingerprint.cache_info()
+    hashed = _count_calls(monkeypatch, pipeline, "context_fingerprint")
     assert reader.answer(QUESTION_Q1, ["Never hashed.", "Nor this."]) == "fallback"
-    assert context_fingerprint.cache_info() == before
-    # A miss still names the block's fingerprint.
+    assert hashed == []
+    # A question with no hybrid row is looked up once, and the miss still
+    # names the block's fingerprint.
+    looked_up = _count_calls(monkeypatch, script, "answer")
     other = QaExample("q2", "Who?", ("a",))
     fingerprint = context_fingerprint(CONTEXT_JOIN.join(["Never hashed.", "Nor this."]))
     with pytest.raises(ScriptMissError, match=fingerprint):
         reader.answer(other, ["Never hashed.", "Nor this."])
+    assert looked_up == [("q2", "hybrid", fingerprint)]
 
 
 # ---------------------------------------------------------------------------

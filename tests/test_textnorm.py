@@ -1,10 +1,14 @@
 """Text canonicalization, matching, and sentence splitting."""
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import ctxtrace
 from ctxtrace.textnorm import (
     contains_answer,
     exact_match,
@@ -30,6 +34,19 @@ def test_normalize_keeps_article_letters_inside_words():
     # "the" is removed only as a standalone token; "theory" and "than" stay.
     assert normalize_answer("the theory") == "theory"
     assert normalize_answer("than a mothership") == "than mothership"
+
+
+def test_normalize_answer_is_the_packages_one_memo():
+    # Every function and method defined in ctxtrace that keeps an lru_cache.
+    memoized = set()
+    for info in pkgutil.iter_modules(ctxtrace.__path__, "ctxtrace."):
+        module = importlib.import_module(info.name)
+        for _, obj in inspect.getmembers(module):
+            for fn in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+                fn = getattr(fn, "__func__", fn)  # a classmethod or staticmethod
+                if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == info.name:
+                    memoized.add(f"{info.name}.{fn.__qualname__}")
+    assert memoized == {"ctxtrace.textnorm.normalize_answer"}
 
 
 def test_normalize_collapses_whitespace():
