@@ -77,12 +77,8 @@ def jaccard(a: set[str], b: set[str]) -> float:
 
 
 def sentence_jaccard(question: str, context_text: str, aggregation: str = "max") -> float:
-    """Question-context similarity: Jaccard per sentence, then max or mean.
-
-    Each sentence is tokenized by :func:`textnorm.tokens_uncached`, as
-    :func:`textnorm.tokens` would, but outside the memo: a sentence is
-    rarely scored twice, while the question is, and stays memoized.
-    """
+    """Question-context similarity: Jaccard per sentence, then max or mean,
+    over the :func:`textnorm.tokens` of the question and of each sentence."""
     return _spans_jaccard(question, textnorm.split_sentences(context_text), aggregation)
 
 
@@ -94,7 +90,7 @@ def _spans_jaccard(question: str, spans: Sequence[textnorm.SentenceSpan],
     if not spans:
         return 0.0
     question_tokens = set(textnorm.tokens(question))
-    scores = [jaccard(question_tokens, set(textnorm.tokens_uncached(s.text))) for s in spans]
+    scores = [jaccard(question_tokens, set(textnorm.tokens(s.text))) for s in spans]
     return max(scores) if aggregation == "max" else sum(scores) / len(scores)
 
 
@@ -359,6 +355,8 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
     :func:`pipeline.trace_decision`; it is read in hybrid with the retrieved
     context only if it keeps the subset.
     """
+    abstained = frozenset(map(textnorm.normalize_answer, abstentions))
+
     def sweep(sample: pipeline.TracedSample) -> dict[str, pipeline.HybridRecord] | None:
         """{variant: hybrid record} of the variants kept; None if filtered out."""
         contexts, sim_scores = build_completeness_variants(
@@ -371,7 +369,7 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
             candidate = (sample.answer_from_generated if variant == "nature"
                          else reader.answer(sample.example, [context.text]))
             stand_in = replace(sample, generated=context, answer_from_generated=candidate)
-            if pipeline.trace_decision(stand_in, abstentions) == (sample.subset, None):
+            if pipeline.trace_decision(stand_in, abstained) == (sample.subset, None):
                 records[variant] = pipeline.hybrid_answer(reader, stand_in, order, seed)
         return records
 

@@ -7,13 +7,13 @@ retriever such as a dense one).  The HTTP bearer token is read from the
 CTX_API_KEY environment variable only; it is never accepted on the command
 line.
 
-BM25 tokenizes its corpus and queries through
-:func:`textnorm.tokens_uncached`, so corpus documents, each seen once, never
-fill the :func:`textnorm.normalize_answer` memo.  ``requests`` is imported
-only when an :class:`HttpBackend` has to build its own session.
+BM25 tokenizes its corpus and queries through :func:`textnorm.tokens`.
+``requests`` is imported only when an :class:`HttpBackend` has to build its
+own session.
 """
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import os
@@ -52,39 +52,20 @@ BACKOFF_BASE_SECONDS = 0.5
 RETRY_AFTER_CAP_SECONDS = 60.0
 
 # Applied when indexing and scoring BM25 documents and queries. Never used
-# for answer matching.  Holds the articles, as textnorm.tokens_uncached needs.
+# for answer matching.  Holds the articles, as textnorm.tokens needs.
 BM25_STOPWORDS = frozenset(
     "a an the and or of to in on for at by with from as is are was were be "
     "been it its this that these those".split()
 )
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
 _HEX = "0123456789abcdef"
 
 
 def context_fingerprint(text: str) -> str:
-    """64-bit FNV-1a hash of the normalized context text, as lowercase hex."""
+    """64-bit BLAKE2b (RFC 7693) of the UTF-8 normalized context text, as
+    lowercase hex."""
     data = textnorm.normalize_answer(text).encode("utf-8")
-    digest, prime, mask = _FNV_OFFSET, _FNV_PRIME, _FNV_MASK
-    # Eight bytes per step, masked once: exact, because a XOR with a byte
-    # touches only the low 8 bits, and the low 64 bits of a product depend
-    # only on the low 64 bits of its factors.
-    whole = len(data) - len(data) % 8
-    octets = iter(data[:whole])
-    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(*[octets] * 8):
-        digest = (digest ^ b0) * prime
-        digest = (digest ^ b1) * prime
-        digest = (digest ^ b2) * prime
-        digest = (digest ^ b3) * prime
-        digest = (digest ^ b4) * prime
-        digest = (digest ^ b5) * prime
-        digest = (digest ^ b6) * prime
-        digest = ((digest ^ b7) * prime) & mask
-    for byte in data[whole:]:
-        digest = ((digest ^ byte) * prime) & mask
-    return f"{digest:016x}"
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 @dataclass
@@ -385,7 +366,7 @@ def _exact_corpus_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]
 
 
 def _analyze(text: str) -> list[str]:
-    return textnorm.tokens_uncached(text, BM25_STOPWORDS)
+    return textnorm.tokens(text, BM25_STOPWORDS)
 
 
 # (weight, ascending doc indices, {doc index: tf} where tf > 1).  A query
@@ -399,7 +380,7 @@ class Bm25Index:
 
     Documents (title and body) and queries are split into their
     :func:`textnorm.normalize_answer` tokens minus :data:`BM25_STOPWORDS`,
-    by :func:`textnorm.tokens_uncached`, which skips the article pass
+    by :func:`textnorm.tokens`, which skips the article pass
     where it cannot change a token.
 
     Each term keeps one ascending list of the indices of the documents that

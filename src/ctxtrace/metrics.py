@@ -122,7 +122,9 @@ def recall(contexts: Mapping[str, "Context"],
         example = examples.get(qid)
         if example is None:
             raise ValidationError(f"no gold answers for example {qid!r}")
-        if any(textnorm.contains_answer(context.text, gold) for gold in example.answers):
+        text = textnorm.normalize_answer(context.text)
+        if any(textnorm.contains_normalized(text, textnorm.normalize_answer(gold))
+               for gold in example.answers):
             hits += 1
     return hits / len(contexts)
 

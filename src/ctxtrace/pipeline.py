@@ -18,7 +18,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from . import metrics, textnorm
 from .backends import (
@@ -298,63 +298,34 @@ def generate_length_matched(generator: Generator, example: QaExample, target: in
     )
 
 
-def is_abstention(answer: str, abstentions: Sequence[str]) -> bool:
-    """Abstention check on normalized forms; empty replies abstain too."""
-    return not textnorm.normalize_answer(answer) or textnorm.matches_any(answer, abstentions)
-
-
-def traceability_drop_reason(answer_from_generated: str, answer_from_retrieved: str,
-                             generated: Context, retrieved: Context,
-                             abstentions: Sequence[str]) -> str | None:
-    """Why a sample leaves the pool, or None to keep it.
-
-    Checked in a fixed order: generated abstention, retrieved abstention,
-    generated containment, retrieved containment.
-    """
-    if is_abstention(answer_from_generated, abstentions):
-        return "abstained_gen"
-    if is_abstention(answer_from_retrieved, abstentions):
-        return "abstained_ret"
-    if not textnorm.contains_answer(generated.text, answer_from_generated):
-        return "not_in_gen"
-    if not textnorm.contains_answer(retrieved.text, answer_from_retrieved):
-        return "not_in_ret"
-    return None
-
-
-def exclusivity_label(answer_from_generated: str, answer_from_retrieved: str,
-                      golds: Sequence[str]) -> str:
-    """AIG, AIR, or none, depending on which candidate alone is correct."""
-    gen_ok = textnorm.matches_any(answer_from_generated, golds)
-    ret_ok = textnorm.matches_any(answer_from_retrieved, golds)
-    if gen_ok and not ret_ok:
-        return "AIG"
-    if ret_ok and not gen_ok:
-        return "AIR"
-    return "none"
-
-
-def parametric_keep(closed_book_answer: str, answer_from_generated: str,
-                    answer_from_retrieved: str) -> bool:
-    """Keep only samples whose three answers are pairwise distinct."""
-    return not (
-        textnorm.exact_match(closed_book_answer, answer_from_generated)
-        or textnorm.exact_match(closed_book_answer, answer_from_retrieved)
-        or textnorm.exact_match(answer_from_generated, answer_from_retrieved)
-    )
-
-
-def trace_decision(sample: TracedSample, abstentions: Sequence[str]) -> tuple[str, str | None]:
+def trace_decision(sample: TracedSample, abstentions: Collection[str]) -> tuple[str, str | None]:
     """(subset, dropped) for the candidates and closed-book answer stored on
-    *sample*: traceability, then exclusivity, then the parametric check when
-    a closed-book answer is stored and the subset is not none."""
-    gen, ret = sample.answer_from_generated, sample.answer_from_retrieved
-    dropped = traceability_drop_reason(gen, ret, sample.generated, sample.retrieved, abstentions)
-    if dropped is not None:
-        return "none", dropped
-    subset = exclusivity_label(gen, ret, sample.example.answers)
-    if sample.closed_book is not None and subset != "none" and not parametric_keep(
-            sample.closed_book, gen, ret):
+    *sample*, decided on their normalized forms; *abstentions* holds the
+    abstention phrases already through :func:`textnorm.normalize_answer`.
+
+    Traceability comes first, checked in a fixed order: generated
+    abstention, retrieved abstention (an empty reply abstains too), then
+    generated and retrieved containment.  Exclusivity then gives AIG or AIR
+    when only that side's candidate matches a gold answer, or none.  Last,
+    when a closed-book answer is stored and the subset is not none, the
+    parametric check drops a sample whose closed-book answer equals a
+    candidate (the candidates differ, as exactly one matches a gold).
+    """
+    norm = textnorm.normalize_answer
+    gen, ret = norm(sample.answer_from_generated), norm(sample.answer_from_retrieved)
+    if not gen or gen in abstentions:
+        return "none", "abstained_gen"
+    if not ret or ret in abstentions:
+        return "none", "abstained_ret"
+    if not textnorm.contains_answer(sample.generated.text, gen):
+        return "none", "not_in_gen"
+    if not textnorm.contains_answer(sample.retrieved.text, ret):
+        return "none", "not_in_ret"
+    golds = {norm(gold) for gold in sample.example.answers}
+    if (gen in golds) == (ret in golds):
+        return "none", None
+    subset = "AIG" if gen in golds else "AIR"
+    if sample.closed_book is not None and norm(sample.closed_book) in (gen, ret):
         return subset, "parametric"
     return subset, None
 
@@ -486,6 +457,7 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
     """Both single-context candidate reads, decided by :func:`trace_decision`;
     with *parametric*, a closed-book read for each survivor, decided again.
     Writes traced.jsonl."""
+    abstained = frozenset(map(textnorm.normalize_answer, abstentions))
 
     def trace_one(example: QaExample) -> TracedSample:
         slot = contexts_by_id.get(example.id)
@@ -496,10 +468,10 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
         sample = TracedSample(example, retrieved, generated,
                               reader.answer(example, [retrieved.text]),
                               reader.answer(example, [generated.text]), None, "none", None)
-        subset, dropped = trace_decision(sample, abstentions)
+        subset, dropped = trace_decision(sample, abstained)
         if parametric and dropped is None and subset != "none":
             sample = replace(sample, closed_book=reader.answer(example))
-            subset, dropped = trace_decision(sample, abstentions)
+            subset, dropped = trace_decision(sample, abstained)
         return replace(sample, subset=subset, dropped=dropped)
 
     samples = map_examples(trace_one, list(examples), workers)

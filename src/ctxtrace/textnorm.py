@@ -8,15 +8,11 @@ whitespace-separated in the Unicode sense.  The same rules back exact match,
 containment, and word counting, so filters and metrics can never disagree on
 what counts as "the same answer".
 
-The same answers and contexts are compared many times over a run, so
-:func:`normalize_answer` keeps the last :data:`MEMO_SIZE` distinct inputs in
-a bounded memo, the one module-level memo in the package.  Text that is seen
-once, such as a BM25 corpus document or a sentence scored for similarity,
-goes through :func:`tokens_uncached` and never enters it.
+Nothing here is memoized: a caller that compares one text many times
+normalizes it once and compares the normalized strings.
 """
 from __future__ import annotations
 
-import functools
 import re
 import unicodedata
 from collections.abc import Sequence
@@ -29,10 +25,6 @@ _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
 # ("3.5", the inner dot of "e.g.") never breaks.
 _CANDIDATE_BREAK_RE = re.compile(r"[.!?]+(?=\s+(\S)|\s*\Z)")
 _NON_SPACE_RE = re.compile(r"\S")
-
-# Distinct inputs kept by normalize_answer's memo, the package's only one.
-# A memo only skips work, so its size is not a setting and changes no output.
-MEMO_SIZE = 4096
 
 # Words that end in a period without ending a sentence. Lowercased, no
 # trailing dot. Single letters are guarded separately (initials).
@@ -71,9 +63,9 @@ def strip_punct(text: str) -> str:
     return text.translate(_PUNCT_TABLE)
 
 
-def tokens_uncached(raw: str, stopwords: frozenset[str] = _ARTICLES) -> list[str]:
-    """The tokens of :func:`normalize_answer` without the memo, for text
-    seen only once, less any in *stopwords*, which must hold the articles.
+def tokens(raw: str, stopwords: frozenset[str] = _ARTICLES) -> list[str]:
+    """The normalized whitespace tokens of *raw*, less any in *stopwords*,
+    which must hold the articles.
 
     The article pass runs only on the tokens it can change.  No whitespace
     is a word character, so ``\\b`` inside a token does not depend on its
@@ -91,19 +83,13 @@ def tokens_uncached(raw: str, stopwords: frozenset[str] = _ARTICLES) -> list[str
     return [word for word in words if word not in stopwords]
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def normalize_answer(raw: str) -> str:
     """Canonical form of an answer string.
 
     Lowercase, remove punctuation characters, remove standalone articles,
     collapse all whitespace runs to single spaces. Idempotent.
     """
-    return " ".join(tokens_uncached(raw))
-
-
-def tokens(raw: str) -> list[str]:
-    """Normalized whitespace tokens of *raw*."""
-    return normalize_answer(raw).split()
+    return " ".join(tokens(raw))
 
 
 def exact_match(a: str, b: str) -> bool:
@@ -129,12 +115,15 @@ def contains_answer(context_text: str, answer: str) -> bool:
     never does.  An answer that normalizes to nothing (blank, or articles or
     punctuation only) is reported as not contained.
     """
-    needle = normalize_answer(answer)
-    if not needle:
-        return False
+    return contains_normalized(normalize_answer(context_text), normalize_answer(answer))
+
+
+def contains_normalized(context_norm: str, answer_norm: str) -> bool:
+    """:func:`contains_answer` on two texts already normalized, for a caller
+    that checks one context against several answers."""
     # Normalized tokens hold no whitespace and are joined by single spaces,
     # so a space-bounded substring match is a whole-token sequence match.
-    return f" {needle} " in f" {normalize_answer(context_text)} "
+    return bool(answer_norm) and f" {answer_norm} " in f" {context_norm} "
 
 
 def word_count(text: str) -> int:

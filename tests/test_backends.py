@@ -47,10 +47,12 @@ from .test_bm25_properties import reference_scores
 
 
 def test_fingerprint_frozen_values():
-    # FNV-1a 64 over the normalized text, recomputed independently.
-    assert context_fingerprint("ab") == "089c4407b545986a"
-    assert context_fingerprint("The Hindenburg Line.") == "e369563536ca65b5"
-    assert context_fingerprint("") == "cbf29ce484222325"
+    # BLAKE2b-64 of the UTF-8 normalized text, from coreutils `b2sum -l 64`
+    # ("ab", "hindenburg line", "", "ærøstraße ω").
+    assert context_fingerprint("ab") == "0e52b5f187de1088"
+    assert context_fingerprint("The Hindenburg Line.") == "3d3c987f23c4bf92"
+    assert context_fingerprint("") == "e4a6a0577479b2b4"
+    assert context_fingerprint("Ærø—Straße, the Ω!") == "f6e454303fa65e86"
 
 
 def test_fingerprint_normalization_invariance():

@@ -1,15 +1,17 @@
 """Pipeline stages: prompts, filters, classification, and stage runners."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from ctxtrace import pipeline
+from ctxtrace import pipeline, textnorm
 from ctxtrace.analysis import COMPLETENESS_VARIANTS, run_completeness, run_order
 from ctxtrace.backends import (
     BackendSpec,
@@ -30,6 +32,7 @@ from ctxtrace.pipeline import (
     CLOSED_BOOK_PROMPT,
     CONTEXT,
     CONTEXT_JOIN,
+    DEFAULT_ABSTENTIONS,
     GENERATION_PROMPT,
     GENERATION_PROMPT_UNCONSTRAINED,
     HYBRID,
@@ -43,12 +46,9 @@ from ctxtrace.pipeline import (
     Reader,
     TracedSample,
     classify_answer,
-    exclusivity_label,
     generate_length_matched,
     hybrid_answer,
-    is_abstention,
     map_examples,
-    parametric_keep,
     read_contexts,
     read_questions,
     read_traced,
@@ -59,7 +59,6 @@ from ctxtrace.pipeline import (
     run_prepare,
     run_trace,
     trace_decision,
-    traceability_drop_reason,
 )
 from ctxtrace.textnorm import word_count
 
@@ -134,14 +133,14 @@ def test_render_passage():
 
 
 def test_is_abstention():
-    assert is_abstention("unknown", ABST)
-    assert is_abstention("I don't know.", ABST)
-    assert is_abstention("Not enough information", ABST)
-    assert is_abstention("NO ANSWER", ABST)
-    assert is_abstention("", ABST)
-    assert is_abstention("  the  ", ABST)  # normalizes to nothing
-    assert not is_abstention("Paris", ABST)
-    assert not is_abstention("unknown", ())  # empty set still catches ""
+    # Each reply abstains on either side, checked before containment.
+    for reply in ("unknown", "I don't know.", "Not enough information", "NO ANSWER", "",
+                  "  the  "):  # the last normalizes to nothing
+        assert trace_decision(_sample(gen_ans=reply), ABST) == ("none", "abstained_gen")
+        assert trace_decision(_sample(ret_ans=reply), ABST) == ("none", "abstained_ret")
+    assert trace_decision(_sample(gen_ans="Paris"), ABST) == ("none", "not_in_gen")
+    # The empty set still catches "".
+    assert trace_decision(_sample(gen_ans="unknown"), ()) == ("none", "not_in_gen")
 
 
 def _generator(entries):
@@ -191,42 +190,53 @@ def test_generate_length_matched_skips_empty_and_fails_on_all_empty():
 # filters
 
 
+def _drop_reason(gen_ans, ret_ans, **kwargs):
+    return trace_decision(_sample(gen_ans=gen_ans, ret_ans=ret_ans, **kwargs), ABST)[1]
+
+
 def test_traceability_reasons_in_priority_order():
-    gen = _ctx("alpha beta gamma")
-    ret = _ctx("Title: T Content: delta epsilon", source="retrieved")
-    assert traceability_drop_reason("beta", "delta", gen, ret, ABST) is None
-    assert traceability_drop_reason("unknown", "delta", gen, ret, ABST) == "abstained_gen"
-    assert traceability_drop_reason("beta", "no answer", gen, ret, ABST) == "abstained_ret"
-    assert traceability_drop_reason("zeta", "delta", gen, ret, ABST) == "not_in_gen"
-    assert traceability_drop_reason("beta", "zeta", gen, ret, ABST) == "not_in_ret"
+    assert _drop_reason("beta", "delta") is None
+    assert _drop_reason("unknown", "delta") == "abstained_gen"
+    assert _drop_reason("beta", "no answer") == "abstained_ret"
+    assert _drop_reason("zeta", "delta") == "not_in_gen"
+    assert _drop_reason("beta", "zeta") == "not_in_ret"
     # Both abstain: the generated side is reported first.
-    assert traceability_drop_reason("unknown", "unknown", gen, ret, ABST) == "abstained_gen"
+    assert _drop_reason("unknown", "unknown") == "abstained_gen"
     # Abstention outranks containment.
-    assert traceability_drop_reason("unknown", "zeta", gen, ret, ABST) == "abstained_gen"
+    assert _drop_reason("unknown", "zeta") == "abstained_gen"
 
 
 def test_traceability_uses_token_boundaries():
-    gen = _ctx("a washing machine")
-    ret = _ctx("Title: T Content: fine print", source="retrieved")
-    assert traceability_drop_reason("ashing", "print", gen, ret, ABST) == "not_in_gen"
-    assert traceability_drop_reason("washing", "print", gen, ret, ABST) is None
+    texts = dict(gen_text="a washing machine", ret_text="Title: T Content: fine print")
+    assert _drop_reason("ashing", "print", **texts) == "not_in_gen"
+    assert _drop_reason("washing", "print", **texts) is None
+
+
+def _label(gen_ans, ret_ans, golds, closed=None):
+    """trace_decision over contexts that hold both candidates."""
+    return trace_decision(_sample(gen_text=gen_ans, ret_text=f"Title: T Content: {ret_ans}",
+                                  gen_ans=gen_ans, ret_ans=ret_ans, closed=closed,
+                                  golds=golds), ABST)
 
 
 def test_exclusivity_label():
     golds = ["Hindenburg Line"]
-    assert exclusivity_label("the Hindenburg Line.", "Maginot", golds) == "AIG"
-    assert exclusivity_label("Maginot", "hindenburg line", golds) == "AIR"
-    assert exclusivity_label("hindenburg line", "The Hindenburg Line", golds) == "none"
-    assert exclusivity_label("Maginot", "Siegfried", golds) == "none"
+    assert _label("the Hindenburg Line.", "Maginot", golds) == ("AIG", None)
+    assert _label("Maginot", "hindenburg line", golds) == ("AIR", None)
+    assert _label("hindenburg line", "The Hindenburg Line", golds) == ("none", None)
+    assert _label("Maginot", "Siegfried", golds) == ("none", None)
     # Multiple golds: matching any of them counts.
-    assert exclusivity_label("Karachi", "Rawalpindi", ["Rawalpindi", "Islamabad"]) == "AIR"
+    assert _label("Karachi", "Rawalpindi", ["Rawalpindi", "Islamabad"]) == ("AIR", None)
 
 
 def test_parametric_keep_requires_pairwise_distinct():
-    assert parametric_keep("Lille", "Paris", "Lyon")
-    assert not parametric_keep("paris.", "Paris", "Lyon")
-    assert not parametric_keep("Lille", "Paris", "lille")
-    assert not parametric_keep("Lille", "Paris", "PARIS")
+    golds = ["Paris"]
+    assert _label("Paris", "Lyon", golds, closed="Lille") == ("AIG", None)
+    assert _label("Paris", "Lyon", golds, closed="paris.") == ("AIG", "parametric")
+    assert _label("Paris", "lille", golds, closed="Lille") == ("AIG", "parametric")
+    # Equal candidates both match a gold or neither does, so they leave no
+    # subset for the parametric check to drop.
+    assert _label("Paris", "PARIS", golds, closed="Lille") == ("none", None)
 
 
 def test_trace_decision_runs_the_filters_in_trace_order():
@@ -242,6 +252,16 @@ def test_trace_decision_runs_the_filters_in_trace_order():
     assert trace_decision(_sample(closed="beta", golds=("zeta",)), ABST) == ("none", None)
     # An empty reply abstains under any set, the empty one included.
     assert trace_decision(_sample(ret_ans=""), ()) == ("none", "abstained_ret")
+
+
+def test_trace_decision_normalizes_each_text_once(monkeypatch):
+    seen = _count_calls(monkeypatch, textnorm, "normalize_answer")
+    sample = _sample(gen_ans="Beta", ret_ans="Delta.", closed="gamma", golds=("beta.", "omega"))
+    assert trace_decision(sample, DEFAULT_ABSTENTIONS) == ("AIG", None)
+    texts = Counter(text for text, in seen)
+    assert texts[sample.generated.text] == texts[sample.retrieved.text] == 1
+    assert texts["Beta"] == texts["Delta."] == texts["gamma"] == 1
+    assert all(texts[text] <= 1 for text in (*sample.example.answers, *DEFAULT_ABSTENTIONS))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +531,28 @@ def test_a_hybrid_read_without_a_fingerprinted_row_hashes_nothing(monkeypatch):
     assert looked_up == [("q2", "hybrid", fingerprint)]
 
 
+def _fnv1a_64(text):
+    """The reader-script fingerprint format before BLAKE2b: FNV-1a-64 of the
+    UTF-8 normalized text."""
+    digest = 0xCBF29CE484222325
+    for byte in textnorm.normalize_answer(text).encode("utf-8"):
+        digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{digest:016x}"
+
+
+def test_a_script_row_keyed_by_an_fnv_fingerprint_misses(tmp_path):
+    text = "The Hindenburg Line ran from Arras to Laffaux."
+    path = tmp_path / "reader.jsonl"
+    write_jsonl(path, [{"question_id": "q1", "mode": "single_context",
+                        "context_fingerprint": _fnv1a_64(text), "answer": "Arras"}])
+    reader = Reader(BackendSpec(kind="scripted", script_path=str(path)), PromptSet())
+    computed = hashlib.blake2b(textnorm.normalize_answer(text).encode("utf-8"),
+                               digest_size=8).hexdigest()
+    assert computed != _fnv1a_64(text)
+    with pytest.raises(ScriptMissError, match=f"'single_context', '{computed}'"):
+        reader.answer(QUESTION_Q1, [text])
+
+
 # ---------------------------------------------------------------------------
 # row serialization
 
@@ -689,6 +731,19 @@ def test_read_traced_rejects_a_repeated_id(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_traced(path)
     assert (err.value.line_no, err.value.message) == (4, "duplicate traced id 'q02'")
+
+
+def test_run_trace_normalizes_its_abstention_set(tmp_path):
+    world, reader, generator, retriever = _build_world(tmp_path)
+    examples = read_questions(world.questions_path)
+    run_prepare(examples, retriever, generator, (80, 100, 120),
+                tmp_path / "contexts.jsonl", "aa", seed=0)
+    _, by_id = read_contexts(tmp_path / "contexts.jsonl")
+    plain = run_trace(examples, by_id, reader, ABST, True, tmp_path / "a.jsonl", "aa", seed=0)
+    shouted = run_trace(examples, by_id, reader, [f"The {p.upper()}!" for p in ABST], True,
+                        tmp_path / "b.jsonl", "aa", seed=0)
+    assert shouted == plain
+    assert {s.example.id: s.dropped for s in shouted}["q05"] == "abstained_gen"
 
 
 def test_run_trace_requires_complete_context_pairs(tmp_path):

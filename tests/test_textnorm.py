@@ -36,7 +36,7 @@ def test_normalize_keeps_article_letters_inside_words():
     assert normalize_answer("than a mothership") == "than mothership"
 
 
-def test_normalize_answer_is_the_packages_one_memo():
+def test_the_package_keeps_no_memo():
     # Every function and method defined in ctxtrace that keeps an lru_cache.
     memoized = set()
     for info in pkgutil.iter_modules(ctxtrace.__path__, "ctxtrace."):
@@ -46,7 +46,7 @@ def test_normalize_answer_is_the_packages_one_memo():
                 fn = getattr(fn, "__func__", fn)  # a classmethod or staticmethod
                 if hasattr(fn, "cache_info") and getattr(fn, "__module__", None) == info.name:
                     memoized.add(f"{info.name}.{fn.__qualname__}")
-    assert memoized == {"ctxtrace.textnorm.normalize_answer"}
+    assert memoized == set()
 
 
 def test_normalize_collapses_whitespace():

@@ -1,11 +1,11 @@
 """Property tests pinning the fast text primitives to slow reference versions.
 
 The reference functions below are the plain per-character loops that
-punctuation stripping, sentence splitting and fingerprinting were first
-written as, normalization with its article regex run over the whole text,
-and sentence similarity scored through the memoized tokens.  They stay
-frozen here as oracles: the library's versions must agree with them on
-every generated input.
+punctuation stripping and sentence splitting were first written as,
+normalization with its article regex run over the whole text, and sentence
+similarity scored one set of tokens at a time.  They stay frozen here as
+oracles: the library's versions must agree with them on every generated
+input.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from ctxtrace.analysis import (
     sentence_jaccard,
     trunc,
 )
-from ctxtrace.backends import context_fingerprint
 from ctxtrace.pipeline import Context, QaExample, TracedSample
 from ctxtrace.textnorm import (
     SentenceSpan,
@@ -34,7 +33,6 @@ from ctxtrace.textnorm import (
     split_sentences,
     strip_punct,
     tokens,
-    tokens_uncached,
     word_count,
 )
 
@@ -51,13 +49,6 @@ def reference_strip_punct(text: str) -> str:
 def reference_normalize(text: str) -> str:
     lowered = reference_strip_punct(text.lower())
     return " ".join(re.sub(r"\b(?:a|an|the)\b", " ", lowered).split())
-
-
-def reference_fingerprint(text: str) -> str:
-    digest = 0xCBF29CE484222325
-    for byte in normalize_answer(text).encode("utf-8"):
-        digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return f"{digest:016x}"
 
 
 def reference_split_sentences(text: str) -> list[SentenceSpan]:
@@ -211,7 +202,7 @@ def test_split_sentences_matches_the_character_loop(text):
 
 
 def test_word_characters_are_the_alphanumeric_ones_and_underscore():
-    # The premise of tokens_uncached, over all of Unicode: re's \w is
+    # The premise of tokens' article pass, over all of Unicode: re's \w is
     # str.isalnum plus "_", and no whitespace character is a word character.
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.sub(r"[\W_]+", "", chars) == "".join(filter(str.isalnum, chars))
@@ -221,8 +212,8 @@ def test_word_characters_are_the_alphanumeric_ones_and_underscore():
 @exhaustively
 @given(pieces_text | any_text)
 def test_normalize_matches_the_whole_text_article_pass(text):
-    assert tokens_uncached(text) == reference_normalize(text).split()
-    assert normalize_answer.__wrapped__(text) == reference_normalize(text)
+    assert tokens(text) == reference_normalize(text).split()
+    assert normalize_answer(text) == reference_normalize(text)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -232,7 +223,7 @@ def test_normalize_matches_the_whole_text_article_pass(text):
     ("the_end, a_b", ["theend", "ab"]),              # "_" is punctuation, stripped first
 ])
 def test_tokens_keep_the_article_pass_where_it_changes_a_token(text, want):
-    assert tokens_uncached(text) == reference_normalize(text).split() == want
+    assert tokens(text) == reference_normalize(text).split() == want
 
 
 def test_tokens_run_the_article_pass_on_non_alphanumeric_tokens_only(monkeypatch):
@@ -244,19 +235,13 @@ def test_tokens_run_the_article_pass_on_non_alphanumeric_tokens_only(monkeypatch
             return re.sub(r"\b(?:a|an|the)\b", repl, text)
 
     monkeypatch.setattr(textnorm, "_ARTICLE_RE", Recording())
-    assert tokens_uncached("The Orchard's 2nd fig, an apple\u00a0\u00bd") == [
+    assert tokens("The Orchard's 2nd fig, an apple\u00a0\u00bd") == [
         "orchards", "2nd", "fig", "apple", "\u00bd"]
     assert seen == []
     # A combining mark is not a word character, so "an" before one is an article.
     text = "The sum: the+x, a $5 an\u0301"
-    assert tokens_uncached(text) == reference_normalize(text).split() == ["sum", "+x", "$5", "\u0301"]
+    assert tokens(text) == reference_normalize(text).split() == ["sum", "+x", "$5", "\u0301"]
     assert seen == ["the+x", "$5", "an\u0301"]
-
-
-@exhaustively
-@given(any_text)
-def test_fingerprint_matches_the_byte_loop(text):
-    assert context_fingerprint(text) == reference_fingerprint(text)
 
 
 @exhaustively

@@ -885,9 +885,7 @@ def _lengthen_texts(path, times):
 
 def test_validate_memory_tracks_keys_not_text(tmp_path):
     # Rows are read one at a time and only per-key state outlives a row, so
-    # texts eight times as long must barely move the peak.  A first pass
-    # fills the normalize memo, which is bounded by MEMO_SIZE and not
-    # validate's own; the second pass is measured.
+    # texts eight times as long must barely move the peak of a first pass.
     world = WorldBuilder(tmp_path)
     for n in range(40):
         world.add_case(f"q{n:02d}", outcome=("AIG", "AIR", "not_in_ret")[n % 3],
@@ -897,10 +895,9 @@ def test_validate_memory_tracks_keys_not_text(tmp_path):
 
     def peak_and_bytes():
         files = list(paths.values())
-        assert validate_files(files) == []
         tracemalloc.start()
         try:
-            validate_files(files)
+            assert validate_files(files) == []
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
