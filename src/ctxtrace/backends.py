@@ -36,7 +36,6 @@ from .errors import (
     EmptyResponseError,
     NoHitError,
     ScriptMissError,
-    SchemaError,
     ValidationError,
 )
 from .jsonl import RowSchema, iter_jsonl
@@ -355,14 +354,7 @@ class CorpusDoc:
     text: str
 
 
-CORPUS_DOC = RowSchema(CorpusDoc, "document", ("doc_id",))
-
-
-def _exact_corpus_rows(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    for line_no, obj in iter_jsonl(path):
-        if obj.keys() != {"doc_id", "title", "text"}:
-            raise SchemaError(path, line_no, "corpus rows carry exactly doc_id, title, text")
-        yield line_no, obj
+CORPUS_DOC = RowSchema(CorpusDoc, "document", ("doc_id",), exact=True)
 
 
 def _analyze(text: str) -> list[str]:
@@ -449,7 +441,7 @@ class Bm25Index:
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
-        rows = CORPUS_DOC.load_rows(_exact_corpus_rows(path), path)
+        rows = CORPUS_DOC.load_rows(iter_jsonl(path), path)
         return cls([(doc.doc_id, doc.title, doc.text) for _, doc in rows], params)
 
     def _query_terms(self, query_tokens: list[str]) -> list[_QueryTerm]:

@@ -162,10 +162,9 @@ def _objects(path: str | Path, bad_lines: list[SchemaError] | None,
         yield line_no, obj
 
 
-def read_output_jsonl(path: str | Path, bad_lines: list[SchemaError] | None = None,
-                      ) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
+def read_output_jsonl(path: str | Path) -> tuple[dict[str, Any], list[tuple[int, dict[str, Any]]]]:
     """(header, rows) of a pipeline-written JSONL file; see :func:`iter_output_jsonl`."""
-    rows = list(iter_output_jsonl(path, bad_lines))
+    rows = list(iter_output_jsonl(path))
     return rows[0][1], rows[1:]
 
 
@@ -256,10 +255,11 @@ class RowSchema:
     forbids an empty string, list or list item, ``nested`` stores a record
     of another schema as an object under the field's key while ``flatten``
     splices its keys into this row, and ``fmt`` gives a float's CSV cell
-    format (default ``.6f``).
+    format (default ``.6f``).  A JSON object's keys outside the schema are
+    ignored, unless ``exact`` is set: then a key more or less refuses the row.
     """
 
-    def __init__(self, cls: type, name: str, key: tuple[str, ...], *,
+    def __init__(self, cls: type, name: str, key: tuple[str, ...], *, exact: bool = False,
                  keys: Mapping[str, str] = _NONE,
                  choices: Mapping[str, tuple[str, ...]] = _NONE, nonempty: tuple[str, ...] = (),
                  nested: Mapping[str, RowSchema] = _NONE, flatten: Mapping[str, RowSchema] = _NONE,
@@ -278,6 +278,8 @@ class RowSchema:
         # Keys in file order; a flattened record contributes its own.
         self.keys = [key for col in self.cols
                      for key in (col.nested.keys if col.flat else [col.key])]
+        # The key set each row must have, for an exact schema.
+        self.exact = frozenset(self.keys) if exact else None
         self.values = attrgetter(*(col.attr for col in self.cols))
 
     def dump(self, record: Any) -> dict[str, Any]:
@@ -293,8 +295,11 @@ class RowSchema:
         return row
 
     def load(self, obj: dict[str, Any], path: str | Path, line_no: int) -> Any:
-        """The record in one JSON object; keys outside the schema are ignored,
-        and a ValueError from the record class's ``__post_init__`` names the line."""
+        """The record in one JSON object, nested records included; a
+        ValueError from the record class's ``__post_init__`` names the line."""
+        if self.exact is not None and obj.keys() != self.exact:
+            raise SchemaError(path, line_no, f"keys differ from a {self.name} "
+                                             f"row's by {sorted(obj.keys() ^ self.exact)}")
         values = []
         for _, key, kind, types, nullable, choices, nonempty, nested, flat, _ in self.cols:
             if not flat and key not in obj:

@@ -107,7 +107,8 @@ def em_score(records: Sequence["HybridRecord"],
         example = examples.get(record.example_id)
         if example is None:
             raise ValidationError(f"no gold answers for example {record.example_id!r}")
-        if textnorm.matches_any(record.answer, example.answers):
+        answer = textnorm.normalize_answer(record.answer)
+        if any(answer == textnorm.normalize_answer(gold) for gold in example.answers):
             hits += 1
     return 100.0 * hits / len(records)
 

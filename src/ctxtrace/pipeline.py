@@ -118,7 +118,7 @@ class Context:
     variant: str
 
 
-CONTEXT = RowSchema(Context, "context", ("id", "source"),
+CONTEXT = RowSchema(Context, "context", ("id", "source"), exact=True,
                     choices={"source": SOURCES, "variant": VARIANTS}, nonempty=("text",))
 
 
@@ -138,7 +138,7 @@ class TracedSample:
         return self.dropped is None and self.subset in ("AIG", "AIR")
 
 
-TRACED = RowSchema(TracedSample, "traced", ("id",), flatten={"example": QUESTION},
+TRACED = RowSchema(TracedSample, "traced", ("id",), exact=True, flatten={"example": QUESTION},
                    nested={"retrieved": CONTEXT, "generated": CONTEXT},
                    choices={"subset": SUBSETS, "dropped": DROP_REASONS})
 
@@ -152,7 +152,7 @@ class HybridRecord:
     classification: str
 
 
-HYBRID = RowSchema(HybridRecord, "eval", ("id",),
+HYBRID = RowSchema(HybridRecord, "eval", ("id",), exact=True,
                    keys={"example_id": "id", "answer": "hybrid_answer"},
                    choices={"order": ORDERS, "classification": CLASSIFICATIONS})
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 _ARTICLES = frozenset({"a", "an", "the"})
@@ -95,15 +94,6 @@ def normalize_answer(raw: str) -> str:
 def exact_match(a: str, b: str) -> bool:
     """True when the two strings normalize to the same form."""
     return normalize_answer(a) == normalize_answer(b)
-
-
-def matches_any(candidate: str, golds: Sequence[str]) -> bool:
-    """True when *candidate* exactly matches at least one gold answer.
-
-    An empty gold list matches nothing.
-    """
-    norm = normalize_answer(candidate)
-    return any(norm == normalize_answer(g) for g in golds)
 
 
 def contains_answer(context_text: str, answer: str) -> bool:

@@ -209,7 +209,7 @@ def _check_recount(schema: RowSchema, row: Any, recount: Any, label: str,
 
 # The file kinds validate recognises: a JSONL file by the exact key set of
 # its first row, which every later row must share, a CSV file by its column row.
-_JSONL_KINDS = {frozenset(s.keys): s for s in (pipeline.CONTEXT, pipeline.TRACED, pipeline.HYBRID)}
+_JSONL_KINDS = {s.exact: s for s in (pipeline.CONTEXT, pipeline.TRACED, pipeline.HYBRID)}
 _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.SLICES,
                                          analysis.ORDER, analysis.COMPLETENESS)}
 
@@ -244,19 +244,6 @@ def _digest(context: pipeline.Context) -> bytes:
     return digest.digest()[:16]
 
 
-def _rows_of_kind(rows: Iterator[tuple[int, dict[str, Any]]], schema: RowSchema,
-                  path: str | Path, problems: list[SchemaError],
-                  ) -> Iterator[tuple[int, dict[str, Any]]]:
-    """The rows whose key set is *schema*'s; each other row is a problem."""
-    keys = frozenset(schema.keys)
-    for line_no, obj in rows:
-        if obj.keys() == keys:
-            yield line_no, obj
-        else:
-            problems.append(SchemaError(path, line_no, f"keys differ from a {schema.name} "
-                                                       f"row's by {sorted(obj.keys() ^ keys)}"))
-
-
 def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[SchemaError],
                ) -> tuple[str, int, RowSchema | None, Iterator[tuple[Any, int, Any]]]:
     """(manifest hash, seed, schema, records) of one output file, where
@@ -279,7 +266,7 @@ def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[Sc
         if first and schema is None:
             problems.append(SchemaError(path, first[0], "unrecognized row shape"))
         elif schema is not None:
-            rows = _rows_of_kind(chain([first], rows), schema, path, problems)
+            rows = chain([first], rows)
     if schema is None:
         deque(rows, maxlen=0)  # the lines after may still be bad
         return manifest_hash, seed, None, iter(())

@@ -559,7 +559,8 @@ def test_bm25_corpus_file_roundtrip(tmp_path):
         {"doc_id": "d", "title": "t", "text": "x", "extra": 1}])
     with pytest.raises(SchemaError) as err:
         Bm25Index.from_corpus_file(bad, Bm25Params())
-    assert ":1:" in str(err.value)
+    assert (err.value.line_no, err.value.message) == (
+        1, "keys differ from a document row's by ['extra']")
 
 
 def test_bm25_corpus_file_names_a_repeated_doc_id(tmp_path):

@@ -106,6 +106,12 @@ def test_em_score_normalizes():
     records = [_rec("gen", "kremlin.", "q1"), _rec("ret", "LUTETIA", "q2"),
                _rec("other", "London", "q2"), _rec("other", "", "q2")]
     assert em_score(records, examples) == 50.0
+    # An article in the answer, a later gold, and an example with no golds.
+    examples = {"q3": QaExample("q3", "?", ("Hindenburg Line", "Siegfried Line")),
+                "q4": QaExample("q4", "?", ())}
+    records = [_rec("gen", "the Hindenburg line", "q3"), _rec("ret", "siegfried line.", "q3"),
+               _rec("other", "Maginot Line", "q3"), _rec("other", "anything", "q4")]
+    assert [em_score([record], examples) for record in records] == [100.0, 100.0, 0.0, 0.0]
     with pytest.raises(UndefinedMetricError):
         em_score([], examples)
     with pytest.raises(ValidationError):

@@ -192,6 +192,20 @@ def test_stage_reader_and_validate_reject_a_repeated_row_alike(tmp_path, name, s
     assert repeats == [(repeat, err.value.message)]
 
 
+@pytest.mark.parametrize("name,schema,records", JSONL_CASES[1:],
+                         ids=[case[0] for case in JSONL_CASES[1:]])
+def test_stage_reader_and_validate_reject_an_extra_key_alike(tmp_path, name, schema, records):
+    row = schema.dump(find(records, lambda _: True))
+    path = tmp_path / f"{name}.jsonl"
+    write_jsonl(path, [row, dict(row, surprise=True)], header_obj("feedbead12345678", 4))
+    with pytest.raises(SchemaError) as err:
+        STAGE_READERS[name](path)
+    assert (err.value.line_no, err.value.message) == (
+        3, f"keys differ from a {schema.name} row's by ['surprise']")
+    refused = [(p.line, p.message) for p in validate_files([path]) if "keys" in p.message]
+    assert refused == [(3, err.value.message)]
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(record=gold_hits)
 def test_golden_annotations_may_repeat(record):

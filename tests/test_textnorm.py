@@ -12,7 +12,6 @@ import ctxtrace
 from ctxtrace.textnorm import (
     contains_answer,
     exact_match,
-    matches_any,
     normalize_answer,
     split_sentences,
     tokens,
@@ -88,14 +87,6 @@ def test_exact_match_is_normalization_equality():
     assert exact_match("U.S.A.", "usa")
     assert not exact_match("Jay Sean", "Elton John")
     assert exact_match("", "the")
-
-
-def test_matches_any():
-    golds = ["Hindenburg Line", "Siegfried Line"]
-    assert matches_any("the Hindenburg line", golds)
-    assert matches_any("siegfried line.", golds)
-    assert not matches_any("Maginot Line", golds)
-    assert not matches_any("anything", [])
 
 
 def test_contains_answer_token_boundaries():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctxtrace.analysis import COMPLETENESS, ORDER, SLICES, read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
 from ctxtrace.cli import main
-from ctxtrace.errors import CtxTraceError
+from ctxtrace.errors import CtxTraceError, SchemaError
 from ctxtrace.jsonl import read_csv
 from ctxtrace.metrics import REPORT, MetricsReport, write_report_csv
 from ctxtrace.pipeline import (
@@ -432,17 +432,41 @@ def test_csv_and_jsonl_kinds_need_exact_columns_and_keys(run, tmp_path):
     assert any(p.path == str(path) and "unrecognized row shape" in p.message for p in problems)
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda obj: obj.update(surprise=True), "surprise"),
-    (lambda obj: obj.pop("variant"), "variant"),
-], ids=["extra", "missing"])
-def test_every_jsonl_row_needs_its_kinds_exact_keys(run, edit, key):
-    # Line 2 sets the file's kind; a later row that differs is a problem of its own.
-    path = run["contexts.jsonl"]
+@pytest.mark.parametrize("name, edit, key", [
+    ("contexts.jsonl", lambda obj: obj.update(surprise=True), "surprise"),
+    ("contexts.jsonl", lambda obj: obj.pop("variant"), "variant"),
+    ("traced.jsonl", lambda obj: obj["retrieved"].update(surprise=True), "surprise"),
+    ("traced.jsonl", lambda obj: obj["generated"].pop("variant"), "variant"),
+], ids=["extra", "missing", "nested-extra", "nested-missing"])
+def test_every_jsonl_row_needs_its_kinds_exact_keys(run, name, edit, key):
+    # Line 2 sets the file's kind; a later row that differs is a problem of
+    # its own, and so is a context nested in a traced row.  The stage reader
+    # refuses the same row.
+    path = run[name]
     _edit_jsonl(path, 3, edit)
     problems = validate_files([path])
     assert [(p.line, p.message) for p in problems] == [
         (3, f"keys differ from a context row's by [{key!r}]")]
+    reader = {"contexts.jsonl": read_contexts, "traced.jsonl": read_traced}[name]
+    with pytest.raises(SchemaError) as err:
+        reader(path)
+    assert (err.value.line_no, err.value.message) == (problems[0].line, problems[0].message)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["retrieved"].update(variant="nature"),
+     "retrieved contexts must carry the retrieved variant"),
+    (lambda obj: obj["generated"].update(variant="retrieved"),
+     "generated contexts cannot carry the retrieved variant"),
+    (lambda obj: obj["retrieved"].update(id="q99"),
+     "context id 'q99' does not match sample id 'q01'"),
+    (lambda obj: obj["retrieved"].update(source="generated", variant="nature"),
+     "traced contexts are attached under the wrong sources"),
+], ids=["retrieved-variant", "generated-variant", "context-id", "sources"])
+def test_each_traced_context_rule_is_a_problem_at_its_line(run, edit, message):
+    path = run["traced.jsonl"]
+    _edit_jsonl(path, 2, edit)
+    assert [(p.line, p.message) for p in validate_files([path])] == [(2, message)]
 
 
 def test_every_live_sample_needs_an_eval_record(run):
