@@ -367,7 +367,7 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
         for variant in COMPLETENESS_VARIANTS:
             context = contexts[variant]
             candidate = (sample.answer_from_generated if variant == "nature"
-                         else reader.answer(sample.example, [context.text]))
+                         else reader.answer(sample.example, [context]))
             stand_in = replace(sample, generated=context, answer_from_generated=candidate)
             if pipeline.trace_decision(stand_in, abstained) == (sample.subset, None):
                 records[variant] = pipeline.hybrid_answer(reader, stand_in, order, seed)

@@ -60,11 +60,15 @@ BM25_STOPWORDS = frozenset(
 _HEX = "0123456789abcdef"
 
 
+def normalized_fingerprint(normalized: str) -> str:
+    """64-bit BLAKE2b (RFC 7693) of the UTF-8 *normalized* text, as lowercase hex."""
+    return hashlib.blake2b(normalized.encode("utf-8"), digest_size=8).hexdigest()
+
+
 def context_fingerprint(text: str) -> str:
-    """64-bit BLAKE2b (RFC 7693) of the UTF-8 normalized context text, as
-    lowercase hex."""
-    data = textnorm.normalize_answer(text).encode("utf-8")
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+    """The :func:`normalized_fingerprint` of *text* through
+    :func:`textnorm.normalize_answer`."""
+    return normalized_fingerprint(textnorm.normalize_answer(text))
 
 
 @dataclass

@@ -107,8 +107,7 @@ def em_score(records: Sequence["HybridRecord"],
         example = examples.get(record.example_id)
         if example is None:
             raise ValidationError(f"no gold answers for example {record.example_id!r}")
-        answer = textnorm.normalize_answer(record.answer)
-        if any(answer == textnorm.normalize_answer(gold) for gold in example.answers):
+        if record.normalized in example.normalized_answers:
             hits += 1
     return 100.0 * hits / len(records)
 

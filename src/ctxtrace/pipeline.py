@@ -17,6 +17,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
@@ -28,8 +29,8 @@ from .backends import (
     HttpBackend,
     ReaderScript,
     RetrievedHit,
-    context_fingerprint,
     holding_slot,
+    normalized_fingerprint,
 )
 from .errors import EmptyResponseError, ValidationError
 from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
@@ -88,11 +89,20 @@ class PromptSet:
     closed_book: str = CLOSED_BOOK_PROMPT
 
 
+# Each record below computes the normalized forms of its texts the first time
+# they are read, through textnorm.normalize_answer, and keeps them for its own
+# life.  They are not fields: no row, comparison or hash sees them, and a
+# record made by dataclasses.replace computes its own.
+
 @dataclass(frozen=True)
 class QaExample:
     id: str
     question: str
     answers: tuple[str, ...]
+
+    @cached_property
+    def normalized_answers(self) -> tuple[str, ...]:
+        return tuple(map(textnorm.normalize_answer, self.answers))
 
 
 # Questions input rows, and the example part of traced rows.
@@ -117,6 +127,10 @@ class Context:
     gen_target_words: int | None
     variant: str
 
+    @cached_property
+    def normalized(self) -> str:
+        return textnorm.normalize_answer(self.text)
+
 
 CONTEXT = RowSchema(Context, "context", ("id", "source"), exact=True,
                     choices={"source": SOURCES, "variant": VARIANTS}, nonempty=("text",))
@@ -137,6 +151,18 @@ class TracedSample:
     def live(self) -> bool:
         return self.dropped is None and self.subset in ("AIG", "AIR")
 
+    @cached_property
+    def normalized_generated(self) -> str:
+        return textnorm.normalize_answer(self.answer_from_generated)
+
+    @cached_property
+    def normalized_retrieved(self) -> str:
+        return textnorm.normalize_answer(self.answer_from_retrieved)
+
+    @cached_property
+    def normalized_closed_book(self) -> str | None:
+        return None if self.closed_book is None else textnorm.normalize_answer(self.closed_book)
+
 
 TRACED = RowSchema(TracedSample, "traced", ("id",), exact=True, flatten={"example": QUESTION},
                    nested={"retrieved": CONTEXT, "generated": CONTEXT},
@@ -150,6 +176,10 @@ class HybridRecord:
     seed: int
     answer: str
     classification: str
+
+    @cached_property
+    def normalized(self) -> str:
+        return textnorm.normalize_answer(self.answer)
 
 
 HYBRID = RowSchema(HybridRecord, "eval", ("id",), exact=True,
@@ -215,24 +245,32 @@ class Reader(_Backend):
     closed_book, one is single_context, two is hybrid.  HTTP readers post the
     closed-book or reading prompt; scripted readers look up (question_id,
     mode, fingerprint of the joined contexts) in their table.
+
+    That fingerprint is hashed from the contexts' normalized forms joined by
+    one space, leaving out the empty ones: normalization never carries
+    across the whitespace of :data:`CONTEXT_JOIN`, so this is
+    ``context_fingerprint(CONTEXT_JOIN.join(texts))`` without normalizing any
+    text twice.
     """
 
     _script_type = ReaderScript
 
-    def answer(self, example: QaExample, context_texts: Sequence[str] = ()) -> str:
-        count = len(context_texts)
+    def answer(self, example: QaExample, contexts: Sequence[Context] = ()) -> str:
+        count = len(contexts)
         if count >= len(SCRIPT_MODES):
             raise ValidationError(f"a read shows at most {len(SCRIPT_MODES) - 1} contexts, "
                                   f"not {count}")
         mode = SCRIPT_MODES[count]
-        block = CONTEXT_JOIN.join(context_texts) if count else None
 
         def lookup(script: ReaderScript) -> str:
-            keyed = count and not (mode == "hybrid" and example.id in script.unkeyed)
-            return script.answer(example.id, mode, context_fingerprint(block) if keyed else None)
+            if not count or (mode == "hybrid" and example.id in script.unkeyed):
+                return script.answer(example.id, mode, None)
+            joined = " ".join(c.normalized for c in contexts if c.normalized)
+            return script.answer(example.id, mode, normalized_fingerprint(joined))
 
         return self._call(lookup, self.prompts.reading if count else self.prompts.closed_book,
-                          question=example.question, contexts=block)
+                          question=example.question,
+                          contexts=CONTEXT_JOIN.join(c.text for c in contexts) if count else None)
 
 
 class Generator(_Backend):
@@ -311,21 +349,21 @@ def trace_decision(sample: TracedSample, abstentions: Collection[str]) -> tuple[
     parametric check drops a sample whose closed-book answer equals a
     candidate (the candidates differ, as exactly one matches a gold).
     """
-    norm = textnorm.normalize_answer
-    gen, ret = norm(sample.answer_from_generated), norm(sample.answer_from_retrieved)
+    gen = sample.normalized_generated
     if not gen or gen in abstentions:
         return "none", "abstained_gen"
+    ret = sample.normalized_retrieved
     if not ret or ret in abstentions:
         return "none", "abstained_ret"
-    if not textnorm.contains_answer(sample.generated.text, gen):
+    if not textnorm.contains_normalized(sample.generated.normalized, gen):
         return "none", "not_in_gen"
-    if not textnorm.contains_answer(sample.retrieved.text, ret):
+    if not textnorm.contains_normalized(sample.retrieved.normalized, ret):
         return "none", "not_in_ret"
-    golds = {norm(gold) for gold in sample.example.answers}
+    golds = sample.example.normalized_answers
     if (gen in golds) == (ret in golds):
         return "none", None
     subset = "AIG" if gen in golds else "AIR"
-    if sample.closed_book is not None and norm(sample.closed_book) in (gen, ret):
+    if sample.normalized_closed_book in (gen, ret):
         return subset, "parametric"
     return subset, None
 
@@ -347,11 +385,11 @@ def resolve_order(order: str, seed: int, example_id: str) -> str:
 def classify_answer(answer: str, sample: TracedSample) -> str:
     """gen, ret, llm, or other; checked in that priority order."""
     norm = textnorm.normalize_answer(answer)
-    if norm == textnorm.normalize_answer(sample.answer_from_generated):
+    if norm == sample.normalized_generated:
         return "gen"
-    if norm == textnorm.normalize_answer(sample.answer_from_retrieved):
+    if norm == sample.normalized_retrieved:
         return "ret"
-    if sample.closed_book is not None and norm == textnorm.normalize_answer(sample.closed_book):
+    if norm == sample.normalized_closed_book:
         return "llm"
     return "other"
 
@@ -360,10 +398,10 @@ def hybrid_answer(reader: Reader, sample: TracedSample, order: str, seed: int) -
     """Show both contexts at once and classify where the reply came from."""
     concrete = resolve_order(order, seed, sample.example.id)
     if concrete == "generated_first":
-        texts = [sample.generated.text, sample.retrieved.text]
+        contexts = [sample.generated, sample.retrieved]
     else:
-        texts = [sample.retrieved.text, sample.generated.text]
-    answer = reader.answer(sample.example, texts)
+        contexts = [sample.retrieved, sample.generated]
+    answer = reader.answer(sample.example, contexts)
     return HybridRecord(
         example_id=sample.example.id,
         order=order,
@@ -466,8 +504,8 @@ def run_trace(examples: Sequence[QaExample], contexts_by_id: Mapping[str, Mappin
                 f"question {example.id!r} needs one retrieved and one generated context")
         retrieved, generated = slot["retrieved"], slot["generated"]
         sample = TracedSample(example, retrieved, generated,
-                              reader.answer(example, [retrieved.text]),
-                              reader.answer(example, [generated.text]), None, "none", None)
+                              reader.answer(example, [retrieved]),
+                              reader.answer(example, [generated]), None, "none", None)
         subset, dropped = trace_decision(sample, abstained)
         if parametric and dropped is None and subset != "none":
             sample = replace(sample, closed_book=reader.answer(example))

@@ -8,8 +8,10 @@ whitespace-separated in the Unicode sense.  The same rules back exact match,
 containment, and word counting, so filters and metrics can never disagree on
 what counts as "the same answer".
 
-Nothing here is memoized: a caller that compares one text many times
-normalizes it once and compares the normalized strings.
+Nothing here is memoized.  The records that carry texts (``pipeline``'s
+questions, contexts, traced samples and hybrid records) carry each text's
+normalized form too, computed the first time it is read, so a stage that
+compares one text many times normalizes it once.
 """
 from __future__ import annotations
 

@@ -208,7 +208,8 @@ def _check_recount(schema: RowSchema, row: Any, recount: Any, label: str,
 
 
 # The file kinds validate recognises: a JSONL file by the exact key set of
-# its first row, which every later row must share, a CSV file by its column row.
+# its first row of a known kind, which every later row must share (each row
+# before it is unrecognized), a CSV file by its column row.
 _JSONL_KINDS = {s.exact: s for s in (pipeline.CONTEXT, pipeline.TRACED, pipeline.HYBRID)}
 _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.SLICES,
                                          analysis.ORDER, analysis.COMPLETENESS)}
@@ -216,11 +217,12 @@ _CSV_KINDS = {tuple(s.keys): s for s in (metrics.REPORT, analysis.SIM, analysis.
 
 class _Kept(NamedTuple):
     """What the eval, report and sim checks read of a traced row: all of it
-    but its two contexts."""
+    but its two contexts, with its answers in their normalized forms alone."""
 
     example: pipeline.QaExample
-    answer_from_retrieved: str
-    answer_from_generated: str
+    normalized_generated: str
+    normalized_retrieved: str
+    normalized_closed_book: str | None
     closed_book: str | None
     subset: str
     dropped: str | None
@@ -261,12 +263,13 @@ def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[Sc
         rows = iter_output_jsonl(path, bad_lines)
         header = next(rows)[1]
         manifest_hash, seed = header[MANIFEST_KEY], header["seed"]
-        first = next(rows, None)
-        schema = _JSONL_KINDS.get(frozenset(first[1])) if first else None
-        if first and schema is None:
+        schema = None
+        for first in rows:
+            schema = _JSONL_KINDS.get(frozenset(first[1]))
+            if schema is not None:
+                rows = chain([first], rows)
+                break
             problems.append(SchemaError(path, first[0], "unrecognized row shape"))
-        elif schema is not None:
-            rows = chain([first], rows)
     if schema is None:
         deque(rows, maxlen=0)  # the lines after may still be bad
         return manifest_hash, seed, None, iter(())

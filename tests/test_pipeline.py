@@ -359,12 +359,17 @@ def _posted(session):
     return [call["json"]["messages"][0]["content"] for call in session.calls]
 
 
+def _read(reader, example, *texts):
+    """``reader.answer`` shown one :class:`Context` per text, in order."""
+    return reader.answer(example, [_ctx(text) for text in texts])
+
+
 def test_http_reader_posts_one_prompt_per_read():
     reader, session = _http(Reader, ["r0", "r1", "r2", "r3"])
     assert reader.answer(QUESTION_Q1) == "r0"
-    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r1"
-    assert reader.answer(QUESTION_Q1, ["Alpha signed.", "Beta signed."]) == "r2"
-    assert reader.answer(QUESTION_Q1, ["Beta signed.", "Alpha signed."]) == "r3"
+    assert _read(reader, QUESTION_Q1, "Alpha signed.") == "r1"
+    assert _read(reader, QUESTION_Q1, "Alpha signed.", "Beta signed.") == "r2"
+    assert _read(reader, QUESTION_Q1, "Beta signed.", "Alpha signed.") == "r3"
     assert _posted(session) == [
         "Answer the following question with just one entity. "
         "Question: Who signed it? The answer is",
@@ -400,22 +405,23 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_http_reads_compute_no_fingerprint(monkeypatch):
     reader, _ = _http(Reader, ["r0", "r1", "r2"])
-    hashed = _count_calls(monkeypatch, pipeline, "context_fingerprint")
+    hashed = _count_calls(monkeypatch, pipeline, "normalized_fingerprint")
+    normalized = _count_calls(monkeypatch, textnorm, "normalize_answer")
     reader.answer(QUESTION_Q1)
-    reader.answer(QUESTION_Q1, ["Never hashed once."])
-    reader.answer(QUESTION_Q1, ["Never hashed once.", "Nor this one."])
-    assert hashed == []
+    _read(reader, QUESTION_Q1, "Never hashed once.")
+    _read(reader, QUESTION_Q1, "Never hashed once.", "Nor this one.")
+    assert hashed == normalized == []
 
 
 def test_a_read_shows_at_most_two_contexts():
     reader, session = _http(Reader, [])
     with pytest.raises(ValidationError, match="at most 2 contexts, not 3"):
-        reader.answer(QUESTION_Q1, ["a", "b", "c"])
+        _read(reader, QUESTION_Q1, "a", "b", "c")
     assert session.calls == []
     scripted = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
                       script=ReaderScript({}, "inline"))
     with pytest.raises(ValidationError, match="at most 2 contexts, not 3"):
-        scripted.answer(QUESTION_Q1, ["a", "b", "c"])
+        _read(scripted, QUESTION_Q1, "a", "b", "c")
 
 
 def test_http_placeholder_without_a_value_raises():
@@ -432,12 +438,12 @@ def test_http_placeholder_without_a_value_raises():
 
 def test_a_temperature_0_request_is_posted_once():
     reader, session = _http(Reader, ["r0", "r1"])
-    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
-    assert reader.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
+    assert _read(reader, QUESTION_Q1, "Alpha signed.") == "r0"
+    assert _read(reader, QUESTION_Q1, "Alpha signed.") == "r0"
     assert _posted(session) == [READ_PROMPT.format("Alpha signed.")]
     sampled, session = _http(Reader, ["r0", "r1"], temperature=0.7)
-    assert sampled.answer(QUESTION_Q1, ["Alpha signed."]) == "r0"
-    assert sampled.answer(QUESTION_Q1, ["Alpha signed."]) == "r1"
+    assert _read(sampled, QUESTION_Q1, "Alpha signed.") == "r0"
+    assert _read(sampled, QUESTION_Q1, "Alpha signed.") == "r1"
     assert len(session.calls) == 2
 
 
@@ -518,16 +524,17 @@ def test_a_hybrid_read_without_a_fingerprinted_row_hashes_nothing(monkeypatch):
     script = ReaderScript({("q1", "hybrid", None): "fallback"}, "inline")
     reader = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
                     script=script)
-    hashed = _count_calls(monkeypatch, pipeline, "context_fingerprint")
-    assert reader.answer(QUESTION_Q1, ["Never hashed.", "Nor this."]) == "fallback"
-    assert hashed == []
+    hashed = _count_calls(monkeypatch, pipeline, "normalized_fingerprint")
+    normalized = _count_calls(monkeypatch, textnorm, "normalize_answer")
+    assert _read(reader, QUESTION_Q1, "Never hashed.", "Nor this.") == "fallback"
+    assert hashed == normalized == []
     # A question with no hybrid row is looked up once, and the miss still
     # names the block's fingerprint.
     looked_up = _count_calls(monkeypatch, script, "answer")
     other = QaExample("q2", "Who?", ("a",))
     fingerprint = context_fingerprint(CONTEXT_JOIN.join(["Never hashed.", "Nor this."]))
     with pytest.raises(ScriptMissError, match=fingerprint):
-        reader.answer(other, ["Never hashed.", "Nor this."])
+        _read(reader, other, "Never hashed.", "Nor this.")
     assert looked_up == [("q2", "hybrid", fingerprint)]
 
 
@@ -550,7 +557,7 @@ def test_a_script_row_keyed_by_an_fnv_fingerprint_misses(tmp_path):
                                digest_size=8).hexdigest()
     assert computed != _fnv1a_64(text)
     with pytest.raises(ScriptMissError, match=f"'single_context', '{computed}'"):
-        reader.answer(QUESTION_Q1, [text])
+        _read(reader, QUESTION_Q1, text)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +751,34 @@ def test_run_trace_normalizes_its_abstention_set(tmp_path):
                         tmp_path / "b.jsonl", "aa", seed=0)
     assert shouted == plain
     assert {s.example.id: s.dropped for s in shouted}["q05"] == "abstained_gen"
+
+
+def test_trace_and_evaluate_normalize_each_text_once(tmp_path, monkeypatch):
+    # The reads' fingerprints and the decisions share each context's
+    # normalized form, and evaluate's classifications and exact-match count
+    # share each sample's.
+    world, reader, generator, retriever = _build_world(tmp_path)
+    examples = read_questions(world.questions_path)
+    run_prepare(examples, retriever, generator, (80, 100, 120),
+                tmp_path / "contexts.jsonl", "aa", seed=0)
+    _, by_id = read_contexts(tmp_path / "contexts.jsonl")
+    seen = _count_calls(monkeypatch, textnorm, "normalize_answer")
+
+    def calls(text):  # by identity: equal strings of two records count apart
+        return sum(seen_text is text for seen_text, in seen)
+
+    run_trace(examples, by_id, reader, ABST, True, tmp_path / "traced.jsonl", "aa", seed=0)
+    contexts = [context for slot in by_id.values() for context in slot.values()]
+    assert [calls(context.text) for context in contexts] == [1] * len(contexts)
+    seen.clear()
+    _, samples = read_traced(tmp_path / "traced.jsonl")
+    run_evaluate(samples, reader, "generated_first", 0,
+                 tmp_path / "eval.jsonl", tmp_path / "report.csv", "aa")
+    for sample in samples:
+        assert [calls(gold) for gold in sample.example.answers] == [sample.live]
+        assert all(calls(text) <= 1 for text in (
+            sample.answer_from_generated, sample.answer_from_retrieved, sample.closed_book,
+            sample.generated.text, sample.retrieved.text)), sample.example.id
 
 
 def test_run_trace_requires_complete_context_pairs(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from ctxtrace.errors import SchemaError
 from ctxtrace.jsonl import dumps_row, header_obj, read_csv, write_jsonl
 from ctxtrace.metrics import MetricsReport
 from ctxtrace.pipeline import Context, HybridRecord, QaExample, TracedSample
-from ctxtrace.validate import validate_files
+from ctxtrace.textnorm import normalize_answer
+from ctxtrace.validate import _digest, validate_files
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -109,6 +111,51 @@ def test_csv_non_finite_cells_are_refused(schema, records):
             with pytest.raises(SchemaError) as err:
                 schema.parse(cells[:i] + [cell] + cells[i + 1:], "p", 3)
             assert str(err.value) == f"p:3: column {schema.keys[i]!r}: {cell!r} is not finite"
+
+
+def _normalize_all(record) -> list:
+    """Every normalized form of *record*, and of the records inside it, computed."""
+    if isinstance(record, QaExample):
+        return [record.normalized_answers]
+    if isinstance(record, (Context, HybridRecord)):
+        return [record.normalized]
+    return [record.normalized_generated, record.normalized_retrieved,
+            record.normalized_closed_book, *_normalize_all(record.example),
+            *_normalize_all(record.retrieved), *_normalize_all(record.generated)]
+
+
+def _digests(record) -> list[bytes]:
+    """validate's digest of each context *record* is or holds."""
+    if isinstance(record, TracedSample):
+        return [_digest(record.retrieved), _digest(record.generated)]
+    return [_digest(record)] if isinstance(record, Context) else []
+
+
+@pytest.mark.parametrize("schema,records", [case[1:] for case in JSONL_CASES],
+                         ids=[case[0] for case in JSONL_CASES])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normalized_forms_stay_out_of_the_data(schema, records, data):
+    record = data.draw(records)
+    twin = schema.load(schema.dump(record), "p", 1)  # equal, and nothing normalized yet
+    before = schema.dump(record), hash(record), _digests(record)
+    _normalize_all(record)
+    assert (schema.dump(record), hash(record), _digests(record)) == before
+    assert record == twin and twin == record and hash(twin) == hash(record)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(traced, hybrids, texts)
+def test_a_replaced_record_computes_its_own_normalized_forms(sample, record, text):
+    _normalize_all(sample)
+    _normalize_all(record)
+    fresh = normalize_answer(text)
+    assert replace(sample.generated, text=text).normalized == fresh
+    assert replace(sample.example, answers=(text,)).normalized_answers == (fresh,)
+    edited = replace(sample, answer_from_generated=text, answer_from_retrieved=text,
+                     closed_book=text)
+    assert _normalize_all(edited)[:3] == [fresh] * 3
+    assert replace(record, answer=text).normalized == fresh
 
 
 def test_gold_answer_rule_is_shared():

@@ -25,7 +25,8 @@ from ctxtrace.analysis import (
     sentence_jaccard,
     trunc,
 )
-from ctxtrace.pipeline import Context, QaExample, TracedSample
+from ctxtrace.backends import BackendSpec, ReaderScript, context_fingerprint
+from ctxtrace.pipeline import CONTEXT_JOIN, Context, PromptSet, QaExample, Reader, TracedSample
 from ctxtrace.textnorm import (
     SentenceSpan,
     contains_answer,
@@ -320,3 +321,49 @@ def test_sentence_scores_match_the_memoized_scoring(aggregation, question, text,
                                             "jaccard", aggregation)
     assert scores["strunc"] == reference_sentence_jaccard(
         question, reference_s_trunc(text, target_words), aggregation)
+
+
+# ---------------------------------------------------------------------------
+# The scripted reader's fingerprint, hashed from its contexts' normalized forms.
+
+# Every character that str.split() splits on.
+ALL_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+# Sigma, whose lowercase depends on its neighbours ("Σ" ends a word as "ς"),
+# "İ" and combining marks, glued to words or on their own.
+CASED_PIECES = ["Σ", "ς", "σ", "ΟΔΟΣ", "ΣΑ", "İ", "\u0307", "\u0301", "e\u0301", "alpha", "Beta",
+                "the", "An", ".", "—", "x2", "+"]
+cased_text = st.lists(st.sampled_from(CASED_PIECES + ALL_WHITESPACE), max_size=14).map("".join)
+# Articles and punctuation only, each followed by some whitespace: texts that
+# normalize to nothing.
+blank_text = st.lists(st.tuples(st.sampled_from(["the", "A", "an", ".", "?!", "—", "…", "¿"]),
+                                st.sampled_from(ALL_WHITESPACE)),
+                      max_size=6).map(lambda parts: "".join(w + s for w, s in parts))
+fingerprinted_text = cased_text | blank_text | st.text(max_size=40)
+
+
+def _scripted_read(texts: list[str]) -> str:
+    """A scripted read of one context per text, where the script's only row
+    is keyed by ``context_fingerprint`` of the texts joined as one block."""
+    key = ("q1", "hybrid" if len(texts) == 2 else "single_context",
+           context_fingerprint(CONTEXT_JOIN.join(texts)))
+    reader = Reader(BackendSpec(kind="scripted", script_path="inline"), PromptSet(),
+                    script=ReaderScript({key: "hit"}, "inline"))
+    contexts = [Context("q1", "generated", "scripted", None, text, 0, None, "nature")
+                for text in texts]
+    return reader.answer(QaExample("q1", "?", ("a",)), contexts)
+
+
+@exhaustively
+@given(blank_text)
+def test_blank_texts_normalize_to_nothing(text):
+    assert normalize_answer(text) == ""
+
+
+@exhaustively
+@given(fingerprinted_text, fingerprinted_text)
+@example("ΟΔΟΣ", "Σα")  # a final sigma either side of the join
+@example("The. ", "alpha")  # one side normalizes to nothing
+@example("\u2029", "\x85")
+def test_the_scripted_fingerprint_is_the_joined_blocks(a, b):
+    assert _scripted_read([a]) == "hit"
+    assert _scripted_read([a, b]) == "hit"

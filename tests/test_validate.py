@@ -432,6 +432,20 @@ def test_csv_and_jsonl_kinds_need_exact_columns_and_keys(run, tmp_path):
     assert any(p.path == str(path) and "unrecognized row shape" in p.message for p in problems)
 
 
+def test_an_unrecognized_first_row_hides_no_later_row(run):
+    # The kind comes from the first row of a known kind; each row before it
+    # is a problem at its own line.
+    path = run["eval.jsonl"]
+    _edit_jsonl(path, 2, lambda obj: obj.update(surprise=True))
+    _edit_jsonl(path, 3, lambda obj: obj.update(classification="gen"))
+    problems = validate_files([run["traced.jsonl"], path])
+    assert [(p.path, p.line, p.message) for p in problems] == [
+        (str(path), 2, "unrecognized row shape"),
+        (str(path), 3, "stored classification 'gen' != recomputed 'ret'"),
+        (str(path), 0, "no eval record for live example 'q01'"),
+    ]
+
+
 @pytest.mark.parametrize("name, edit, key", [
     ("contexts.jsonl", lambda obj: obj.update(surprise=True), "surprise"),
     ("contexts.jsonl", lambda obj: obj.pop("variant"), "variant"),
