@@ -122,9 +122,8 @@ def recall(contexts: Mapping[str, "Context"],
         example = examples.get(qid)
         if example is None:
             raise ValidationError(f"no gold answers for example {qid!r}")
-        text = textnorm.normalize_answer(context.text)
-        if any(textnorm.contains_normalized(text, textnorm.normalize_answer(gold))
-               for gold in example.answers):
+        if any(textnorm.contains_normalized(context.normalized, gold)
+               for gold in example.normalized_answers):
             hits += 1
     return hits / len(contexts)
 

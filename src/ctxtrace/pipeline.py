@@ -435,9 +435,10 @@ read_eval = HYBRID.read_records
 
 
 # ---------------------------------------------------------------------------
-# Stage runners. Work is sharded over a thread pool when workers > 1 and
-# results are re-sorted by example id before writing, so output bytes do not
-# depend on scheduling.
+# Stage runners. Work is sharded over a thread pool when workers > 1;
+# map_examples returns results in item order whatever the scheduling, and
+# each runner sorts them by example id before writing, so rows come out in
+# id order whatever order the questions file has.
 
 def map_examples(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
     """``[fn(item) for item in items]`` with at most *workers* items running

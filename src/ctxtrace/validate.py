@@ -6,19 +6,20 @@ and drop reason by trace's own :func:`pipeline.trace_decision` (except the
 abstention reasons, whose set is config), hybrid classifications, report rows
 and quantile slices.  It never trusts pipeline state; everything is recomputed
 from the stored strings, so a file edited by hand or produced by a broken run
-fails here with its line number.
+fails here with its line number.  Each problem is the :class:`SchemaError`
+the readers raise, ``path:line: message`` as a string.
 
-Memory is bounded by one row at a time plus a little state per key: each
-file is read once, top to bottom, loaded and checked row by row, and across
-files only what the later checks read is kept.  A traced row keeps its
-example, candidates and verdict and a digest of each context, a contexts row
-only its digest; the eval, sim and table rows, which are small, are kept whole.
+Each file is read once, top to bottom, into one cross-file state, its rows
+loaded and checked one at a time; the checks across files run once all are
+read.  Memory is bounded by one row at a time plus a little state per key: a
+traced row keeps its example, candidates and verdict and a digest of each
+context, a contexts row only its digest; the eval, sim and table rows, which
+are small, are kept whole.
 """
 from __future__ import annotations
 
 import hashlib
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -32,19 +33,9 @@ PROPORTION_SUM_TOLERANCE = 1e-9
 FRACTION_CELL_TOLERANCE = 5e-7  # report cells carry six decimals
 
 
-@dataclass(frozen=True)
-class Problem:
-    path: str
-    line: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}: {self.message}"
-
-
 class _Collector(list):
     def add(self, path: str | Path, line: int, message: str) -> None:
-        self.append(Problem(str(path), line, message))
+        self.append(SchemaError(path, line, message))
 
 
 def _check_context_row(context: pipeline.Context, path: str | Path, line: int,
@@ -276,99 +267,88 @@ def _load_file(path: str | Path, bad_lines: list[SchemaError], problems: list[Sc
     return manifest_hash, seed, schema, schema.iter_keyed(rows, path, problems)
 
 
-def _read_file(path: str | Path, traced: dict[str, _Kept], canon: dict[str, str],
-               ) -> tuple[str, int, RowSchema | None, Any, list[Problem]]:
-    """(manifest hash, seed, schema, what the cross-file checks keep, problems)
-    of one output file, read once, top to bottom; a file that cannot be read
-    keeps None.  Its problems come below the header in line order, then those
-    of the traced and contexts rows' own checks, which run as each row loads.
+class _Inputs:
+    """What the checks across files read of one call's files: a :class:`_Kept`
+    per traced id no earlier file had and (path, line, id, source, digest) per
+    traced context, a digest per contexts row's (id, source), and any other
+    known kind's path, seed and (line, record) pairs.  Each id and source kept
+    is the one string in *canon* of its value."""
 
-    A traced file keeps a :class:`_Kept` per id that no earlier file, in
-    *traced*, had, and (path, line, id, source, digest) per context; a
-    contexts file keeps a digest per (id, source), and any other kind its
-    (line, record) pairs.  The ids and sources kept are the strings in
-    *canon*, one object per distinct value.
-    """
-    bad_lines: list[SchemaError] = []
-    problems: list[SchemaError] = []
-    checks = _Collector()
-    try:
-        manifest_hash, seed, schema, records = _load_file(path, bad_lines, problems)
-        if schema is pipeline.TRACED:
-            kept, contexts = {}, []
-            for qid, line_no, sample in records:
-                contexts += [(path, line_no, canon.setdefault(c.id, c.id),
-                              canon.setdefault(c.source, c.source), _digest(c))
-                             for c in (sample.retrieved, sample.generated)]
-                # A repeat inside one file failed to load; this is one across files.
-                if qid in traced:
-                    checks.add(path, line_no, f"duplicate traced id {qid!r}")
-                    continue
-                _check_traced_row(sample, path, line_no, checks)
-                kept[qid] = _Kept(*_kept_fields(sample))
-            loaded: Any = kept, contexts
-        elif schema is pipeline.CONTEXT:
-            loaded = {}
-            for (qid, source), line_no, context in records:
-                _check_context_row(context, path, line_no, checks)
-                key = canon.setdefault(qid, qid), canon.setdefault(source, source)
-                loaded[key] = _digest(context)
-        else:
-            loaded = [(line_no, record) for _, line_no, record in records]
-    except SchemaError as exc:
-        # As if the file were read whole before any row loads: only its
-        # unparsable lines and this error count.
-        manifest_hash, seed, schema, loaded = "", 0, None, None
-        problems, checks = [exc], _Collector()
-    found = _Collector()
-    for exc in sorted(bad_lines + problems, key=attrgetter("line_no")):
-        found.add(path, exc.line_no, exc.message)
-    return manifest_hash, seed, schema, loaded, found + checks
+    def __init__(self) -> None:
+        self.manifests: dict[str, str] = {}
+        self.traced: dict[str, _Kept] = {}
+        self.traced_contexts: list[tuple[str | Path, int, str, str, bytes]] = []
+        self.contexts: dict[tuple[str, str], bytes] = {}
+        self.files: dict[RowSchema, list[tuple[str | Path, int, list]]] = defaultdict(list)
+        self.canon: dict[str, str] = {}
+
+    def read(self, path: str | Path) -> list[SchemaError]:
+        """The problems of one output file: those below its header in line
+        order, then those of its rows' own checks, which run as each row
+        loads.  A file that fails to read adds nothing, not even its manifest."""
+        if not Path(path).is_file():
+            return [SchemaError(path, 0, "missing file")]
+        bad_lines: list[SchemaError] = []
+        problems: list[SchemaError] = []
+        checks = _Collector()
+        try:
+            manifest_hash, seed, schema, records = _load_file(path, bad_lines, problems)
+            if schema is pipeline.TRACED:
+                kept, contexts = {}, []
+                for qid, line_no, sample in records:
+                    contexts += [(path, line_no, self.canon.setdefault(c.id, c.id),
+                                  self.canon.setdefault(c.source, c.source), _digest(c))
+                                 for c in (sample.retrieved, sample.generated)]
+                    # A repeat inside one file failed to load; this is one across files.
+                    if qid in self.traced:
+                        checks.add(path, line_no, f"duplicate traced id {qid!r}")
+                        continue
+                    _check_traced_row(sample, path, line_no, checks)
+                    kept[qid] = _Kept(*_kept_fields(sample))
+                self.traced.update(kept)
+                self.traced_contexts += contexts
+            elif schema is pipeline.CONTEXT:
+                digests = {}
+                for (qid, source), line_no, context in records:
+                    _check_context_row(context, path, line_no, checks)
+                    key = self.canon.setdefault(qid, qid), self.canon.setdefault(source, source)
+                    digests[key] = _digest(context)
+                self.contexts.update(digests)
+            elif schema is not None:
+                rows = [(line_no, record) for _, line_no, record in records]
+                self.files[schema].append((path, seed, rows))
+                if schema.cls is metrics.MetricsReport:
+                    _check_report_rows(path, rows, checks)
+                    if not problems:  # a row that failed to load has no n to count
+                        _check_row_counts(path, schema, rows, checks)
+            self.manifests[str(path)] = manifest_hash
+        except SchemaError as exc:
+            # As if the file were read whole before any row loads: only its
+            # unparsable lines and this error count.
+            problems, checks = [exc], _Collector()
+        found = sorted(bad_lines + problems, key=attrgetter("line_no"))
+        for exc in found:  # keep no frame, and so no row, of the read alive
+            exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+        return found + checks
 
 
-def validate_files(paths: Sequence[str | Path]) -> list[Problem]:
+def validate_files(paths: Sequence[str | Path]) -> list[SchemaError]:
     """Validate any mix of pipeline outputs; returns all problems found."""
     out = _Collector()
-    manifests: dict[str, str] = {}
-    traced: dict[str, _Kept] = {}
-    traced_contexts: list[tuple[str | Path, int, str, str, bytes]] = []
-    contexts: dict[tuple[str, str], bytes] = {}
-    # One object per distinct id or source kept for the context comparison,
-    # where json decodes a new one per occurrence.
-    canon: dict[str, str] = {}
-    # Each other file by kind: path, header seed, (line, record) pairs.
-    files: dict[RowSchema | None, list[tuple[str | Path, int, list]]] = defaultdict(list)
-
+    inputs = _Inputs()
     for path in paths:
-        if not Path(path).is_file():
-            out.add(path, 0, "missing file")
-            continue
-        manifest_hash, seed, schema, loaded, found = _read_file(path, traced, canon)
-        out += found
-        if loaded is None:
-            continue
-        manifests[str(path)] = manifest_hash
-        if schema is pipeline.TRACED:
-            traced.update(loaded[0])
-            traced_contexts += loaded[1]
-        elif schema is pipeline.CONTEXT:
-            contexts.update(loaded)
-        else:
-            files[schema].append((path, seed, loaded))
-            if schema is not None and schema.cls is metrics.MetricsReport:
-                _check_report_rows(path, loaded, out)
-                if not found:  # a row that failed to load has no n to count
-                    _check_row_counts(path, schema, loaded, out)
+        out += inputs.read(path)
 
-    if len(set(manifests.values())) > 1:
-        listing = ", ".join(f"{p}={h}" for p, h in sorted(manifests.items()))
-        out.add(sorted(manifests)[0], 0, f"mixed manifest hashes across inputs: {listing}")
+    if len(set(inputs.manifests.values())) > 1:
+        listing = ", ".join(f"{p}={h}" for p, h in sorted(inputs.manifests.items()))
+        out.add(min(inputs.manifests), 0, f"mixed manifest hashes across inputs: {listing}")
 
-    if contexts:
-        for path, line_no, qid, source, digest in traced_contexts:
-            if contexts.get((qid, source)) != digest:
+    if inputs.contexts:
+        for path, line_no, qid, source, digest in inputs.traced_contexts:
+            if inputs.contexts.get((qid, source)) != digest:
                 out.add(path, line_no, f"{source} context differs from the contexts row of {qid!r}")
 
+    traced, files = inputs.traced, inputs.files
     sims, evals = files[analysis.SIM], files[pipeline.HYBRID]
     for path, _, loaded in sims:
         _check_sim_rows(path, loaded, traced, out)

@@ -235,7 +235,7 @@ def test_stage_reader_and_validate_reject_a_repeated_row_alike(tmp_path, name, s
         reader(path)
     assert err.value.line_no == repeat
     assert err.value.message.startswith(f"duplicate {schema.name} ")
-    repeats = [(p.line, p.message) for p in validate_files([path]) if "duplicate" in p.message]
+    repeats = [(p.line_no, p.message) for p in validate_files([path]) if "duplicate" in p.message]
     assert repeats == [(repeat, err.value.message)]
 
 
@@ -249,7 +249,7 @@ def test_stage_reader_and_validate_reject_an_extra_key_alike(tmp_path, name, sch
         STAGE_READERS[name](path)
     assert (err.value.line_no, err.value.message) == (
         3, f"keys differ from a {schema.name} row's by ['surprise']")
-    refused = [(p.line, p.message) for p in validate_files([path]) if "keys" in p.message]
+    refused = [(p.line_no, p.message) for p in validate_files([path]) if "keys" in p.message]
     assert refused == [(3, err.value.message)]
 
 

@@ -28,7 +28,7 @@ from ctxtrace.pipeline import (
     run_prepare,
     run_trace,
 )
-from ctxtrace.validate import Problem, validate_files
+from ctxtrace.validate import validate_files
 
 from .conftest import WorldBuilder
 
@@ -117,14 +117,14 @@ def test_clean_run_with_rounded_thirds(tmp_path):
 
 
 def test_problem_rendering():
-    assert str(Problem("out/x.jsonl", 7, "bad row")) == "out/x.jsonl:7: bad row"
+    assert str(SchemaError("out/x.jsonl", 7, "bad row")) == "out/x.jsonl:7: bad row"
 
 
 def test_missing_file_is_a_problem(tmp_path):
     missing = tmp_path / "nope.jsonl"
     problems = validate_files([missing])
     assert len(problems) == 1
-    assert problems[0].line == 0
+    assert problems[0].line_no == 0
     assert "missing file" in problems[0].message
 
 
@@ -137,7 +137,7 @@ def test_word_count_recount(run):
     problems = validate_files([path])
     assert len(problems) == 1
     assert problems[0].path == str(path)
-    assert problems[0].line == 2
+    assert problems[0].line_no == 2
     assert "word_count" in problems[0].message
 
 
@@ -149,7 +149,7 @@ def test_subset_label_recomputed(run):
         obj["subset"] = "AIR"
     _edit_jsonl(path, 2, flip)
     problems = validate_files([path])
-    assert any("stored subset 'AIR'" in p.message and p.line == 2 for p in problems)
+    assert any("stored subset 'AIR'" in p.message and p.line_no == 2 for p in problems)
 
 
 def test_containment_recomputed(run):
@@ -159,7 +159,7 @@ def test_containment_recomputed(run):
         obj["answer_from_generated"] = "absent-token"
     _edit_jsonl(path, 2, detach)
     problems = validate_files([path])
-    assert any(p.line == 2 and "recomputed 'none', 'not_in_gen'" in p.message
+    assert any(p.line_no == 2 and "recomputed 'none', 'not_in_gen'" in p.message
                for p in problems)
 
 
@@ -194,7 +194,7 @@ def test_every_stored_verdict_is_recomputed(tmp_path):
     for line, edit in enumerate((claim_not_in_gen, read_the_generated_candidate_closed_book,
                                  claim_parametric, label_air), start=2):
         _edit_jsonl(path, line, edit)
-    assert [(p.line, p.message.split(" != ")[1]) for p in validate_files([path])] == [
+    assert [(p.line_no, p.message.split(" != ")[1]) for p in validate_files([path])] == [
         (2, "recomputed 'AIG', None"),
         (3, "recomputed 'AIR', 'parametric'"),
         (4, "recomputed 'AIG', None"),
@@ -207,7 +207,7 @@ def test_abstained_rows_have_no_subset_and_no_closed_book(run, edit):
     path = run["traced.jsonl"]
     _edit_jsonl(path, 5, lambda obj: obj.update(edit))
     problems = validate_files([path])
-    assert [(p.line, p.message) for p in problems] == [
+    assert [(p.line_no, p.message) for p in problems] == [
         (5, "abstained_gen row must have subset 'none' and no closed_book")]
 
 
@@ -219,7 +219,7 @@ def test_traced_contexts_are_their_contexts_rows(run):
     _edit_jsonl(path, 2, reword)
     assert validate_files([path]) == []
     problems = validate_files([run["contexts.jsonl"], path])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(path), 2, "generated context differs from the contexts row of 'q01'")]
 
 
@@ -228,7 +228,7 @@ def test_duplicate_traced_id(run):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[2]]) + "\n")
     problems = validate_files([path])
-    assert any("duplicate traced id" in p.message and p.line == len(lines) + 1
+    assert any("duplicate traced id" in p.message and p.line_no == len(lines) + 1
                for p in problems)
 
 
@@ -240,7 +240,7 @@ def test_classification_recomputed(run):
         obj["classification"] = "ret"
     _edit_jsonl(path, 2, flip)
     problems = validate_files([run["traced.jsonl"], path, run["report.csv"]])
-    assert any("stored classification 'ret'" in p.message and p.line == 2
+    assert any("stored classification 'ret'" in p.message and p.line_no == 2
                for p in problems)
     # The tampered classification also breaks the report recount.
     assert any("report.csv" in p.path and "recount" in p.message for p in problems)
@@ -269,7 +269,7 @@ def test_eval_seed_must_match_header(run):
         obj["seed"] = 5
     _edit_jsonl(path, 3, reseed)
     problems = validate_files([run["traced.jsonl"], path])
-    assert any("record seed 5 != header seed 4" in p.message and p.line == 3
+    assert any("record seed 5 != header seed 4" in p.message and p.line_no == 3
                for p in problems)
 
 
@@ -286,7 +286,7 @@ def test_report_internal_arithmetic(run):
     # Row 3 is the first report row; column 6 holds diff_gr.
     _edit_csv_cell(path, 3, 6, "0.123456")
     problems = validate_files([path])
-    assert any("stored diff_gr" in p.message and p.line == 3 for p in problems)
+    assert any("stored diff_gr" in p.message and p.line_no == 3 for p in problems)
 
 
 def test_report_proportions_must_sum(run):
@@ -321,7 +321,7 @@ def test_a_recount_that_cannot_be_computed_is_a_problem(run):
         obj["hybrid_answer"], obj["classification"] = "zzz unrelated", "other"
     _edit_jsonl(path, line, unrelated)
     problems = validate_files([run["traced.jsonl"], path, run["report.csv"]])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(run["report.csv"]), 0,
          "cannot recount the report: diff_gr undefined: no gen or ret matches at all")]
 
@@ -332,7 +332,7 @@ def test_non_finite_report_cell_is_a_problem(run, cell):
     path = run["report.csv"]
     _edit_csv_cell(path, 3, 5, cell)  # others
     problems = validate_files(list(run.values()))
-    assert [(p.line, p.message) for p in problems] == [
+    assert [(p.line_no, p.message) for p in problems] == [
         (3, f"column 'others': {cell!r} is not finite")]
 
 
@@ -348,7 +348,7 @@ def test_sweep_tables_accept_only_their_own_labels(tmp_path):
     COMPLETENESS.write_table(completeness, [_report_row(label, 8) for label in
                                             ("nature", "AIG", "trunc")], "feedbead12345678", 4)
     problems = validate_files([order, completeness])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(order), 4, "field 'order' has unknown value 'bogus'"),
         (str(completeness), 4, "field 'variant' has unknown value 'AIG'"),
     ]
@@ -362,7 +362,7 @@ def test_row_counts_that_need_no_record_file(tmp_path):
     write_report_csv(report, [_report_row("AIG", 4), _report_row("AIR", 4),
                               _report_row("ALL", 9)], "feedbead12345678", 4)
     problems = validate_files([order, report])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(order), 4, "order retrieved_first n 7 != order generated_first n 8"),
         (str(report), 5, "ALL n 9 != 8, the sum of the subset rows"),
     ]
@@ -415,8 +415,8 @@ def test_malformed_non_report_csvs_are_problems(tmp_path):
     problems = validate_files([sim, slices])
     by_path = {p.path: p for p in problems}
     assert len(problems) == 2
-    assert by_path[str(sim)].line == 3 and "'sim_gen'" in by_path[str(sim)].message
-    assert by_path[str(slices)].line == 3 and "'slice_index'" in by_path[str(slices)].message
+    assert by_path[str(sim)].line_no == 3 and "'sim_gen'" in by_path[str(sim)].message
+    assert by_path[str(slices)].line_no == 3 and "'slice_index'" in by_path[str(slices)].message
 
 
 def test_csv_and_jsonl_kinds_need_exact_columns_and_keys(run, tmp_path):
@@ -439,7 +439,7 @@ def test_an_unrecognized_first_row_hides_no_later_row(run):
     _edit_jsonl(path, 2, lambda obj: obj.update(surprise=True))
     _edit_jsonl(path, 3, lambda obj: obj.update(classification="gen"))
     problems = validate_files([run["traced.jsonl"], path])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(path), 2, "unrecognized row shape"),
         (str(path), 3, "stored classification 'gen' != recomputed 'ret'"),
         (str(path), 0, "no eval record for live example 'q01'"),
@@ -459,12 +459,12 @@ def test_every_jsonl_row_needs_its_kinds_exact_keys(run, name, edit, key):
     path = run[name]
     _edit_jsonl(path, 3, edit)
     problems = validate_files([path])
-    assert [(p.line, p.message) for p in problems] == [
+    assert [(p.line_no, p.message) for p in problems] == [
         (3, f"keys differ from a context row's by [{key!r}]")]
     reader = {"contexts.jsonl": read_contexts, "traced.jsonl": read_traced}[name]
     with pytest.raises(SchemaError) as err:
         reader(path)
-    assert (err.value.line_no, err.value.message) == (problems[0].line, problems[0].message)
+    assert (err.value.line_no, err.value.message) == (problems[0].line_no, problems[0].message)
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -480,7 +480,7 @@ def test_every_jsonl_row_needs_its_kinds_exact_keys(run, name, edit, key):
 def test_each_traced_context_rule_is_a_problem_at_its_line(run, edit, message):
     path = run["traced.jsonl"]
     _edit_jsonl(path, 2, edit)
-    assert [(p.line, p.message) for p in validate_files([path])] == [(2, message)]
+    assert [(p.line_no, p.message) for p in validate_files([path])] == [(2, message)]
 
 
 def test_every_live_sample_needs_an_eval_record(run):
@@ -500,7 +500,7 @@ def test_empty_gold_answer_is_a_problem(run):
         obj["answers"].append("")
     _edit_jsonl(path, 2, blank)
     problems = validate_files([path])
-    assert len(problems) == 1 and problems[0].line == 2
+    assert len(problems) == 1 and problems[0].line_no == 2
     assert "'answers'" in problems[0].message
 
 
@@ -512,7 +512,7 @@ def test_csv_problems_name_their_line_after_a_blank_line(tmp_path):
     sim = tmp_path / "sim.csv"
     sim.write_text(SIM_HEADER + "\nq01,0.5,0.5,jaccard,max,0.0\nq02,high,0.5,jaccard,max,0.0\n")
     problems = validate_files([sim])
-    assert [(p.line, "'sim_gen'" in p.message) for p in problems] == [(5, True)]
+    assert [(p.line_no, "'sim_gen'" in p.message) for p in problems] == [(5, True)]
 
 
 def test_every_malformed_row_is_a_problem_with_one_prefix(tmp_path):
@@ -520,9 +520,9 @@ def test_every_malformed_row_is_a_problem_with_one_prefix(tmp_path):
     sim.write_text(SIM_HEADER + "\nq01,0.5,0.5,jaccard,max,0.0\nq02,high,0.5,jaccard,max,0.0\n"
                                 "q03,0.5,low,jaccard,max,0.0\n")
     problems = validate_files([sim])
-    assert [p.line for p in problems] == [5, 6]
+    assert [p.line_no for p in problems] == [5, 6]
     for problem in problems:
-        assert str(problem) == f"{sim}:{problem.line}: {problem.message}"
+        assert str(problem) == f"{sim}:{problem.line_no}: {problem.message}"
         assert str(sim) not in problem.message
 
 
@@ -534,7 +534,7 @@ def test_every_malformed_jsonl_row_is_a_problem(run):
     _edit_jsonl(path, 2, unknown_subset)
     _edit_jsonl(path, 4, unknown_subset)
     problems = validate_files([path])
-    assert [(p.line, "'subset'" in p.message) for p in problems] == [(2, True), (4, True)]
+    assert [(p.line_no, "'subset'" in p.message) for p in problems] == [(2, True), (4, True)]
 
 
 def test_every_unparsable_jsonl_line_is_a_problem(run):
@@ -546,7 +546,7 @@ def test_every_unparsable_jsonl_line_is_a_problem(run):
     lines = path.read_text().splitlines()
     lines[2] = "not json"
     path.write_text("\n".join(lines + ["[1, 2]"]) + "\n")
-    by_line = {p.line: p.message for p in validate_files([path])}
+    by_line = {p.line_no: p.message for p in validate_files([path])}
     assert sorted(by_line) == [3, 4, 5]
     assert by_line[3].startswith("invalid JSON")
     assert "'order'" in by_line[4]
@@ -570,7 +570,7 @@ def test_a_repeated_key_is_a_problem_in_every_file_kind(run, tmp_path):
     sim.write_text(SIM_HEADER + "q01,0.5,0.5,jaccard,max,0.0\nq02,0.5,0.5,jaccard,max,0.0\n")
     sim_line = _repeat_line(sim, 3)
     problems = validate_files([contexts, report, sim])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(contexts), contexts_line, "duplicate context id 'q01', source 'retrieved'"),
         (str(report), report_line, "duplicate report subset 'AIG'"),
         (str(sim), sim_line, "duplicate sim example_id 'q01'"),
@@ -582,7 +582,7 @@ def test_a_traced_id_repeated_across_files_is_one_problem_per_repeat(run, tmp_pa
     copy.write_bytes(run["traced.jsonl"].read_bytes())
     rows = len(copy.read_text().splitlines()) - 1
     problems = validate_files([run["traced.jsonl"], copy])
-    assert [(p.path, p.line) for p in problems] == [(str(copy), n) for n in range(2, rows + 2)]
+    assert [(p.path, p.line_no) for p in problems] == [(str(copy), n) for n in range(2, rows + 2)]
     assert all(p.message.startswith("duplicate traced id ") for p in problems)
 
 
@@ -595,7 +595,7 @@ def test_problems_of_one_file_come_out_in_line_order(run):
     lines = path.read_text().splitlines()
     lines[3] = "not json"
     path.write_text("\n".join(lines) + "\n")
-    assert [p.line for p in validate_files([path])] == [3, 4]
+    assert [p.line_no for p in validate_files([path])] == [3, 4]
 
 
 def test_eval_record_for_an_unknown_example_beside_a_report(run):
@@ -611,7 +611,7 @@ def test_a_file_of_no_known_kind_still_counts_its_manifest(run, tmp_path):
     unknown = tmp_path / "extra.csv"
     unknown.write_text("# manifest=0123456789abcdef seed=4\nsubset,n,surprise\nAIG,1,x\n")
     problems = validate_files([unknown, run["report.csv"]])
-    assert [(p.line, p.message.split(":")[0]) for p in problems] == [
+    assert [(p.line_no, p.message.split(":")[0]) for p in problems] == [
         (2, "unrecognized columns ['subset', 'n', 'surprise']"),
         (0, "mixed manifest hashes across inputs")]
 
@@ -622,7 +622,7 @@ def test_sim_rows_need_live_traced_samples(run, tmp_path):
     sim.write_text(SIM_HEADER + "q01,0.5,0.5,jaccard,max,0.0\nq04,0.5,0.5,jaccard,max,0.0\n"
                                 "q99,0.5,0.5,jaccard,max,0.0\n")
     problems = validate_files([sim, run["traced.jsonl"]])
-    assert [(p.path, p.line, p.message) for p in problems] == [
+    assert [(p.path, p.line_no, p.message) for p in problems] == [
         (str(sim), 4, "similarity row for non-live example 'q04'"),
         (str(sim), 5, "similarity row for non-live example 'q99'"),
     ]
@@ -644,7 +644,7 @@ def test_sim_cells_are_recomputed(tmp_path):
     ]
     sim = tmp_path / "sim.csv"
     sim.write_text(SIM_HEADER + "\n".join(rows) + "\n")
-    assert [(p.line, p.message) for p in validate_files([sim])] == [
+    assert [(p.line_no, p.message) for p in validate_files([sim])] == [
         (10, "column 'sim_gen': 'nan' is not finite"),
         (11, "column 'delta_sim': 'inf' is not finite"),
         (7, "stored delta_sim 0.5 != recomputed 0.333333"),
@@ -677,7 +677,7 @@ def sliced(tmp_path):
 
 
 def _slice_problems(sliced):
-    return [(p.line, p.message) for p in validate_files(list(sliced.values()))
+    return [(p.line_no, p.message) for p in validate_files(list(sliced.values()))
             if p.path == str(sliced["slices.csv"])]
 
 
@@ -773,7 +773,7 @@ def test_a_file_python_cannot_parse_is_a_problem_at_its_line(tmp_path, capsys, n
     path = tmp_path / name
     path.write_bytes(data)
     problems = validate_files([path])
-    assert [p.line for p in problems] == [line]
+    assert [p.line_no for p in problems] == [line]
     assert problems[0].message.startswith(message)
     assert main(["validate", str(path)]) == 3
     assert f"{path}:{line}: " in capsys.readouterr().out
@@ -787,7 +787,7 @@ def test_a_csv_line_is_counted_at_each_newline_byte(tmp_path, next_row):
     # row after it is line 4 whether its cell or its bytes are bad.
     sim = tmp_path / "sim.csv"
     sim.write_bytes(SIM_BYTES + b'"q\r1",0.5,0.5,jaccard,max,0.0\n' + next_row + b"\n")
-    assert [p.line for p in validate_files([sim])] == [4]
+    assert [p.line_no for p in validate_files([sim])] == [4]
 
 
 RETRIEVED = (b'{"id":"q1","source":"retrieved","backend":"golden","title":"T","text":"x is here",'
@@ -831,7 +831,7 @@ def test_malformed_bytes_never_escape_as_a_traceback(tmp_path_factory, data):
 
 
 def _named(problems):
-    return [(Path(p.path).name, p.line, p.message) for p in problems]
+    return [(Path(p.path).name, p.line_no, p.message) for p in problems]
 
 
 def _append_lines(path, *lines):
@@ -948,6 +948,23 @@ def test_validate_memory_tracks_keys_not_text(tmp_path):
     assert long_peak - short_peak < 0.25 * (long_bytes - short_bytes)
 
 
+def test_problems_hold_no_row_of_the_read(run):
+    # A problem is the reader's own SchemaError, kept without the frames it
+    # was raised through, which hold the row that failed to load.
+    path = run["traced.jsonl"]
+    _lengthen_texts(path, 100)
+    for line in range(2, 6):
+        _edit_jsonl(path, line, lambda obj: obj.update(subset="XYZ"))
+    tracemalloc.start()
+    try:
+        problems = validate_files([path])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [p.line_no for p in problems] == [2, 3, 4, 5]
+    assert held < 0.05 * path.stat().st_size
+
+
 def test_a_miscount_is_reported_in_both_files_that_share_it(run):
     # The traced context equals its contexts row, wrong count and all.
     traced, contexts = run["traced.jsonl"], run["contexts.jsonl"]
@@ -974,3 +991,49 @@ def test_a_context_text_may_hold_a_lone_surrogate(run):
     replace(traced, "\ud800", "\udc00", lambda obj: obj["retrieved"])
     assert _named(validate_files([contexts, traced])) == [
         ("traced.jsonl", 2, "retrieved context differs from the contexts row of 'q01'")]
+
+
+def test_the_full_ordered_output_of_a_damaged_multi_file_set(run, tmp_path):
+    # Each file's own problems come in path order, its unparsable lines and
+    # load failures by line, then its row checks; the cross-file findings
+    # follow.  The stale copy fails on a byte past the rows it loaded, so it
+    # adds no manifest hash (its own differs) and no traced id (each would
+    # repeat one of traced.jsonl's).
+    contexts, traced, evals, report = (run[name] for name in
+                                       ("contexts.jsonl", "traced.jsonl", "eval.jsonl",
+                                        "report.csv"))
+    stale = tmp_path / "stale.jsonl"
+    lines = traced.read_text().splitlines()
+    lines[0] = json.dumps({"_manifest": "0123456789abcdef", "seed": 4})
+    lines[2] = "{not json"
+    stale.write_text("\n".join(lines) + "\n")
+    _append_lines(stale, b" " * 9000, b'{"id":"q\xff5"}')
+    _edit_jsonl(contexts, 2, lambda obj: obj.update(word_count=1))
+    _edit_jsonl(traced, 3, lambda obj: obj.update(subset="AIG"))
+    _edit_jsonl(evals, 2, lambda obj: obj.update(surprise=True))
+    _append_lines(evals, b"[1, 2]")
+    aig = next(n for n, line in enumerate(report.read_text().splitlines(), 1)
+               if line.startswith("AIG,"))
+    _edit_csv_cell(report, aig, 1, "many")
+    missing = tmp_path / "absent.jsonl"
+    paths = [contexts, missing, stale, traced, evals, report]
+    recount = [f"subset ALL: stored {col} != recount {fresh}" for col, fresh in (
+        ("n 3", 2), ("rho_gen 0.333333", 0.0), ("rho_ret 0.333333", 0.5),
+        ("others 0.333333", 0.5), ("diff_gr 0.0", -1.0), ("em_percent 66.6667", 50.0))]
+    expected = [
+        (contexts, 2, "stored word_count 1 != recomputed 22"),
+        (missing, 0, "missing file"),
+        (stale, 3, "invalid JSON: Expecting property name enclosed in double quotes"),
+        (stale, 7, "not UTF-8: invalid start byte at byte 9 of the line"),
+        (traced, 3, "stored subset 'AIG', dropped None != recomputed 'AIR', None"),
+        (evals, 2, "unrecognized row shape"),
+        (evals, 5, "expected a JSON object"),
+        # The AIG row failed to load, so ALL's n is not summed from the rest.
+        (report, aig, "column 'n': 'many' is not a valid int"),
+        (traced, 2, "retrieved context differs from the contexts row of 'q01'"),
+        (evals, 0, "no eval record for live example 'q01'"),
+        (report, 4, "report row for empty subset 'AIR'"),
+        *((report, 5, message) for message in recount),
+    ]
+    assert [str(p) for p in validate_files(paths)] == [
+        f"{path}:{line}: {message}" for path, line, message in expected]
