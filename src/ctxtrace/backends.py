@@ -17,7 +17,6 @@ import hashlib
 import logging
 import math
 import os
-import sys
 import threading
 import time
 from bisect import bisect_right
@@ -168,11 +167,12 @@ class HttpBackend:
     hands its slot to another item and takes a slot back before it posts
     again.  Outside it, a call just sleeps.
 
-    Transport failures and 408/429/5xx responses are retried with exponential
-    backoff; at most ``max_retries + 1`` attempts are ever issued.  After a
-    429 or 503 whose ``Retry-After`` gives delta-seconds, the backoff is the
-    larger of that (capped at :data:`RETRY_AFTER_CAP_SECONDS`) and the
-    exponential delay.  Other non-2xx statuses raise immediately.  An empty
+    Transport errors (any :class:`OSError`; every ``RequestException`` is
+    one) and 408/429/5xx responses are retried with exponential backoff; at
+    most ``max_retries + 1`` attempts are ever issued.  After a 429 or 503
+    whose ``Retry-After`` gives delta-seconds, the backoff is the larger of
+    that (capped at :data:`RETRY_AFTER_CAP_SECONDS`) and the exponential
+    delay.  Other statuses and exceptions raise at once.  An empty
     completion is an error.
     """
 
@@ -230,12 +230,7 @@ class HttpBackend:
                     headers=self._headers(),
                     timeout=self.spec.timeout,
                 )
-            except Exception as exc:
-                # Only requests raises its own exceptions, so an unloaded
-                # module means this is not a transport error.
-                requests = sys.modules.get("requests")
-                if requests is None or not isinstance(exc, requests.RequestException):
-                    raise
+            except OSError as exc:  # requests.RequestException is one
                 last_failure = f"transport error: {exc}"
                 logger.warning("backend attempt %d/%d failed: %s", attempt + 1, attempts, last_failure)
                 continue
@@ -292,7 +287,9 @@ class ReaderScript:
 
     ``unkeyed`` holds the questions whose only hybrid row is the null one: a
     hybrid lookup for such a question reaches that row whatever the
-    fingerprint, so its caller may skip the hash.
+    fingerprint, so its caller may skip the hash, and with it the
+    normalization of contexts that evaluate and analyze order need for
+    nothing else.
     """
 
     def __init__(self, entries: Mapping[tuple[str, str, str | None], str], source: str) -> None:
@@ -385,12 +382,12 @@ class Bm25Index:
     for the documents where tf > 1, and only for terms that have such a
     document; every other listed document has tf 1.
 
-    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), computed the first time a
-    query term has a given df and kept by df; a term scores
-    idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).  The length
-    norm k1 * (1 - b + b * dl / avgdl) is computed once per document at
-    build.  Ties on the top score go to the lowest doc_id, including the
-    no-overlap case where every document scores zero.
+    idf(t) = ln((N - df + 0.5) / (df + 0.5) + 1), computed for each query
+    term; a term scores idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl /
+    avgdl)).  The length norm k1 * (1 - b + b * dl / avgdl) is computed once
+    per document at build, and nothing the index holds changes after it.
+    Ties on the top score go to the lowest doc_id, including the no-overlap
+    case where every document scores zero.
 
     :meth:`top1` prunes the postings walk (MaxScore, Turtle & Flood 1995)
     without changing its answer.  A query term of weight w = count * idf
@@ -413,8 +410,7 @@ class Bm25Index:
         if not docs:
             raise ValidationError("bm25 corpus is empty")
         self.doc_ids = [d[0] for d in docs]
-        self._by_id = {doc_id: idx for idx, doc_id in enumerate(self.doc_ids)}
-        if len(self._by_id) != len(self.doc_ids):
+        if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValidationError("bm25 corpus has duplicate doc_ids")
         self.titles = [d[1] for d in docs]
         self.bodies = [d[2] for d in docs]
@@ -433,15 +429,12 @@ class Bm25Index:
         postings.default_factory = repeats.default_factory = None
         self._postings: dict[str, list[int]] = postings
         self._repeats: dict[str, dict[int, int]] = repeats
-        # idf by df, filled as queries need it: at most one entry per
-        # distinct df, however many terms are queried.
-        self._idf_by_df: dict[int, float] = {}
         total = sum(doc_len)
         avgdl = total / len(docs) if total else 1.0
         k1, b = params.k1, params.b
         self._k1_plus_1 = k1 + 1.0
         self._norm = [k1 * (1.0 - b + b * dl / avgdl) for dl in doc_len]
-        self._lowest_id = min(self.doc_ids)
+        self._lowest = min(range(len(docs)), key=self.doc_ids.__getitem__)
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
@@ -456,15 +449,13 @@ class Bm25Index:
         for term in query_tokens:
             counts[term] = counts.get(term, 0) + 1
         terms = []
-        n, idf_by_df = len(self.doc_ids), self._idf_by_df
+        n = len(self.doc_ids)
         for term, count in counts.items():
             docs = self._postings.get(term)
             if docs is None:
                 continue
             df = len(docs)
-            idf = idf_by_df.get(df)
-            if idf is None:
-                idf = idf_by_df[df] = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
             terms.append((count * idf, docs, self._repeats.get(term, _NO_REPEATS)))
         return terms
 
@@ -488,8 +479,8 @@ class Bm25Index:
                 total += weight * tf * k1_plus_1 / (tf + norm)
         return total
 
-    def _maxscore(self, terms: list[_QueryTerm]) -> tuple[str, float]:
-        """(doc_id, score) of the best document for a non-empty term list;
+    def _maxscore(self, terms: list[_QueryTerm]) -> tuple[int, float]:
+        """(index, score) of the best document for a non-empty term list;
         see the class docstring."""
         by_bound = sorted(terms, key=itemgetter(0), reverse=True)
         # unwalked[i]: the most that the terms from by_bound[i] on can add.
@@ -508,13 +499,13 @@ class Bm25Index:
         scores = {idx: self._exact_score(terms, idx)
                   for idx, sc in partial.items() if sc + rest >= cutoff}
         best_score = max(scores.values())
-        return min(self.doc_ids[idx] for idx, sc in scores.items() if sc == best_score), best_score
+        tied = (idx for idx, sc in scores.items() if sc == best_score)
+        return min(tied, key=self.doc_ids.__getitem__), best_score
 
     def top1(self, question: str) -> RetrievedHit:
         terms = self._query_terms(_analyze(question))
-        best_id, best_score = self._maxscore(terms) if terms else (self._lowest_id, 0.0)
-        idx = self._by_id[best_id]
-        return RetrievedHit(best_id, self.titles[idx], self.bodies[idx], best_score)
+        idx, score = self._maxscore(terms) if terms else (self._lowest, 0.0)
+        return RetrievedHit(self.doc_ids[idx], self.titles[idx], self.bodies[idx], score)
 
     def retrieve(self, question_id: str, question: str) -> RetrievedHit:
         return self.top1(question)

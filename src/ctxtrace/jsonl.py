@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from dataclasses import fields
@@ -80,42 +81,53 @@ def not_utf8(path: str | Path) -> SchemaError:
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line_no, line) for each non-blank line; line numbers are 1-based."""
+    """(line_no, line less its newline) for each non-blank line; line
+    numbers are 1-based."""
     if not Path(path).is_file():
         raise ValidationError(f"missing input file: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    yield line_no, line
+                    yield line_no, line.removesuffix("\n")
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+
+
+class _NonFinite(ValueError):
+    """A number, as written, that no float holds finitely."""
 
 
 def _finite(text: str) -> float:
     if math.isfinite(value := float(text)):
         return value
-    raise json.JSONDecodeError(f"{text} is not a finite number", text, 0)
+    raise _NonFinite(text)
 
 
 # NaN, the infinities and numbers too large for a float are not JSON (RFC 8259).
 _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+# A JSON string, or a number or constant outside one.
+_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN'
+                     r'|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
 
-def _parse_line(line: str, path: str | Path, line_no: int) -> dict[str, Any]:
-    text = line.strip(" \t\n\r")  # JSON whitespace only, as json.loads skips
+def parse_object(text: str, path: str | Path, line_no: int = 1) -> dict[str, Any]:
+    """The JSON object *text*, which starts on line *line_no* of *path*."""
     try:
-        obj, end = _DECODER.raw_decode(text)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[:1] == "\ufeff" else exc.msg
-        raise SchemaError(path, line_no, f"invalid JSON: {msg}") from exc
+        msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff" else exc.msg
+        at = min(exc.pos, len(text.rstrip()))  # an error at the end is on the last line
+    except _NonFinite as exc:  # the decoder stops at the first token written so
+        msg = f"{exc} is not a finite number"
+        at = next((m.start() for m in _TOKENS.finditer(text) if m[0] == str(exc)), 0)
     except RecursionError:
         raise SchemaError(path, line_no, "invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise SchemaError(path, line_no, "expected a JSON object")
-    return obj
+    else:
+        if not isinstance(obj, dict):
+            raise SchemaError(path, line_no, "expected a JSON object")
+        return obj
+    raise SchemaError(path, line_no + text.count("\n", 0, at), f"invalid JSON: {msg}")
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -153,7 +165,7 @@ def _objects(path: str | Path, bad_lines: list[SchemaError] | None,
     """(line_no, object) pairs; see :func:`iter_output_jsonl` for *bad_lines*."""
     for line_no, line in _lines(path):
         try:
-            obj = _parse_line(line, path, line_no)
+            obj = parse_object(line, path, line_no)
         except SchemaError as exc:
             if bad_lines is None:
                 raise

@@ -1,6 +1,7 @@
 """Backends: fingerprints, HTTP transport, scripts, and retrievers."""
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -201,6 +202,14 @@ def test_http_retry_after_sets_only_the_next_backoff():
     backend, _, sleeps = _backend(outcomes)
     assert backend.complete("q") == "x"
     assert sleeps == [3.0, BACKOFF_BASE_SECONDS * 2, BACKOFF_BASE_SECONDS * 4]
+
+
+def test_http_retries_an_os_error_of_the_session():
+    # Any OSError is a transport error, the builtin ConnectionError too.
+    backend, session, sleeps = _backend([ConnectionError("refused"), _ok("late")])
+    assert backend.complete("q") == "late"
+    assert len(session.calls) == 2
+    assert sleeps == [BACKOFF_BASE_SECONDS]
 
 
 def test_http_other_session_errors_are_not_retried():
@@ -582,6 +591,16 @@ def test_bm25_refuses_a_repeated_doc_id_before_tokenizing(monkeypatch):
     monkeypatch.setattr("ctxtrace.backends._analyze", analyze)
     with pytest.raises(ValidationError, match="duplicate doc_ids"):
         Bm25Index(ORACLE_DOCS[:2] + ORACLE_DOCS[:1], Bm25Params())
+
+
+def test_bm25_queries_leave_the_index_as_built():
+    index = Bm25Index(ORACLE_DOCS[::-1], Bm25Params())
+    built = {name: (value, copy.deepcopy(value)) for name, value in vars(index).items()}
+    for question in ("apple banana", "cherry date date", "banana", "quokka", "the"):
+        index.top1(question)
+    assert vars(index).keys() == built.keys()
+    for name, value in vars(index).items():
+        assert value is built[name][0] and value == built[name][1], name
 
 
 def _oracle_top1(docs, question, k1, b):

@@ -567,6 +567,35 @@ def test_load_config_rejects_unknown_fields(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("text, line_no, message", [
+    ('{"retriever": {"k1": NaN}}', 1, "invalid JSON: NaN is not a finite number"),
+    ('{\n  "seed": 3,\n  "retriever": {"b": 0.5, "k1": -1e999}\n}\n', 3,
+     "invalid JSON: -1e999 is not a finite number"),
+    ('{\n  "seed": 3,\n  "order": "random"\n  "workers": 2\n}\n', 4,
+     "invalid JSON: Expecting ',' delimiter"),
+    ('{\n  "seed": 3,\n', 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+    ('[1]\n', 1, "expected a JSON object"),
+], ids=["nan", "overflow", "delimiter", "truncated", "not-an-object"])
+def test_a_config_json_error_names_its_line(tmp_path, text, line_no, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        load_config(path)
+    assert (err.value.path, err.value.line_no, err.value.message) == (str(path), line_no, message)
+
+
+def test_a_nan_config_is_refused_before_bm25_runs(run_cli, world, tmp_path):
+    _standard_world(world)
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [{"doc_id": "d1", "title": "t", "text": "x"}])
+    path = tmp_path / "c.json"
+    path.write_text('{"retriever": {"k1": NaN}}')
+    code, out, err = run_cli("prepare", "--questions", world.questions_path,
+                             "--out", world.path("contexts.jsonl"), "--config", str(path),
+                             "--corpus", corpus, "--generator.script_path", world.gen_path)
+    assert (code, out) == (3, "")
+    assert err == f"ctxtrace: error: {path}:1: invalid JSON: NaN is not a finite number\n"
+
+
 CONFIG_TYPE_CASES = [
     ({"workers": "two"}, "'workers' must be an integer: 'two'"),
     ({"seed": True}, "'seed' must be an integer: True"),
