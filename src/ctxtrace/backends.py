@@ -87,7 +87,7 @@ class BackendSpec:
             raise ValidationError(f"backend kind must be http or scripted, got {self.kind!r}")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValidationError(f"temperature out of range [0, 2]: {self.temperature}")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValidationError(f"timeout must be positive: {self.timeout}")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0: {self.max_retries}")
@@ -107,7 +107,7 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
+        if not self.k1 > 0:
             raise ValidationError(f"k1 must be positive: {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValidationError(f"b out of range [0, 1]: {self.b}")

@@ -15,7 +15,7 @@ import argparse
 import sys
 from collections import Counter
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -134,11 +134,33 @@ _INPUTS: dict[str, tuple[str, Callable[[str], tuple[str | None, Any]]]] = {
 }
 
 
+def _refuse_overwrites(ns: argparse.Namespace, cfg: RunConfig, inputs: tuple[str, ...]) -> None:
+    """Refuse an output path that resolves to a path the stage reads, or to
+    its other output."""
+    named = {"--" + flag: getattr(ns, flag) for flag in inputs}
+    named.update({"--config": ns.config, "--scores": getattr(ns, "scores", None)})
+    named.update({"--" + dotted: attrgetter(dotted)(cfg) for dotted in CONFIG_FIELDS
+                  if dotted.endswith("_path")})
+    seen = {Path(path).resolve(): f"{flag} {path}" for flag, path in named.items() if path}
+    for flag in ("--out", "--report"):
+        path = getattr(ns, flag[2:], None)
+        if path is None:
+            continue
+        where = Path(path).resolve()
+        if where in seen:
+            raise _UsageError(f"{flag} {path} would overwrite {seen[where]}")
+        seen[where] = f"{flag} {path}"
+
+
 def _run_stage(run: Callable[..., None], inputs: tuple[str, ...], ns: argparse.Namespace) -> int:
-    """Load the config, read *inputs* in order with a note for each one another
-    run wrote, and pass them to *run* after the namespace, config and run id."""
+    """Load the config, refuse an output that would overwrite an input, read
+    *inputs* in order with a note for each one another run wrote, and pass
+    them to *run* after the namespace, config and run id."""
     cfg = load_config(ns.config, {dotted: getattr(ns, dotted) for dotted in CONFIG_FIELDS
                                   if getattr(ns, dotted) is not None})
+    if "report" in ns and ns.report is None:
+        ns.report = str(Path(ns.out).with_name("report.csv"))
+    _refuse_overwrites(ns, cfg, inputs)
     run_id = config_hash(cfg)
     contents = []
     for flag in inputs:
@@ -191,10 +213,9 @@ def _trace(ns: argparse.Namespace, cfg: RunConfig, run_id: str, examples: list[Q
 def _evaluate(ns: argparse.Namespace, cfg: RunConfig, run_id: str,
               samples: list[TracedSample]) -> None:
     reader = Reader(cfg.reader, cfg.prompts)
-    report_path = ns.report if ns.report else str(Path(ns.out).with_name("report.csv"))
-    reports = run_evaluate(samples, reader, cfg.order, cfg.seed, ns.out, report_path,
+    reports = run_evaluate(samples, reader, cfg.order, cfg.seed, ns.out, ns.report,
                            run_id, cfg.workers)
-    print(f"evaluated -> {ns.out} and {report_path} (manifest {run_id})")
+    print(f"evaluated -> {ns.out} and {ns.report} (manifest {run_id})")
     for rep in reports.values():
         llm = "-" if rep.rho_llm is None else f"{rep.rho_llm:.4f}"
         print(f"{rep.subset}: n={rep.n} rho_gen={rep.rho_gen:.4f} "
@@ -328,14 +349,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        return ns.func(ns)
     except _UsageError as exc:
         print(f"{PROG}: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
         # --help and --version exit through argparse with code 0.
         return exc.code if isinstance(exc.code, int) else 0
-    try:
-        return ns.func(ns)
     except CtxTraceError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator
@@ -135,7 +136,10 @@ def coerce_override(dotted: str, raw: object) -> Any:
     try:
         if items:
             return [items[0](part.strip()) for part in raw.split(",") if part.strip()]
-        return types[0](raw)
+        value = types[0](raw)
+        if isinstance(value, float) and not math.isfinite(value):  # nan, inf, 1e999
+            raise ValueError(raw)
+        return value
     except ValueError:
         raise ValidationError(f"cannot parse {raw!r} for config field {dotted!r}") from None
 

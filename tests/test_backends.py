@@ -90,6 +90,15 @@ def test_backend_spec_validation():
         BackendSpec(kind="http", endpoint="http://x", max_retries=-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda nan: Bm25Params(nan),
+    lambda nan: BackendSpec(kind="http", endpoint="http://x", model_name="m", timeout=nan),
+], ids=["bm25-k1", "timeout"])
+def test_a_nan_parameter_is_refused(make):
+    with pytest.raises(ValidationError, match="must be positive: nan"):
+        make(float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # HTTP transport
 

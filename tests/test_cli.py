@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -203,6 +206,55 @@ def test_full_stage_chain(run_cli, world):
     assert out.strip() == "ok: 4 file(s) clean"
 
 
+# prepare -> trace -> evaluate -> the four analyses, by file name; validate
+# then rechecks the eight outputs.
+CHAIN = [
+    ["prepare", "--questions", "questions.jsonl", "--out", "contexts.jsonl"],
+    ["trace", "--questions", "questions.jsonl", "--contexts", "contexts.jsonl",
+     "--out", "traced.jsonl"],
+    ["evaluate", "--traced", "traced.jsonl", "--out", "eval.jsonl"],
+    ["analyze", "sim", "--traced", "traced.jsonl", "--out", "sim.csv", "--subset", "ALL"],
+    ["analyze", "slices", "--sim", "sim.csv", "--eval", "eval.jsonl", "--out", "slices.csv"],
+    ["analyze", "order", "--traced", "traced.jsonl", "--out", "order.csv", "--subset", "ALL"],
+    ["analyze", "completeness", "--traced", "traced.jsonl", "--out", "completeness.csv",
+     "--subset", "ALL"],
+]
+CHAIN_OUTPUTS = ["contexts.jsonl", "traced.jsonl", "eval.jsonl", "report.csv", "sim.csv",
+                 "slices.csv", "order.csv", "completeness.csv"]
+
+
+def test_each_stage_in_its_own_process_matches_the_in_process_chain(run_cli, world, tmp_path):
+    # Every other chain test runs all stages in one process, so this is the
+    # one that sees the process boundary: files are all that pass between stages.
+    # CI's installed-package step validates the files left in "processes".
+    for i, outcome in enumerate(["AIG", "AIR", "AIG", "AIR", "both", "not_in_gen"]):
+        world.add_case(f"q{i:02d}", outcome, hybrid_pick=("gen", "ret", "other")[i % 3],
+                       unconstrained=f"In the end gq{i:02d} settled it, and the record of "
+                                     f"q{i:02d} says so at length in a good many words.")
+    world.write()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    ours, theirs = tmp_path / "processes", tmp_path / "in_process"
+    ours.mkdir()
+    theirs.mkdir()
+    for stage in CHAIN + [["validate", *CHAIN_OUTPUTS]]:
+        args = [] if stage[0] == "validate" else [*world.config_args(), "--slices", "1",
+                                                  "--match-threshold", "2"]
+        argv = [world.questions_path if arg == "questions.jsonl" else arg for arg in stage]
+        done = subprocess.run(
+            [sys.executable, "-m", "ctxtrace.cli",
+             *[str(ours / arg) if arg.endswith((".jsonl", ".csv")) else arg for arg in argv],
+             *args], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        code, out, err = run_cli(
+            *[str(theirs / arg) if arg.endswith((".jsonl", ".csv")) else arg for arg in argv],
+            *args)
+        assert (code, err) == (0, done.stderr)
+        assert out == done.stdout.replace(str(ours), str(theirs))
+    assert done.stdout == "ok: 8 file(s) clean\n"
+    for name in CHAIN_OUTPUTS:
+        assert (ours / name).read_bytes() == (theirs / name).read_bytes(), name
+
+
 def test_evaluate_explicit_report_path(run_cli, world, tmp_path):
     _standard_world(world)
     run_cli("prepare", "--questions", world.questions_path,
@@ -217,6 +269,65 @@ def test_evaluate_explicit_report_path(run_cli, world, tmp_path):
                            "--report", str(report), *world.config_args())
     assert code == 0, err
     assert report.is_file()
+
+
+# Stage commands (after the config arguments) whose output names an input or
+# the other output; the expected usage error, with the world's folder as {}.
+OVERWRITES = {
+    "evaluate-over-traced": (["evaluate", "--traced", "traced.jsonl", "--out", "traced.jsonl"],
+                             "--out {}/traced.jsonl would overwrite --traced {}/traced.jsonl"),
+    "evaluate-default-report": (["evaluate", "--traced", "traced.jsonl", "--out", "report.csv"],
+                                "--report {}/report.csv would overwrite --out {}/report.csv"),
+    "report-over-out": (["evaluate", "--traced", "traced.jsonl", "--out", "eval.jsonl",
+                         "--report", "sub/../eval.jsonl"],
+                        "--report {}/sub/../eval.jsonl would overwrite --out {}/eval.jsonl"),
+    "prepare-over-questions": (["prepare", "--questions", "questions.jsonl",
+                                "--out", "questions.jsonl"],
+                               "--out {}/questions.jsonl would overwrite "
+                               "--questions {}/questions.jsonl"),
+    "prepare-over-gold": (["prepare", "--questions", "questions.jsonl", "--out", "gold.jsonl"],
+                          "--out {}/gold.jsonl would overwrite --retriever.gold_path "
+                          "{}/gold.jsonl"),
+    "trace-over-reader-script": (["trace", "--questions", "questions.jsonl", "--contexts",
+                                  "contexts.jsonl", "--out", "reader_script.jsonl"],
+                                 "--out {}/reader_script.jsonl would overwrite "
+                                 "--reader.script_path {}/reader_script.jsonl"),
+    "slices-over-eval": (["analyze", "slices", "--sim", "sim.csv", "--eval", "eval.jsonl",
+                          "--out", "eval.jsonl"],
+                         "--out {}/eval.jsonl would overwrite --eval {}/eval.jsonl"),
+    "sim-over-scores": (["analyze", "sim", "--traced", "traced.jsonl", "--scores", "sim.csv",
+                         "--out", "sim.csv"],
+                        "--out {}/sim.csv would overwrite --scores {}/sim.csv"),
+    "order-over-config": (["analyze", "order", "--traced", "traced.jsonl",
+                           "--config", "run.json", "--out", "run.json"],
+                          "--out {}/run.json would overwrite --config {}/run.json"),
+    "symlink-to-input": (["evaluate", "--traced", "traced.jsonl", "--out", "link.jsonl"],
+                         "--out {}/link.jsonl would overwrite --traced {}/traced.jsonl"),
+}
+
+
+def _in_world(world, *argv):
+    """*argv* with each file name made a path in *world*'s folder."""
+    return [world.path(arg) if arg.endswith((".jsonl", ".csv", ".json")) else arg
+            for arg in argv]
+
+
+@pytest.mark.parametrize("argv, message", OVERWRITES.values(), ids=OVERWRITES)
+def test_an_output_that_names_an_input_exits_1_and_writes_nothing(run_cli, world, argv, message):
+    _standard_world(world)
+    for stage in (["prepare", "--questions", "questions.jsonl", "--out", "contexts.jsonl"],
+                  ["trace", "--questions", "questions.jsonl", "--contexts", "contexts.jsonl",
+                   "--out", "traced.jsonl"],
+                  ["evaluate", "--traced", "traced.jsonl", "--out", "eval.jsonl"],
+                  ["analyze", "sim", "--traced", "traced.jsonl", "--out", "sim.csv"]):
+        assert run_cli(*_in_world(world, *stage), *world.config_args())[0] == 0
+    Path(world.path("run.json")).write_text("{}")
+    Path(world.path("link.jsonl")).symlink_to(world.path("traced.jsonl"))
+    before = {p.name: p.read_bytes() for p in world.root.iterdir()}
+    code, out, err = run_cli(*_in_world(world, *argv), *world.config_args())
+    assert (code, out) == (1, "")
+    assert err == f"ctxtrace: usage error: {message.format(world.root, world.root)}\n"
+    assert {p.name: p.read_bytes() for p in world.root.iterdir()} == before
 
 
 def test_trace_parametric_flag(run_cli, world):
@@ -308,6 +419,21 @@ def test_alias_and_dotted_flag_agree(run_cli, world):
         assert code == 0, err
         manifests.append(_manifest_of(out))
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("flag, raw", [
+    ("--retriever.k1", "nan"), ("--reader.timeout", "inf"), ("--match-threshold", "NaN"),
+    ("--reader.temperature", "-inf"), ("--retriever.b", "1e999"),
+])
+def test_a_non_finite_number_flag_exits_3(run_cli, world, flag, raw):
+    _standard_world(world)
+    code, out, err = run_cli("prepare", "--questions", world.questions_path,
+                             "--out", world.path("contexts.jsonl"), f"{flag}={raw}",
+                             *world.config_args())
+    assert (code, out) == (3, "")
+    dotted = "match_threshold" if flag == "--match-threshold" else flag[2:]
+    assert err == f"ctxtrace: error: cannot parse {raw!r} for config field {dotted!r}\n"
+    assert not Path(world.path("contexts.jsonl")).exists()
 
 
 def test_flags_beat_config_file(run_cli, world, tmp_path):
