@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from . import metrics, pipeline, textnorm
 from .errors import MissingScoreError, UndefinedMetricError, ValidationError
-from .jsonl import RowSchema, iter_jsonl
+from .jsonl import RowSchema
 
 SIM_METRICS = ("jaccard", "external")
 AGGREGATIONS = ("max", "mean")
@@ -140,7 +140,7 @@ EXTERNAL_SCORE = RowSchema(ExternalScore, "score", ("example_id", "key"),
 
 def ingest_similarity(path: str | Path) -> dict[tuple[str, str], float]:
     """The score of each :data:`EXTERNAL_SCORE` row, keyed by (example_id, key)."""
-    return {pair: row.score for pair, _, row in EXTERNAL_SCORE.iter_keyed(iter_jsonl(path), path)}
+    return {pair: row.score for pair, _, row in EXTERNAL_SCORE.read(path)}
 
 
 def build_similarity_records(samples: Sequence[pipeline.TracedSample], metric: str = "jaccard",

@@ -37,7 +37,7 @@ from .errors import (
     ScriptMissError,
     ValidationError,
 )
-from .jsonl import RowSchema, iter_jsonl
+from .jsonl import RowSchema
 
 logger = logging.getLogger(__name__)
 
@@ -300,8 +300,7 @@ class ReaderScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "ReaderScript":
-        loaded = SCRIPT_ENTRY.iter_keyed(iter_jsonl(path), path)
-        return cls({key: entry.answer for key, _, entry in loaded}, str(path))
+        return cls({key: entry.answer for key, _, entry in SCRIPT_ENTRY.read(path)}, str(path))
 
     def answer(self, question_id: str, mode: str, fingerprint: str | None) -> str:
         key = (question_id, mode, fingerprint)
@@ -337,8 +336,7 @@ class GenerationScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "GenerationScript":
-        loaded = GENERATION_ENTRY.iter_keyed(iter_jsonl(path), path)
-        return cls({key: entry.text for key, _, entry in loaded}, str(path))
+        return cls({key: entry.text for key, _, entry in GENERATION_ENTRY.read(path)}, str(path))
 
     def text_for(self, question_id: str, target_words: int | None) -> str:
         key = (question_id, target_words)
@@ -438,8 +436,7 @@ class Bm25Index:
 
     @classmethod
     def from_corpus_file(cls, path: str | Path, params: Bm25Params) -> "Bm25Index":
-        rows = CORPUS_DOC.load_rows(iter_jsonl(path), path)
-        return cls([(doc.doc_id, doc.title, doc.text) for _, doc in rows], params)
+        return cls([(doc.doc_id, doc.title, doc.text) for _, _, doc in CORPUS_DOC.read(path)], params)
 
     def _query_terms(self, query_tokens: list[str]) -> list[_QueryTerm]:
         """(count * idf, doc indices, repeated counts) of each indexed
@@ -541,7 +538,7 @@ class KeyedRetriever:
     def load(cls, path: str | Path, kind: str) -> "KeyedRetriever":
         schema = INGESTED_HIT if kind == "ingest" else GOLD_HIT
         hits: dict[str, RetrievedHit] = {}
-        for line_no, row in schema.load_rows(iter_jsonl(path), path):
+        for _, line_no, row in schema.read(path):
             if row.question_id in hits:
                 logger.warning("%s:%d: duplicate gold annotation for %s; keeping the first",
                                path, line_no, row.question_id)

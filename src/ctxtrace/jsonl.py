@@ -4,10 +4,13 @@ Every file this package writes starts with a header naming the run: JSONL
 files open with ``{"_manifest": "<hash>", "seed": <int>}``, CSV files with a
 ``# manifest=<hash> seed=<int>`` comment line.  Readers of pipeline outputs
 check and strip those headers; readers of user-authored inputs (questions,
-corpora, scripts) expect none.  All writes are deterministic: UTF-8, LF line
-endings, compact JSON with insertion-ordered keys, and a file appears under
-its final name only once complete.  Each output record declares its row
-format once, as a :class:`RowSchema` from which its readers and writers derive.
+corpora, scripts) expect none, and read them through :meth:`RowSchema.read`,
+which closes the file before any error leaves: a caller that holds a
+reader's error holds no open file.  All writes are deterministic: UTF-8, LF
+line endings, compact JSON with insertion-ordered keys, and a file appears
+under its final name only once complete.  Each output record declares its
+row format once, as a :class:`RowSchema` from which its readers and writers
+derive.
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ import json
 import math
 import os
 import re
+import sys
 from collections import deque, namedtuple
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -121,6 +125,11 @@ def parse_object(text: str, path: str | Path, line_no: int = 1) -> dict[str, Any
     except _NonFinite as exc:  # the decoder stops at the first token written so
         msg = f"{exc} is not a finite number"
         at = next((m.start() for m in _TOKENS.finditer(text) if m[0] == str(exc)), 0)
+    except ValueError:  # int() refuses an integer longer than its digit limit
+        limit = sys.get_int_max_str_digits()
+        msg = f"integer of more than {limit} digits"
+        at = next((m.start() for m in _TOKENS.finditer(text)
+                   if (digits := m[0].lstrip("-")).isdigit() and len(digits) > limit), 0)
     except RecursionError:
         raise SchemaError(path, line_no, "invalid JSON: nested too deeply") from None
     else:
@@ -389,22 +398,25 @@ class RowSchema:
             seen.add(key)
             yield key, line_no, record
 
-    def load_rows(self, rows: Iterable[tuple[int, Any]], path: str | Path) -> list[tuple[int, Any]]:
-        """(line, record) of each row, in order; see :meth:`iter_keyed`."""
-        return [(line_no, record) for _, line_no, record in self.iter_keyed(rows, path)]
+    def read(self, path: str | Path) -> Iterator[tuple[Any, int, Any]]:
+        """(key, line, record) of each row of the user-written JSONL file
+        *path*; see :meth:`iter_keyed`.  The file is closed before any error
+        leaves, so whoever holds the error holds no open file."""
+        with closing(iter_jsonl(path)) as rows:
+            yield from self.iter_keyed(rows, path)
 
     def read_records(self, path: str | Path) -> tuple[dict[str, Any], list[Any]]:
         """(header, records) of a pipeline-written JSONL file."""
         header, rows = read_output_jsonl(path)
-        return header, [record for _, record in self.load_rows(rows, path)]
+        return header, [record for _, _, record in self.iter_keyed(rows, path)]
 
     def read_table(self, path: str | Path) -> tuple[str, int, list[Any]]:
         """(manifest hash, seed, records) of a pipeline-written CSV file."""
         manifest_hash, seed, columns, rows = read_csv(path)
         if columns != self.keys:
             raise SchemaError(path, columns.line_no, f"columns {columns} are not {self.keys}")
-        loaded = self.load_rows(((row.line_no, row) for row in rows), path)
-        return manifest_hash, seed, [record for _, record in loaded]
+        loaded = self.iter_keyed(((row.line_no, row) for row in rows), path)
+        return manifest_hash, seed, [record for _, _, record in loaded]
 
     def write_table(self, path: str | Path, records: Iterable[Any],
                     manifest_hash: str, seed: int) -> None:

@@ -33,7 +33,7 @@ from .backends import (
     normalized_fingerprint,
 )
 from .errors import EmptyResponseError, ValidationError
-from .jsonl import RowSchema, header_obj, iter_jsonl, read_output_jsonl, write_jsonl
+from .jsonl import RowSchema, header_obj, read_output_jsonl, write_jsonl
 
 SOURCES = ("retrieved", "generated")
 VARIANTS = ("nature", "trunc", "strunc", "retrieved")
@@ -415,7 +415,7 @@ def hybrid_answer(reader: Reader, sample: TracedSample, order: str, seed: int) -
 # Readers of the JSONL files; their row formats are declared with the records.
 
 def read_questions(path: str | Path) -> list[QaExample]:
-    examples = [example for _, example in QUESTION.load_rows(iter_jsonl(path), path)]
+    examples = [example for _, _, example in QUESTION.read(path)]
     if not examples:
         raise ValidationError(f"no questions in {path}")
     return examples
@@ -425,7 +425,7 @@ def read_contexts(path: str | Path) -> tuple[dict[str, Any], dict[str, dict[str,
     """Load contexts.jsonl as {example_id: {source: Context}}."""
     header, rows = read_output_jsonl(path)
     by_id: dict[str, dict[str, Context]] = {}
-    for _, context in CONTEXT.load_rows(rows, path):
+    for _, _, context in CONTEXT.iter_keyed(rows, path):
         by_id.setdefault(context.id, {})[context.source] = context
     return header, by_id
 

@@ -12,16 +12,39 @@ from pathlib import Path
 
 import pytest
 
-from ctxtrace.analysis import s_trunc, trunc
-from ctxtrace.backends import context_fingerprint
+from ctxtrace.analysis import ingest_similarity, s_trunc, trunc
+from ctxtrace.backends import (
+    Bm25Index,
+    Bm25Params,
+    GenerationScript,
+    KeyedRetriever,
+    ReaderScript,
+    context_fingerprint,
+)
 from ctxtrace.cli import main as cli_main
-from ctxtrace.pipeline import DEFAULT_LENGTH_CANDIDATES, render_passage
+from ctxtrace.pipeline import DEFAULT_LENGTH_CANDIDATES, read_questions, render_passage
 from ctxtrace.textnorm import word_count
 
 OUTCOMES = (
     "AIG", "AIR", "both", "neither", "parametric",
     "abstained_gen", "abstained_ret", "not_in_gen", "not_in_ret",
 )
+
+# Each loader of a user-written input file, by a name, and a row it takes.
+INPUT_LOADERS = {
+    "questions": (read_questions, {"id": "q1", "question": "Who?", "answers": ["x"]}),
+    "reader-script": (ReaderScript.load, {"question_id": "q1", "mode": "closed_book",
+                                          "context_fingerprint": None, "answer": "x"}),
+    "generation-script": (GenerationScript.load,
+                          {"question_id": "q1", "target_words": None, "text": "x"}),
+    "corpus": (lambda path: Bm25Index.from_corpus_file(path, Bm25Params()),
+               {"doc_id": "d1", "title": "T", "text": "x"}),
+    "golden": (lambda path: KeyedRetriever.load(path, "golden"),
+               {"question_id": "q1", "doc_id": "d1", "title": "T", "body": "x"}),
+    "ingest": (lambda path: KeyedRetriever.load(path, "ingest"),
+               {"question_id": "q1", "doc_id": "d1", "title": "T", "body": "x", "score": 0.5}),
+    "scores": (ingest_similarity, {"example_id": "q1", "key": "generated", "score": 0.5}),
+}
 
 
 def write_jsonl(path: str | Path, rows) -> str:

@@ -701,7 +701,10 @@ def test_load_config_rejects_unknown_fields(tmp_path):
      "invalid JSON: Expecting ',' delimiter"),
     ('{\n  "seed": 3,\n', 2, "invalid JSON: Expecting property name enclosed in double quotes"),
     ('[1]\n', 1, "expected a JSON object"),
-], ids=["nan", "overflow", "delimiter", "truncated", "not-an-object"])
+    # A string of digits is no integer, so the error is on the line after it.
+    ('{\n  "seed": "' + "9" * 5000 + '",\n  "workers": ' + "9" * 5000 + '\n}\n', 3,
+     f"invalid JSON: integer of more than {sys.get_int_max_str_digits()} digits"),
+], ids=["nan", "overflow", "delimiter", "truncated", "not-an-object", "long-integer"])
 def test_a_config_json_error_names_its_line(tmp_path, text, line_no, message):
     path = tmp_path / "c.json"
     path.write_text(text)
@@ -720,6 +723,22 @@ def test_a_nan_config_is_refused_before_bm25_runs(run_cli, world, tmp_path):
                              "--corpus", corpus, "--generator.script_path", world.gen_path)
     assert (code, out) == (3, "")
     assert err == f"ctxtrace: error: {path}:1: invalid JSON: NaN is not a finite number\n"
+
+
+def test_prepare_retrieves_from_a_bm25_corpus(run_cli, world, tmp_path):
+    _standard_world(world)
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [
+        {"doc_id": f"d{n}", "title": f"Record q0{n}", "text": f"The ledger for q0{n} lists a seal."}
+        for n in range(1, 7)])
+    out = world.path("contexts.jsonl")
+    code, _, err = run_cli("prepare", "--questions", world.questions_path, "--out", out,
+                           "--corpus", corpus, "--reader.script_path", world.reader_path,
+                           "--generator.script_path", world.gen_path)
+    assert code == 0, err
+    _, rows = read_output_jsonl(out)
+    retrieved = [(obj["id"], obj["backend"], obj["title"]) for _, obj in rows
+                 if obj["source"] == "retrieved"]
+    assert retrieved == [(f"q0{n}", "bm25", f"Record q0{n}") for n in range(1, 7)]
 
 
 CONFIG_TYPE_CASES = [
@@ -745,6 +764,39 @@ def test_load_config_checks_value_types(tmp_path, doc, message):
     with pytest.raises(ValidationError) as err:
         load_config(path, {"reader.script_path": "r.jsonl", "generator.script_path": "g.jsonl"})
     assert str(err.value) == "config field " + message
+
+
+CONFIG_RANGE_CASES = [
+    ({"order": "sideways"}, "order must be one of ('random', 'generated_first', 'retrieved_first')"),
+    ({"workers": 0}, "workers must be >= 1: 0"),
+    ({"slice_count": 0}, "slice_count must be >= 1: 0"),
+    ({"sim_metric": "cosine"}, "sim_metric must be one of ('jaccard', 'external')"),
+    ({"aggregation": "median"}, "aggregation must be one of ('max', 'mean')"),
+    ({"length_candidates": []}, "length_candidates must be positive integers"),
+    ({"length_candidates": [80, 0]}, "length_candidates must be positive integers"),
+    ({"match_threshold": 0}, "match_threshold out of range (0, 2]: 0"),
+    ({"match_threshold": 2.5}, "match_threshold out of range (0, 2]: 2.5"),
+    ({"retriever": {"kind": "dense"}}, "retriever kind must be one of ('bm25', 'golden', 'ingest')"),
+    ({"retriever": {"k1": 0}}, "k1 must be positive: 0"),
+    ({"retriever": {"b": 1.5}}, "b out of range [0, 1]: 1.5"),
+    ({}, "bm25 retriever needs its input path configured"),
+    ({"retriever": {"kind": "golden"}}, "golden retriever needs its input path configured"),
+    ({"retriever": {"kind": "ingest", "gold_path": "gold.jsonl"}},
+     "ingest retriever needs its input path configured"),
+]
+
+
+@pytest.mark.parametrize("doc,message", CONFIG_RANGE_CASES,
+                         ids=[f"{message.split()[0]}-{n}" for n, (_, message)
+                              in enumerate(CONFIG_RANGE_CASES)])
+def test_load_config_checks_value_ranges(tmp_path, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        # A stage asks for the retriever's input path when it builds the retriever.
+        load_config(path, {"reader.script_path": "r.jsonl", "generator.script_path": "g.jsonl"},
+                    ).retriever.require_path()
+    assert str(err.value) == message
 
 
 def test_load_config_accepts_ints_for_floats_and_nulls_for_optional_paths(tmp_path):

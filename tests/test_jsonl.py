@@ -1,8 +1,12 @@
 """Line-oriented I/O: headers, schema errors, and deterministic writes."""
 from __future__ import annotations
 
+import builtins
+import json
+
 import pytest
 
+from ctxtrace import jsonl
 from ctxtrace.backends import GENERATION_ENTRY, GenerationEntry
 from ctxtrace.errors import SchemaError, ValidationError
 from ctxtrace.jsonl import (
@@ -15,6 +19,8 @@ from ctxtrace.jsonl import (
     write_csv,
     write_jsonl,
 )
+
+from .conftest import INPUT_LOADERS
 
 
 def test_jsonl_roundtrip_with_header(tmp_path):
@@ -89,6 +95,25 @@ def test_parser_refuses_non_finite_numbers(tmp_path):
             list(iter_jsonl(path))
         assert (err.value.line_no, err.value.message) == (
             2, f"invalid JSON: {bad} is not a finite number")
+
+
+@pytest.mark.parametrize("second_row", ["{}", "not json"], ids=["schema", "json"])
+@pytest.mark.parametrize("name", INPUT_LOADERS)
+def test_a_loader_that_raises_holds_no_open_file(tmp_path, monkeypatch, name, second_row):
+    loader, row = INPUT_LOADERS[name]
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(row) + "\n" + second_row + "\n", encoding="utf-8")
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(jsonl, "open", recording_open, raising=False)
+    with pytest.raises(SchemaError) as err:
+        loader(path)
+    assert err.value.line_no == 2
+    assert opened and all(fh.closed for fh in opened)
 
 
 def test_csv_header_comment_roundtrip():

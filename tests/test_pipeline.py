@@ -623,6 +623,10 @@ def test_read_questions_validation(tmp_path):
     with pytest.raises(SchemaError):
         read_questions(write_jsonl(tmp_path / "e.jsonl",
                                    [{"id": "q", "question": "a?", "answers": []}]))
+    numbers = write_jsonl(tmp_path / "n.jsonl", [{"id": "q", "question": "a?", "answers": [1]}])
+    with pytest.raises(SchemaError) as err:
+        read_questions(numbers)
+    assert str(err.value) == f"{numbers}:1: field 'answers' must hold strings"
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     with pytest.raises(ValidationError):

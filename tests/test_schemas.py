@@ -203,7 +203,7 @@ def test_a_repeated_key_is_rejected_at_its_line(schema, records, to_row, data):
     unloadable = {} if isinstance(row, dict) else []
     rows = [(2, row), (3, unloadable), (5, row), (8, row)]
     with pytest.raises(SchemaError) as err:
-        schema.load_rows([rows[0], rows[2]], "p")
+        list(schema.iter_keyed([rows[0], rows[2]], "p"))
     assert err.value.line_no == 5
     assert err.value.message.startswith(f"duplicate {schema.name} {schema.key[0]} ")
     problems = []

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from ctxtrace.analysis import COMPLETENESS, ORDER, SLICES, read_sim_csv, run_sim, run_slices
 from ctxtrace.backends import BackendSpec, KeyedRetriever
 from ctxtrace.cli import main
+from ctxtrace.config import load_config
 from ctxtrace.errors import CtxTraceError, SchemaError
 from ctxtrace.jsonl import read_csv
-from ctxtrace.metrics import REPORT, MetricsReport, write_report_csv
+from ctxtrace.metrics import REPORT, MetricsReport, read_report_csv, write_report_csv
 from ctxtrace.pipeline import (
     Generator,
     PromptSet,
@@ -30,7 +31,7 @@ from ctxtrace.pipeline import (
 )
 from ctxtrace.validate import validate_files
 
-from .conftest import WorldBuilder
+from .conftest import INPUT_LOADERS, WorldBuilder
 
 ABST = ("unknown", "no answer")
 
@@ -287,6 +288,23 @@ def test_report_internal_arithmetic(run):
     _edit_csv_cell(path, 3, 6, "0.123456")
     problems = validate_files([path])
     assert any("stored diff_gr" in p.message and p.line_no == 3 for p in problems)
+
+
+def test_a_diff_gr_past_one_by_less_than_a_cell_ulp_is_out_of_range(tmp_path):
+    # 1.0000004 is within a cell ulp of the recomputed 1.0, but no gap exceeds 1.
+    path = tmp_path / "report.csv"
+    path.write_bytes(CSV_HEADERS[0] + b"AIG,1,1.000000,0.000000,,0.000000,1.0000004,100.0000\n")
+    assert [(p.line_no, p.message) for p in validate_files([path])] == [
+        (3, "diff_gr out of range [-1, 1]: 1.0000004")]
+
+
+def test_an_empty_rho_llm_beside_closed_book_reads_is_a_tracking_mismatch(run):
+    # q01 read closed-book, so the recount tracks rho_llm; the report's cells are empty.
+    _edit_jsonl(run["traced.jsonl"], 2, lambda obj: obj.update(closed_book="cq01"))
+    problems = validate_files([run["traced.jsonl"], run["eval.jsonl"], run["report.csv"]])
+    assert [(p.line_no, p.message) for p in problems] == [
+        (line, f"subset {subset}: rho_llm tracking mismatch")
+        for line, subset in ((3, "AIG"), (4, "AIR"), (5, "ALL"))]
 
 
 def test_report_proportions_must_sum(run):
@@ -762,12 +780,15 @@ JSONL_HEADER = b'{"_manifest":"feedbead12345678","seed":4}\n'
 @pytest.mark.parametrize("name, data, line, message", [
     ("eval.jsonl", JSONL_HEADER + b'{"id":"q\xff1"}\n', 2, "not UTF-8: "),
     ("eval.jsonl", JSONL_HEADER + b"[" * 100_000 + b"\n", 2, "invalid JSON: nested too deeply"),
+    ("eval.jsonl", JSONL_HEADER + b'{"id":"q1","seed":' + b"9" * 5000 + b"}\n", 2,
+     "invalid JSON: integer of more than "),
     ("sim.csv", SIM_BYTES + b"q01,0.5,0.5,jaccard,max,0.0\nq\xff2\n", 4, "not UTF-8: "),
     ("sim.csv", SIM_BYTES + b"q" * 140_000 + b",0.5,0.5,jaccard,max,0.0\n", 3,
      "invalid CSV: field larger than field limit"),
     ("sim.csv", SIM_BYTES + b"q\r1,0.5,0.5,jaccard,max,0.0\n", 3,
      "invalid CSV: bare carriage return in an unquoted cell"),
-], ids=["jsonl-not-utf8", "jsonl-too-deep", "csv-not-utf8", "csv-huge-cell", "csv-bare-cr"])
+], ids=["jsonl-not-utf8", "jsonl-too-deep", "jsonl-long-integer", "csv-not-utf8",
+        "csv-huge-cell", "csv-bare-cr"])
 def test_a_file_python_cannot_parse_is_a_problem_at_its_line(tmp_path, capsys, name, data, line,
                                                              message):
     path = tmp_path / name
@@ -804,11 +825,16 @@ CSV_HEADERS = [b"# manifest=feedbead12345678 seed=4\n" + ",".join(schema.keys).e
                for schema in (REPORT, ORDER, COMPLETENESS, SLICES)]
 TABLE_ROWS = [label + b",1,0.000000,1.000000,,0.000000,-1.000000,100.0000"
               for label in (b"AIR", b"random", b"trunc")] + [b"0,1,0.500000,-1.000000"]
-BYTE_PIECES = [JSONL_HEADER, SIM_BYTES, b'{"id":"q1","question":"Who?","answers":["x"]}',
+BYTE_PIECES = [JSONL_HEADER, SIM_BYTES,
+               *(json.dumps(row).encode() for _, row in INPUT_LOADERS.values()),
+               b'{"id":"q1","question":"Who?","answers":[' + b"9" * 5000 + b"]}",
                RETRIEVED, GENERATED, TRACED_ROW, EVAL_ROW, *CSV_HEADERS, *TABLE_ROWS,
                b"q01,0.5,0.5,jaccard,max,0.0", b"{", b"}", b"[" * 600, b'"', b",", b":",
                b"1e400", b"\n", b"\r", b"\r\n", b"\xff", b"\xc3", b"\xef\xbb\xbf",
                b"q" * 70_000]
+# Every reader of a file the user or a stage writes, given its path.
+READERS = [load_config, *(loader for loader, _ in INPUT_LOADERS.values()),
+           read_contexts, read_traced, read_eval]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -818,16 +844,23 @@ def test_malformed_bytes_never_escape_as_a_traceback(tmp_path_factory, data):
     jsonl, csv = root / "bytes.jsonl", root / "bytes.csv"
     jsonl.write_bytes(data)
     csv.write_bytes(data)
-    # A traced and a contexts file whose first rows fix their kinds, so that
-    # the traced contexts are digested and compared with garbage after them.
-    traced, contexts = root / "traced.jsonl", root / "contexts.jsonl"
+    # Traced, contexts and eval files whose first rows fix their kinds, so
+    # that garbage after them is read as rows of that kind, and the traced
+    # contexts are digested and compared with the contexts file.
+    traced, contexts, evals = root / "traced.jsonl", root / "contexts.jsonl", root / "eval.jsonl"
     traced.write_bytes(JSONL_HEADER + TRACED_ROW + b"\n" + data)
     contexts.write_bytes(JSONL_HEADER + RETRIEVED + b"\n" + GENERATED + b"\n" + data)
-    validate_files([jsonl, csv, contexts, traced])
-    try:
-        read_questions(jsonl)
-    except CtxTraceError:
-        pass
+    evals.write_bytes(JSONL_HEADER + EVAL_ROW + b"\n" + data)
+    validate_files([jsonl, csv, contexts, traced, evals])
+    for reader, path in [*((reader, jsonl) for reader in READERS),
+                         (read_sim_csv, csv), (read_report_csv, csv),
+                         (read_contexts, contexts), (read_traced, traced), (read_eval, evals)]:
+        try:
+            reader(path)
+        except SchemaError as exc:  # a line of the file, or where a missing one belongs
+            assert 0 <= exc.line_no <= len(path.read_bytes().splitlines()) + 1
+        except CtxTraceError:
+            pass
 
 
 def _named(problems):
