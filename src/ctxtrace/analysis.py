@@ -7,6 +7,7 @@ truncation, sentence-boundary truncation), and presentation-order sweeps.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -79,18 +80,20 @@ def jaccard(a: set[str], b: set[str]) -> float:
 def sentence_jaccard(question: str, context_text: str, aggregation: str = "max") -> float:
     """Question-context similarity: Jaccard per sentence, then max or mean,
     over the :func:`textnorm.tokens` of the question and of each sentence."""
-    return _spans_jaccard(question, textnorm.split_sentences(context_text), aggregation)
+    words = textnorm.split_words(context_text)
+    return _words_jaccard(set(textnorm.tokens(question)), words, len(words.words), aggregation)
 
 
-def _spans_jaccard(question: str, spans: Sequence[textnorm.SentenceSpan],
+def _words_jaccard(question_tokens: set[str], words: textnorm.Words, stop: int,
                    aggregation: str) -> float:
-    """:func:`sentence_jaccard` over a text already split into *spans*."""
+    """:func:`sentence_jaccard` over the sentences of the first *stop* of
+    *words*, with the question already tokenized."""
     if aggregation not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {aggregation!r}")
-    if not spans:
+    scores = [jaccard(question_tokens, words.token_set(start, end))
+              for start, end in words.sentences(stop)]
+    if not scores:
         return 0.0
-    question_tokens = set(textnorm.tokens(question))
-    scores = [jaccard(question_tokens, set(textnorm.tokens(s.text))) for s in spans]
     return max(scores) if aggregation == "max" else sum(scores) / len(scores)
 
 
@@ -214,17 +217,7 @@ def trunc(text: str, target_words: int) -> str:
     Inputs at or under the target come back unchanged; truncated output is
     single-spaced. Idempotent at a fixed target.
     """
-    if target_words <= 0:
-        raise ValidationError(f"target_words must be positive: {target_words}")
-    tokens = text.split()
-    # Positions of the tokens word_count counts, those not punctuation only.
-    # Tokens hold no whitespace, so one pass over them joined by spaces
-    # strips each token on its own.
-    stripped = textnorm.strip_punct(" ".join(tokens)).split(" ")
-    counted = list(compress(range(len(tokens)), stripped))
-    if len(counted) <= target_words:
-        return text
-    return " ".join(tokens[:counted[target_words - 1] + 1])
+    return _truncations(textnorm.split_words(text), target_words)["trunc"][0]
 
 
 def s_trunc(text: str, target_words: int) -> str:
@@ -233,23 +226,26 @@ def s_trunc(text: str, target_words: int) -> str:
     A first sentence already over the target is returned whole, so the
     result never breaks mid-sentence. Idempotent at a fixed target.
     """
-    return _sentence_prefix(text, target_words)[0]
+    return _truncations(textnorm.split_words(text), target_words)["strunc"][0]
 
 
-def _sentence_prefix(text: str, target_words: int) -> tuple[str, list[textnorm.SentenceSpan]]:
-    """:func:`s_trunc`'s result and its sentences, which are the first
-    sentences of *text*: the prefix ends where one of them ends, at a
-    terminator run, so splitting it breaks where *text* broke."""
+def _truncations(words: textnorm.Words, target_words: int) -> dict[str, tuple[str, int, int]]:
+    """{variant: (text, word count, words kept)} for :func:`trunc` and
+    :func:`s_trunc` of the text of *words*, cut from its one split."""
     if target_words <= 0:
         raise ValidationError(f"target_words must be positive: {target_words}")
-    spans = textnorm.split_sentences(text)
-    total = 0
-    for k, span in enumerate(spans):
-        total += textnorm.word_count(span.text)
-        if total > target_words:
-            kept = spans[:k or 1]  # a first sentence over the target is kept whole
-            return text[:kept[-1].end], kept
-    return text, spans
+    # Positions of the words word_count counts, those not punctuation only.
+    counted = list(compress(range(len(words.words)), words.normalized))
+    if len(counted) <= target_words:
+        whole = (words.text, len(counted), len(words.words))
+        return {"trunc": whole, "strunc": whole}
+    cut = counted[target_words - 1] + 1
+    # strunc keeps the first k sentences, k the most whose counted words stay
+    # within the target: those that end at or before the first counted word
+    # past it.  A first sentence already over the target is kept whole.
+    kept = words.ends[max(bisect_right(words.ends, counted[target_words]), 1) - 1]
+    return {"trunc": (" ".join(words.words[:cut]), target_words, cut),
+            "strunc": (words.prefix(kept), bisect_left(counted, kept), kept)}
 
 
 def similarity_matched(sim_scores: Mapping[str, float],
@@ -269,33 +265,28 @@ def build_completeness_variants(sample: pipeline.TracedSample, unconstrained_tex
 
     trunc and strunc cut one unconstrained generation to the word count of the
     sample's retrieved context; nature is the generation already on the sample.
-    The generation is split into sentences once: under the jaccard metric,
-    strunc is scored on the sentences :func:`s_trunc` kept, not split again.
+    The generation goes through one :func:`textnorm.split_words` pass: both
+    cuts, their word counts and, under the jaccard metric, their scores come
+    from it.
     """
     if not unconstrained_text.strip():
         raise ValidationError(f"empty unconstrained generation for {sample.example.id!r}")
-    target = sample.retrieved.word_count
-    nature = sample.generated
-    strunc_text, strunc_spans = _sentence_prefix(unconstrained_text, target)
-    contexts = {"nature": nature}
-    for variant, text in (("trunc", trunc(unconstrained_text, target)),
-                          ("strunc", strunc_text)):
-        contexts[variant] = replace(
-            nature,
-            text=text,
-            word_count=textnorm.word_count(text),
-            gen_target_words=None,
-            variant=variant,
-        )
+    words = textnorm.split_words(unconstrained_text)
+    cuts = _truncations(words, sample.retrieved.word_count)
     qid = sample.example.id
     question = sample.example.question
-    sim_scores = {
-        variant: (_spans_jaccard(question, strunc_spans, aggregation)
-                  if variant == "strunc" and metric == "jaccard" else
-                  context_similarity(question, context.text, metric,
-                                     aggregation, external_scores, (qid, variant)))
-        for variant, context in contexts.items()
-    }
+    nature = sample.generated
+    contexts = {"nature": nature}
+    sim_scores = {"nature": context_similarity(question, nature.text, metric, aggregation,
+                                               external_scores, (qid, "nature"))}
+    question_tokens = set(textnorm.tokens(question))
+    for variant, (text, word_count, kept) in cuts.items():
+        contexts[variant] = replace(nature, text=text, word_count=word_count,
+                                    gen_target_words=None, variant=variant)
+        sim_scores[variant] = (_words_jaccard(question_tokens, words, kept, aggregation)
+                               if metric == "jaccard" else
+                               context_similarity(question, text, metric, aggregation,
+                                                  external_scores, (qid, variant)))
     return contexts, sim_scores
 
 
@@ -365,10 +356,11 @@ def run_completeness(samples: Sequence[pipeline.TracedSample], reader: pipeline.
             return None
         records = {}
         for variant in COMPLETENESS_VARIANTS:
-            context = contexts[variant]
-            candidate = (sample.answer_from_generated if variant == "nature"
-                         else reader.answer(sample.example, [context]))
-            stand_in = replace(sample, generated=context, answer_from_generated=candidate)
+            # nature is the sample's own generation and candidate, so the
+            # sample stands for it, with the normalized forms it has cached.
+            stand_in = sample if variant == "nature" else replace(
+                sample, generated=contexts[variant],
+                answer_from_generated=reader.answer(sample.example, [contexts[variant]]))
             if pipeline.trace_decision(stand_in, abstained) == (sample.subset, None):
                 records[variant] = pipeline.hybrid_answer(reader, stand_in, order, seed)
         return records

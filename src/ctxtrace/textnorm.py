@@ -12,20 +12,26 @@ Nothing here is memoized.  The records that carry texts (``pipeline``'s
 questions, contexts, traced samples and hybrid records) carry each text's
 normalized form too, computed the first time it is read, so a stage that
 compares one text many times normalizes it once.
+
+Sentence work goes through one word-level pass, :func:`split_words`: the
+text is split on whitespace once, each word is normalized once, aligned
+with the words, and one rule over the word list says where each sentence
+ends.  Sentence similarity and the truncated variants of a text are cut
+from that pass; :func:`split_sentences` is a view of the same rule with
+character offsets.
 """
 from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
 _ARTICLES = frozenset({"a", "an", "the"})
 _ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
-# A terminator run followed by whitespace or the end of the input, capturing
-# the next non-space character, if any.  A run glued to the next character
-# ("3.5", the inner dot of "e.g.") never breaks.
-_CANDIDATE_BREAK_RE = re.compile(r"[.!?]+(?=\s+(\S)|\s*\Z)")
-_NON_SPACE_RE = re.compile(r"\S")
+# What a normalized word may be that adds no token to a sentence's set.
+_NO_TOKEN = _ARTICLES | {""}
 
 # Words that end in a period without ending a sentence. Lowercased, no
 # trailing dot. Single letters are guarded separately (initials).
@@ -135,43 +141,114 @@ class SentenceSpan:
     text: str
 
 
-def _is_break(text: str, sent_start: int, run: re.Match[str]) -> bool:
-    after = run.group(1)
-    if after is None:
-        # Terminator run at end of input (trailing whitespace allowed).
-        return True
-    if not after.isupper():
+def _abbreviated(word: str) -> bool:
+    """True when *word* ends in a lone "." after an abbreviation or a single
+    letter (an initial), opening quotes and brackets aside."""
+    stem = word[:-1]
+    if word[-1] != "." or stem.endswith((".", "!", "?")):
         return False
-    if run.group() == ".":
-        # The word glued to a lone period ("" when there is none) may be an
-        # abbreviation or an initial.
-        word = text[sent_start:run.end()].rsplit(None, 1)[-1][:-1].lstrip("\"'([{" + "‘“")
-        if word.lower() in _ABBREVIATIONS or (len(word) == 1 and word.isalpha()):
-            return False
-    return True
+    stem = stem.lstrip("\"'([{" + "‘“")
+    return stem.lower() in _ABBREVIATIONS or (len(stem) == 1 and stem.isalpha())
+
+
+def _sentence_ends(words: list[str]) -> list[int]:
+    """Where the sentences of *words* end, as exclusive word indices.
+
+    The one sentence-break rule: a sentence ends after a word whose trailing
+    run of ".", "!" or "?" is followed by a word that starts uppercase, unless
+    that run is a lone "." after an abbreviation or an initial; and it ends
+    after the last word.  A run glued to the next character ("3.5", the inner
+    dot of "e.g.") is inside a word and never breaks.  A break depends only on
+    a word and the one after it, so cutting the word list after some word, or
+    respacing it, moves no earlier break.
+    """
+    ends = [i for i, (word, after) in enumerate(zip(words, words[1:]), 1)
+            if word[-1] in ".!?" and after[0].isupper() and not _abbreviated(word)]
+    if words:
+        ends.append(len(words))
+    return ends
 
 
 def split_sentences(text: str) -> list[SentenceSpan]:
-    """Split *text* into sentence spans.
+    """Split *text* into sentence spans: a view, with character offsets, of
+    :func:`_sentence_ends`'s rule over its whitespace-separated words.
 
     A sentence ends at ".", "!" or "?" when followed by whitespace and a
-    capital letter, or at end of input; a short abbreviation list ("Dr.",
-    "e.g.", single initials) guards against false splits.  Spans are ordered,
-    non-overlapping, cover every non-whitespace character, and each span's
-    text ends at a terminator or at the end of the input, so the source can
-    be reconstructed from the spans plus the whitespace between them.
+    capital letter, or at the last word; a short abbreviation list ("Dr.",
+    "e.g.") and single initials guard against false breaks.  Spans are
+    ordered, non-overlapping, cover every non-whitespace character, and each
+    span's text runs from its first word's first character to its last
+    word's last, so the source can be reconstructed from the spans plus the
+    whitespace between them.
     """
-    spans: list[SentenceSpan] = []
-    first = _NON_SPACE_RE.search(text)
-    # The current sentence's first character; a terminator is not whitespace,
-    # so no candidate comes before it.
-    start = None if first is None else first.start()
-    for run in _CANDIDATE_BREAK_RE.finditer(text):
-        if _is_break(text, start, run):
-            end = run.end()
-            spans.append(SentenceSpan(start, end, text[start:end]))
-            start = None if run.group(1) is None else run.start(1)
-    if start is not None:
-        end = len(text.rstrip())
+    words = text.split()
+    starts, pos = [], 0
+    for word in words:
+        pos = text.find(word, pos)
+        starts.append(pos)
+        pos += len(word)
+    spans, first = [], 0
+    for stop in _sentence_ends(words):
+        start, end = starts[first], starts[stop - 1] + len(words[stop - 1])
         spans.append(SentenceSpan(start, end, text[start:end]))
+        first = stop
     return spans
+
+
+@dataclass(frozen=True)
+class Words:
+    """One word-level pass over *text*; build it with :func:`split_words`.
+
+    ``words`` is ``text.split()``.  ``normalized`` is aligned with it:
+    each word lowercased and stripped of punctuation (``""`` when nothing is
+    left, and such a word is not counted by :func:`word_count`), and a word
+    that is not then alphanumeric put through :func:`tokens`, its tokens
+    joined by spaces (``spaced`` says whether any word has more than one).
+    ``ends`` holds where each sentence ends, as exclusive word indices.
+    """
+
+    text: str
+    words: list[str]
+    normalized: list[str]
+    ends: list[int]
+    spaced: bool
+
+    def sentences(self, stop: int) -> Iterator[tuple[int, int]]:
+        """(start, end) word ranges of the sentences of the first *stop*
+        words: those that end before *stop*, then the rest up to it, since
+        cutting the text after a word moves no earlier break."""
+        ends = [*self.ends[:bisect_left(self.ends, stop)], stop] if stop else []
+        return zip([0, *ends], ends)
+
+    def token_set(self, start: int, stop: int) -> set[str]:
+        """``set(tokens(...))`` of the words from *start* up to *stop*."""
+        found = set(self.normalized[start:stop])
+        if self.spaced:
+            found = set(" ".join(found).split())
+        found -= _NO_TOKEN
+        return found
+
+    def prefix(self, stop: int) -> str:
+        """The text up to the end of its first *stop* words, spacing kept."""
+        # The text from word *stop* on, if there is one, is split off last.
+        rest = self.text.split(None, stop)[stop:]
+        return self.text[:len(self.text) - len(rest[0]) if rest else None].rstrip()
+
+
+def split_words(text: str) -> Words:
+    """The :class:`Words` of *text*: one split, one punctuation pass and one
+    sentence-break pass.
+
+    The words are joined by single spaces, lowercased and stripped in one
+    pass and split on those spaces again, which keeps one entry per word:
+    no word holds whitespace, :meth:`str.lower` adds none, and it never adds
+    or removes punctuation, so a word strips to ``""`` exactly when
+    :func:`word_count` skips it.
+    """
+    words = text.split()
+    normalized = strip_punct(" ".join(words).lower()).split(" ") if words else []
+    spaced = False
+    if not "".join(normalized).isalnum():
+        normalized = [word if word.isalnum() else " ".join(tokens(word)) for word in normalized]
+        spaced = any(" " in word for word in normalized)
+    return Words(text, words, normalized, _sentence_ends(words), spaced)

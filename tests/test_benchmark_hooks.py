@@ -111,6 +111,7 @@ def test_perfbench_traces_the_completeness_scoring():
     done = subprocess.run([sys.executable, "-c", COMPLETENESS_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    # One split per text (nature, trunc, and the unconstrained generation that
-    # strunc is cut from), and one similarity call each for nature and trunc.
-    assert done.stdout.strip() == "3 2"
+    # Each text goes through one textnorm.split_words pass, none through
+    # split_sentences: nature is scored through context_similarity, and trunc
+    # and strunc are cut and scored from the unconstrained generation's pass.
+    assert done.stdout.strip() == "0 1"

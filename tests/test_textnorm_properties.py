@@ -294,13 +294,13 @@ similarity_text = st.lists(
 questions = st.lists(similarity_words, max_size=8).map(" ".join)
 
 
-def _scored_sample(question: str, target_words: int) -> TracedSample:
+def _scored_sample(question: str, target_words: int, generated: str) -> TracedSample:
     def context(source: str, text: str) -> Context:
         return Context("q1", source, "scripted", None, text, word_count(text), None, source)
 
     return TracedSample(QaExample("q1", question, ("red",)),
                         retrieved=context("retrieved", "w " * target_words),
-                        generated=context("generated", "red"),
+                        generated=context("generated", generated),
                         answer_from_retrieved="w", answer_from_generated="red",
                         closed_book=None, subset="AIG", dropped=None)
 
@@ -312,15 +312,41 @@ def _scored_sample(question: str, target_words: int) -> TracedSample:
          2)  # a first sentence longer than the target
 @example("red İstanbul", "Red İstanbul.\n\nΣίσυφος. Red.", 40)  # a text under the target
 @example("red", "Alpha beta. Red.", 2)  # the cut drops the best sentence
+@example("alpha", "alpha. alpha. ", 1)  # one sentence over the target, trailing space
+@example("red", "Alpha red.  Beta\tgamma. Red.", 2)  # the cut lands on a sentence end
+@example("red", "Alpha red. beta Dr. Red gamma. Red.", 4)  # the cut follows a "." that breaks nothing
+@example("the+x red", "The+x $5 red. An\u0301 ©the. Red x+the+y.", 3)  # the article pass runs
 def test_sentence_scores_match_the_memoized_scoring(aggregation, question, text, target_words):
     expected = reference_sentence_jaccard(question, text, aggregation)
     assert sentence_jaccard(question, text, aggregation) == expected
     if not text.strip():
         return
-    _, scores = build_completeness_variants(_scored_sample(question, target_words), text,
-                                            "jaccard", aggregation)
-    assert scores["strunc"] == reference_sentence_jaccard(
-        question, reference_s_trunc(text, target_words), aggregation)
+    sample = _scored_sample(question, target_words, text[::-1])
+    contexts, scores = build_completeness_variants(sample, text, "jaccard", aggregation)
+    assert scores["nature"] == reference_sentence_jaccard(question, text[::-1], aggregation)
+    for variant, reference in (("trunc", reference_trunc), ("strunc", reference_s_trunc)):
+        want = reference(text, target_words)
+        assert contexts[variant].text == want
+        assert contexts[variant].word_count == word_count(want)
+        assert scores[variant] == reference_sentence_jaccard(question, want, aggregation)
+
+
+def test_lowercasing_adds_no_whitespace_and_keeps_punctuation():
+    # The premise of textnorm.split_words, which lowercases and strips a
+    # text's words joined by single spaces and splits the result on those
+    # spaces again: over all of Unicode, the lowercase of a character holds
+    # no whitespace unless the character is whitespace, and each of its
+    # characters is punctuation exactly when the character is.
+    def punctuation(ch: str) -> bool:
+        return unicodedata.category(ch).startswith("P")
+
+    changed = [(ch, ch.lower()) for ch in map(chr, range(sys.maxunicode + 1)) if ch.lower() != ch]
+    assert [ch for ch, lowered in changed
+            if any(c.isspace() or punctuation(c) != punctuation(ch) for c in lowered)] == []
+    # Nor does any whitespace character carry case context across it, so a
+    # final sigma either side of a space lowercases alike in any text.
+    assert [ws for ws in ALL_WHITESPACE
+            if ("ΑΣ" + ws + "Σ").lower() != "ας" + ws + "σ"] == []
 
 
 # ---------------------------------------------------------------------------
